@@ -31,7 +31,9 @@ print("residue counts by enumeration:", list(amod_by_enumeration(shape)))
 # %% Route 2: the q-analogue of the hook length formula.  The polynomial
 # below has the full major index distribution as its coefficients; folding
 # exponents mod n (i.e. reducing mod q^n - 1) gives the same vector
-# without touching a single tableau.
+# without touching a single tableau.  The library evaluates the quotient
+# at q = 2^w, so the whole polynomial is one big integer whose w-bit
+# digits are the coefficients, and the fold is reduction mod 2^(wn) - 1.
 
 poly = maj_generating_polynomial(shape)
 print("\nmaj generating polynomial:", poly)

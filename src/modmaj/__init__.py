@@ -52,13 +52,8 @@ from .qpoly import (
     ExactDivisionError,
     IntPolynomial,
     amod_by_qhook,
-    exact_divide,
     maj_generating_polynomial,
     min_major_index,
-    multiply,
-    q_factorial,
-    q_int,
-    reduce_mod_qn_minus_1,
 )
 from .characters import (
     mn_character,
@@ -117,7 +112,6 @@ __all__ = [
     "ell_core",
     "enumerate_syt",
     "equidistribution_check",
-    "exact_divide",
     "expected_zero",
     "fl_bound_check",
     "fl_log_bound",
@@ -129,14 +123,11 @@ __all__ = [
     "min_major_index",
     "mn_character",
     "moebius",
-    "multiply",
     "n_cubed_criterion",
     "opposite_hook_lengths",
     "partitions_of",
     "phi_d_check",
     "predicted_exceptions",
-    "q_factorial",
-    "q_int",
     "ramanujan_matrix",
     "ramanujan_matrix_square",
     "ramanujan_sum",
@@ -144,7 +135,6 @@ __all__ = [
     "rect_character",
     "rect_character_magnitude",
     "rect_character_sign",
-    "reduce_mod_qn_minus_1",
     "removable_ribbons",
     "small_dimension_census",
     "staircase_peak",

@@ -259,16 +259,37 @@ def cmd_char(args) -> int:
 
 
 def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
+    """Checkpoint entries of one suite, keyed by n.
+
+    A last line with no newline that does not parse is a write torn by a
+    kill: it is cut from the file, so its n is computed again.  A malformed
+    line anywhere else is a ValueError.
+    """
     done = {}
-    if path and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                if entry.get("suite") == suite:
-                    done[entry["n"]] = entry
+    if not os.path.exists(path):
+        return done
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if data[complete:].strip():
+            try:
+                json.loads(data[complete:])
+            except ValueError:
+                fh.truncate(complete)
+                data = data[:complete]
+            else:
+                fh.write(b"\n")
+    for number, line in enumerate(data.decode("utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            if not isinstance(entry, dict) or not isinstance(entry.get("n"), int):
+                raise ValueError("not a checkpoint entry")
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}, line {number}: {exc}") from None
+        if entry.get("suite") == suite:
+            done[entry["n"]] = entry
     return done
 
 

@@ -1,25 +1,40 @@
 """Dense integer polynomials in q and the q-hook route to the residue counts.
 
 The generating polynomial of major index over standard tableaux of shape
-``lam`` is ``q^d * [n]_q! / prod([h]_q over hooks h)`` where
-``d = sum((i - 1) * lam_i)`` and ``[a]_q = 1 + q + ... + q^(a-1)``.  The
-quotient is computed exactly over the integers: the factorial product is
-built once per n and the hook factors are divided out one long division at
-a time, each asserting a zero remainder.  No root of unity is ever
-evaluated; reducing mod q^n - 1 is plain exponent folding.
+``lam`` is ``q^b * prod(q^i - 1 for i <= n) / prod(q^h - 1 over hooks h)``
+where ``b = sum((i - 1) * lam_i)`` (Stanley, EC2 Cor. 7.21.5).  It is
+computed by Kronecker substitution: the factors shared by ``{1..n}`` and
+the hook multiset cancel, the rest are evaluated at ``X = 2^w`` and
+multiplied into two integers, and one exact ``divmod`` gives the quotient
+polynomial packed as base-X digits.  Reducing mod ``q^n - 1`` is then
+folding that integer mod ``2^(wn) - 1``, and the residue counts are its
+n slots of w bits.  No root of unity is ever evaluated.
 
-Coefficients are Python ints throughout; they overflow 64 bits well before
-the sizes this library sweeps.
+Every coefficient of the quotient, and every residue count, lies between
+0 and ``f``, the number of tableaux, and ``w = bit_length(f) + 1`` makes
+``2^(w-1) > f``.  So the quotient's base-X digits are exactly its
+coefficients, folding adds the digits of a residue class without a carry
+into the next slot, and each slot keeps a spare top bit: a negative
+coefficient would borrow from its neighbour and leave a digit above f.
+An integer division can be exact when the polynomial division is not, so
+three checks guard the unpacking, each raising ExactDivisionError: the
+remainder is zero, the quotient is below ``X^(deg+1)`` for the degree
+``deg = C(n,2) - b - sum(C(lam_i, 2))`` read off the shape rather than the
+hooks, and the slots sum to f.  f itself is the quotient of the cancelled
+factors' products, so a hook product that does not divide n! fails first.
+
+All arithmetic is exact on Python ints; at n = 60 the packed integers run
+to some hundred thousand bits.
 """
 
-from functools import lru_cache
+from math import prod
 
 from .partitions import Partition, hook_lengths
 from .tableaux import ModularClassVector
 
 
 class ExactDivisionError(ArithmeticError):
-    """A polynomial division that must be exact left a remainder: a logic bug."""
+    """The q-hook quotient failed an exactness check: a logic bug."""
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -51,9 +66,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __mul__(self, other):
-        return multiply(self, other)
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
@@ -97,121 +109,67 @@ class IntPolynomial:
         return " ".join(pieces)
 
 
-def q_int(a: int) -> IntPolynomial:
-    """The q-analogue of a: the polynomial with a ones."""
-    if a < 1:
-        raise ValueError(f"q_int requires a >= 1, got {a}")
-    return IntPolynomial((1,) * a)
-
-
-def multiply(p: IntPolynomial, r: IntPolynomial) -> IntPolynomial:
-    """Exact product."""
-    if not p.coeffs or not r.coeffs:
-        return IntPolynomial(())
-    out = [0] * (len(p.coeffs) + len(r.coeffs) - 1)
-    for i, ci in enumerate(p.coeffs):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(r.coeffs):
-            out[i + j] += ci * cj
-    return IntPolynomial(out)
-
-
-def _divide_by_all_ones(num: list[int], h: int) -> list[int]:
-    """Divide by 1 + q + ... + q^(h-1), i.e. by (q^h - 1)/(q - 1).
-
-    Multiplies by q - 1 and then divides by the sparse binomial q^h - 1,
-    which costs one addition per coefficient.  The h low-order equations
-    that the top-down recurrence does not constrain are verified at the
-    end; a violation means the division was not exact.
-    """
-    top = len(num)
-    prod = [0] * (top + 1)
-    for i, c in enumerate(num):
-        prod[i + 1] += c
-        prod[i] -= c
-    quot = [0] * (top + 1 - h)
-    for i in range(top, h - 1, -1):
-        quot[i - h] = prod[i] + (quot[i] if i < len(quot) else 0)
-    for i in range(h):
-        expect = -quot[i] if i < len(quot) else 0
-        if prod[i] != expect:
-            raise ExactDivisionError("nonzero remainder in q-integer division")
-    return quot
-
-
-def exact_divide(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
-    """Quotient p / d with zero remainder over the integers.
-
-    Any nonzero remainder (or a non-integer quotient coefficient) raises
-    ExactDivisionError: for the callers here it means a shape/hook mismatch
-    and the computation must abort.
-    """
-    if not d.coeffs:
-        raise ValueError("division by the zero polynomial")
-    if not p.coeffs:
-        return p
-    if all(c == 1 for c in d.coeffs):
-        return IntPolynomial(_divide_by_all_ones(list(p.coeffs), len(d.coeffs)))
-    if p.degree < d.degree:
-        raise ExactDivisionError("degree of dividend below degree of divisor")
-    rem = list(p.coeffs)
-    lead = d.coeffs[-1]
-    quot = [0] * (p.degree - d.degree + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + d.degree]
-        if c == 0:
-            continue
-        if c % lead != 0:
-            raise ExactDivisionError("leading coefficient does not divide")
-        factor = c // lead
-        quot[i] = factor
-        for j, dj in enumerate(d.coeffs):
-            rem[i + j] -= factor * dj
-    if any(rem):
-        raise ExactDivisionError("nonzero remainder")
-    return IntPolynomial(quot)
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> IntPolynomial:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q."""
-    if n < 0:
-        raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    if n == 0:
-        return IntPolynomial((1,))
-    return multiply(q_factorial(n - 1), q_int(n))
-
-
 def min_major_index(lam: Partition) -> int:
     """sum((i - 1) * lam_i): the smallest major index attained on the shape."""
     return sum(i * p for i, p in enumerate(lam.parts))
 
 
+def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
+    """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
+
+    Returns (value, w, deg, f); value's base-X digits are the coefficients.
+    """
+    n = lam.n
+    if n < 1:
+        raise ValueError("the q-hook route requires a nonempty partition")
+    # Multiplicity of each length among the hooks minus its multiplicity in {1..n}.
+    excess = dict.fromkeys(range(1, n + 1), -1)
+    for h in hook_lengths(lam):
+        excess[h] = excess.get(h, 0) + 1
+    num = [a for a, e in excess.items() if e < 0]
+    den = [h for h, e in excess.items() for _ in range(e)]
+    f, rem = divmod(prod(num), prod(den))
+    if rem:
+        raise ExactDivisionError(f"hook product does not divide n! for {lam}")
+    w = f.bit_length() + 1
+    numerator = denominator = 1
+    for a in num:
+        numerator = (numerator << (w * a)) - numerator
+    for h in den:
+        denominator = (denominator << (w * h)) - denominator
+    value, rem = divmod(numerator, denominator)
+    if rem:
+        raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
+    conj_min = sum(p * (p - 1) // 2 for p in lam.parts)
+    deg = n * (n - 1) // 2 - min_major_index(lam) - conj_min
+    if value >> (w * (deg + 1)):
+        raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
+    return value, w, deg, f
+
+
+def _slots(value: int, w: int, count: int, f: int) -> list[int]:
+    """The first count w-bit digits of value, which must sum to f."""
+    low = (1 << w) - 1
+    slots = [(value >> (w * k)) & low for k in range(count)]
+    if sum(slots) != f:
+        raise ExactDivisionError(f"q-hook digits sum to {sum(slots)}, not f = {f}")
+    return slots
+
+
 def maj_generating_polynomial(lam: Partition) -> IntPolynomial:
     """Coefficient of q^i counts the standard tableaux with major index i."""
-    if lam.n < 1:
-        raise ValueError("maj_generating_polynomial requires a nonempty partition")
-    poly = q_factorial(lam.n).shifted(min_major_index(lam))
-    for h in sorted(hook_lengths(lam), reverse=True):
-        if h == 1:
-            break
-        poly = exact_divide(poly, q_int(h))
-    return poly
-
-
-def reduce_mod_qn_minus_1(p: IntPolynomial, n: int) -> IntPolynomial:
-    """Fold exponents mod n, summing coefficients; result has degree < n."""
-    if n < 1:
-        raise ValueError(f"modulus exponent must be >= 1, got {n}")
-    folded = [0] * n
-    for i, c in enumerate(p.coeffs):
-        folded[i % n] += c
-    return IntPolynomial(folded)
+    value, w, deg, f = _packed_quotient(lam)
+    return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
 
 
 def amod_by_qhook(lam: Partition) -> ModularClassVector:
-    """Residue counts read off the generating polynomial reduced mod q^n - 1."""
+    """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w."""
     n = lam.n
-    folded = reduce_mod_qn_minus_1(maj_generating_polynomial(lam), n)
-    return ModularClassVector(n, [folded[r] for r in range(n)])
+    value, w, _, f = _packed_quotient(lam)
+    # X^n is 1 modulo 2^(wn) - 1, so only b mod n of the shift by q^b matters.
+    value <<= w * (min_major_index(lam) % n)
+    span = w * n
+    mask = (1 << span) - 1
+    while value > mask:
+        value = (value & mask) + (value >> span)
+    return ModularClassVector(n, _slots(value, w, n, f))

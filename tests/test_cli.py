@@ -171,6 +171,42 @@ def test_checkpoint_resume(tmp_path, capsys):
     assert "total mismatches: 1" in out
 
 
+def test_resume_drops_torn_last_line(tmp_path, capsys):
+    ckpt = tmp_path / "progress.jsonl"
+    args = ["verify", "--n-max", "5", "--suite", "classification", "--resume", str(ckpt),
+            "--format", "json"]
+    code, fresh, _ = run(args, capsys)
+    assert code == 0
+    whole = ckpt.read_text()
+    # a kill in the middle of writing the n=5 line leaves it unterminated
+    ckpt.write_text(whole[: whole.rindex("\n", 0, -1) + 12])
+    code, resumed, _ = run(args, capsys)
+    assert code == 0
+    assert resumed == fresh
+    assert ckpt.read_text() == whole
+    # a complete last entry that lost only its newline is kept
+    ckpt.write_text(whole[:-1])
+    assert run(args, capsys)[1] == fresh
+    assert ckpt.read_text() == whole
+
+
+@pytest.mark.parametrize(
+    "index,bad",
+    [(1, '{"n": 2, "suite'), (3, '{"n": 4, "suite'), (1, "[2]")],
+    ids=["torn middle line", "torn terminated last line", "not an entry"],
+)
+def test_resume_rejects_malformed_line(tmp_path, capsys, index, bad):
+    ckpt = tmp_path / "progress.jsonl"
+    args = ["verify", "--n-max", "4", "--suite", "classification", "--resume", str(ckpt)]
+    assert run(args, capsys)[0] == 0
+    lines = ckpt.read_text().splitlines()
+    lines[index] = bad
+    ckpt.write_text("\n".join(lines) + "\n")
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert f"line {index + 1}" in err
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["table"])  # --shape is required

@@ -3,75 +3,27 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import modmaj.qpoly
+from modmaj.modular import amod_by_character_formula
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of
 from modmaj.qpoly import (
     ExactDivisionError,
     IntPolynomial,
     amod_by_qhook,
-    exact_divide,
     maj_generating_polynomial,
     min_major_index,
-    multiply,
-    q_factorial,
-    q_int,
-    reduce_mod_qn_minus_1,
 )
 from modmaj.tableaux import amod_by_enumeration, enumerate_syt, maj
 
 P = Partition
 
-coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
-
-
-def test_q_int():
-    assert q_int(1) == IntPolynomial((1,))
-    assert q_int(3) == IntPolynomial((1, 1, 1))
-    for a in range(1, 12):
-        assert q_int(a).evaluate(1) == a
-    with pytest.raises(ValueError):
-        q_int(0)
-
-
-def test_multiply():
-    one = IntPolynomial((1,))
-    p = IntPolynomial((3, 0, -2, 1))
-    assert multiply(p, one) == p
-    assert multiply(q_int(2), q_int(2)) == IntPolynomial((1, 2, 1))
-    assert multiply(q_int(2), q_int(3)) == IntPolynomial((1, 2, 2, 1))
-
-
-def test_exact_divide():
-    p = IntPolynomial((2, -1, 3))
-    assert exact_divide(p, p) == IntPolynomial((1,))
-    assert exact_divide(IntPolynomial((1, 2, 1)), q_int(2)) == q_int(2)
-    with pytest.raises(ExactDivisionError):
-        exact_divide(IntPolynomial((1, 0, 1)), q_int(2))
-    with pytest.raises(ExactDivisionError):
-        exact_divide(IntPolynomial((1, 1, 1, 1)), IntPolynomial((1, 0, 2)))
-    with pytest.raises(ValueError):
-        exact_divide(q_int(2), IntPolynomial(()))
-
-
-@given(coeff_lists, coeff_lists.filter(lambda c: any(c)))
-def test_divide_undoes_multiply(pc, dc):
-    p = IntPolynomial(pc)
-    d = IntPolynomial(dc)
-    assert exact_divide(multiply(p, d), d) == p
-
-
-@given(coeff_lists, st.integers(min_value=1, max_value=9))
-def test_qint_division_fast_path(pc, a):
-    p = IntPolynomial(pc)
-    assert exact_divide(multiply(p, q_int(a)), q_int(a)) == p
-
-
 def test_text_form():
     assert IntPolynomial(()).to_text() == "0"
     assert IntPolynomial((0, 0, 1, 0, 1)).to_text() == "q^2 + q^4"
     assert IntPolynomial((1, 2, 0, -3)).to_text() == "1 + 2*q - 3*q^3"
-    assert q_int(3).to_text() == "1 + q + q^2"
+    assert IntPolynomial((1, 1, 1)).to_text() == "1 + q + q^2"
 
 
 def test_min_major_index():
@@ -128,19 +80,6 @@ def test_degree_bound_and_symmetry():
                 assert poly[i] == flipped[shift - i], (lam, i)
 
 
-def test_reduce_mod():
-    assert reduce_mod_qn_minus_1(IntPolynomial((0,) * 6 + (1,)), 6) == IntPolynomial((1,))
-    assert reduce_mod_qn_minus_1(IntPolynomial((0, 0, 1, 0, 1)), 4) == IntPolynomial((1, 0, 1))
-    p = IntPolynomial((5, -1, 2))
-    assert reduce_mod_qn_minus_1(p, 7) == p
-
-
-def test_q_factorial():
-    assert q_factorial(0) == IntPolynomial((1,))
-    assert q_factorial(3) == multiply(q_int(2), q_int(3))
-    assert q_factorial(6).evaluate(1) == math.factorial(6)
-
-
 def test_amod_examples():
     assert list(amod_by_qhook(P((2, 2)))) == [1, 0, 1, 0]
     assert list(amod_by_qhook(P((2, 1, 1)))) == [1, 1, 0, 1]
@@ -151,3 +90,49 @@ def test_amod_matches_enumeration():
     for n in range(1, 10):
         for lam in partitions_of(n):
             assert amod_by_qhook(lam) == amod_by_enumeration(lam), lam
+
+
+@pytest.mark.parametrize(
+    "parts,hooks,check",
+    [
+        ((3, 1), (1, 2, 2, 2), "nonzero remainder"),
+        ((3,), (1, 1, 1), "exceeds degree"),
+        ((5, 1), (2, 2, 2, 3, 3, 5), "digits sum"),
+        ((3,), (1, 2, 2), "does not divide"),
+    ],
+)
+def test_corrupted_hooks_are_caught(monkeypatch, parts, hooks, check):
+    # each multiset trips one integrity check of the packed quotient; the
+    # digit-sum case divides exactly as integers but not as polynomials
+    monkeypatch.setattr(modmaj.qpoly, "hook_lengths", lambda lam: list(hooks))
+    with pytest.raises(ExactDivisionError, match=check):
+        amod_by_qhook(P(parts))
+    with pytest.raises(ExactDivisionError, match=check):
+        maj_generating_polynomial(P(parts))
+
+
+def test_empty_shape_is_rejected():
+    with pytest.raises(ValueError):
+        amod_by_qhook(P(()))
+    with pytest.raises(ValueError):
+        maj_generating_polynomial(P(()))
+
+
+@st.composite
+def shapes(draw, n_min, n_max):
+    """A partition of some n in [n_min, n_max], drawn largest part first."""
+    remaining = part = draw(st.integers(min_value=n_min, max_value=n_max))
+    parts = []
+    while remaining:
+        part = draw(st.integers(min_value=1, max_value=min(part, remaining)))
+        parts.append(part)
+        remaining -= part
+    return P(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes(40, 60))
+def test_qhook_matches_formula_beyond_the_gate(lam):
+    counts = amod_by_qhook(lam)
+    assert counts == amod_by_character_formula(lam)
+    assert counts.total() == dimension(lam)
