@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report formats, determinism, checkpoint resume."""
 
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,25 @@ def test_json_reports_are_byte_identical(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+# SHA-256 of stdout, recorded before the verify checks moved into modmaj.modular.
+GOLDEN_REPORTS = {
+    ("verify", "json"): "734cbedd922ccdb629857ea447451a9d608b9fd62a32f08f5dca2dcce2f9b857",
+    ("verify", "csv"): "e48b10688387e21721fb1ba4b64d3234b59c4435c4a1b590ba4bd605f542f109",
+    ("verify", "text"): "52638b27dae77cf74fe196fc7e23584222cbd7bb0472251483ce72c62ff4e53f",
+    ("bounds", "json"): "59614b38500dc716bad04b541eed5044e4467439fe2b6d69f7734d61d2927023",
+    ("bounds", "csv"): "27dbf19b9065d5d6430f9963ac36250b0788c715f2b6e3c9db8f1c0375259d9d",
+    ("bounds", "text"): "602e3985a7c62c35b3b191ea23c45a154bde9c46a92290fdb854f452fe47cabe",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_REPORTS))
+def test_golden_reports(command, fmt, capsys):
+    suite = ["--suite", "all"] if command == "verify" else []
+    code, out, _ = run([command, *suite, "--n-max", "8", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[command, fmt]
 
 
 def test_csv_report(capsys):
