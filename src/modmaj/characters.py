@@ -22,7 +22,6 @@ from functools import lru_cache
 from .partitions import (
     Partition,
     beta_numbers,
-    dimension,
     ell_core,
     hook_lengths,
     removable_ribbons,
@@ -46,11 +45,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
     return _mn(lam.parts, tuple(sorted(mu.parts, reverse=True)))
-
-
-def mn_cache_clear() -> None:
-    """Drop the rim-hook recursion memo (mostly for benchmarks and tests)."""
-    _mn.cache_clear()
 
 
 def rect_character_magnitude(lam: Partition, ell: int) -> int:
@@ -128,8 +122,3 @@ def rect_character(lam: Partition, ell: int) -> int:
     if ell == 1:
         return magnitude
     return rect_character_sign(lam, ell) * magnitude
-
-
-def character_dimension(lam: Partition) -> int:
-    """Character at the identity, i.e. the number of standard tableaux."""
-    return dimension(lam)

@@ -24,38 +24,24 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 from .characters import mn_character, rect_character, rect_character_magnitude, rect_character_sign
 from .modular import (
+    VERIFY_CHECKS,
+    _bounds_row,
     amod_by_character_formula,
-    binomial_lower_bound_check,
-    dist_check,
-    equidistribution_check,
-    fl_bound_check,
-    fl_log_bound,
-    n_cubed_criterion,
+    bound_violations,
     parallel_map,
-    phi_d_check,
     predicted_exceptions,
-    verify_classification_at,
     zero_residues,
 )
-from .numtheory import divisors, ramanujan_matrix_square, ramanujan_sum, ramanujan_sum_oracle
-from .partitions import (
-    Partition,
-    dimension,
-    ell_core,
-    hook_lengths,
-    partitions_of,
-    removable_ribbons,
-)
+from .partitions import Partition, dimension, ell_core, partitions_of
 from .qpoly import amod_by_qhook, maj_generating_polynomial
 from .tableaux import EnumerationBudgetExceeded, amod_by_enumeration
 
-VERIFY_SUITES = ("classification", "fdim-census", "ramanujan", "fiber-laws", "bounds", "all")
+VERIFY_SUITES = (*VERIFY_CHECKS, "all")
 BOUND_SUITES = ("fl", "equidistribution", "dist", "fl-log", "phi-d", "n-cubed", "binom", "all")
 
 
@@ -299,103 +285,20 @@ def _checkpoint_append(path: str | None, entry: dict) -> None:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _verify_classification(n: int, jobs: int) -> dict:
-    report = verify_classification_at(n, jobs)
-    return {
-        "n": n,
-        "suite": "classification",
-        "shapes": report.shapes_checked,
-        "small_dimension": report.small_dimension_count,
-        "mismatches": [
-            {
-                "shape": _shape_list(m.shape),
-                "computed": list(m.computed),
-                "predicted": list(m.predicted),
-            }
-            for m in report.mismatches
-        ],
-    }
-
-
-def _verify_census(n: int, jobs: int) -> dict:
-    count = sum(1 for lam in partitions_of(n) if dimension(lam) < n**3)
-    return {"n": n, "suite": "fdim-census", "small_dimension": count, "mismatches": []}
-
-
-def _verify_ramanujan(n: int, jobs: int) -> dict:
-    mismatches = []
-    for s in range(-2 * n, 2 * n + 1):
-        if ramanujan_sum(n, s) != ramanujan_sum_oracle(n, s):
-            mismatches.append({"j": n, "s": s})
-    square = ramanujan_matrix_square(n)
-    for i, row in enumerate(square):
-        for j, value in enumerate(row):
-            if value != (n if i == j else 0):
-                mismatches.append({"matrix_n": n, "row": i, "col": j, "value": value})
-    return {"n": n, "suite": "ramanujan", "mismatches": mismatches}
-
-
-def _verify_fiber_laws(n: int, jobs: int) -> dict:
-    mismatches = []
-    for lam in sorted(partitions_of(n)):
-        hooks = hook_lengths(lam)
-        for ell in divisors(n):
-            if ell == 1 or ell_core(lam, ell):
-                continue
-            s = n // ell
-            for a in range(ell):
-                pair = len({a % ell, (-a) % ell})
-                count = sum(1 for h in hooks if h % ell == a or h % ell == (-a) % ell)
-                if count != s * pair:
-                    mismatches.append({"shape": _shape_list(lam), "ell": ell, "a": a})
-        for ell in range(1, n + 1):
-            for step in removable_ribbons(lam, ell):
-                small = hook_lengths(step.shape)
-                for a in range(ell):
-                    pair = len({a % ell, (-a) % ell})
-                    big_count = sum(1 for h in hooks if h % ell in (a, (-a) % ell))
-                    small_count = sum(1 for h in small if h % ell in (a, (-a) % ell))
-                    if big_count - small_count != pair:
-                        mismatches.append(
-                            {"shape": _shape_list(lam), "ribbon_to": _shape_list(step.shape), "ell": ell, "a": a}
-                        )
-    return {"n": n, "suite": "fiber-laws", "mismatches": mismatches}
-
-
-def _verify_bounds(n: int, jobs: int) -> dict:
-    tasks = [(lam.parts, "all") for lam in sorted(partitions_of(n))]
-    mismatches = []
-    for row in parallel_map(_bounds_row, tasks, jobs):
-        for name, flag in row["checks"].items():
-            if flag is False:
-                mismatches.append({"shape": list(row["shape"]), "check": name})
-    return {"n": n, "suite": "bounds", "mismatches": mismatches}
-
-
-_VERIFY_RUNNERS = {
-    "classification": _verify_classification,
-    "fdim-census": _verify_census,
-    "ramanujan": _verify_ramanujan,
-    "fiber-laws": _verify_fiber_laws,
-    "bounds": _verify_bounds,
-}
-
-
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         print("modmaj verify: --n-max must be >= 1", file=sys.stderr)
         return 2
-    suites = [s for s in VERIFY_SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     total_mismatches = 0
     for suite in suites:
         done = _checkpoint_read(args.resume, suite) if args.resume else {}
-        runner = _VERIFY_RUNNERS[suite]
         for n in range(1, args.n_max + 1):
             if n in done:
                 entry = done[n]
             else:
-                entry = runner(n, args.jobs)
+                entry = VERIFY_CHECKS[suite](n, args.jobs)
                 _checkpoint_append(args.resume, entry)
             results.append(entry)
             total_mismatches += len(entry["mismatches"])
@@ -469,42 +372,6 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------- bounds
 
 
-def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
-    parts, suite = task
-    lam = Partition(parts)
-    n = lam.n
-    f = dimension(lam)
-    amod = amod_by_character_formula(lam)
-    checks: dict[str, bool | None] = {}
-
-    def want(name):
-        return suite in ("all", name)
-
-    if want("fl"):
-        checks["fl"] = all(fl_bound_check(lam, ell) for ell in divisors(n))
-    if want("equidistribution"):
-        checks["equidistribution"] = equidistribution_check(lam, amod)
-    if want("dist"):
-        checks["dist"] = dist_check(lam, amod)
-    if want("fl-log"):
-        ok = True
-        for ell in divisors(n):
-            if ell == 1:
-                continue
-            chi = abs(rect_character(lam, ell))
-            if chi:
-                ok = ok and math.log(chi / f) <= fl_log_bound(n, ell, f) + 1e-9
-        checks["fl-log"] = ok
-    if want("phi-d"):
-        checks["phi-d-1"] = phi_d_check(lam, 1, amod)
-        checks["phi-d-2"] = phi_d_check(lam, 2, amod)
-    if want("n-cubed"):
-        checks["n-cubed"] = (not n_cubed_criterion(lam)) or not amod.zero_residues()
-    if want("binom"):
-        checks["binom"] = binomial_lower_bound_check(lam)
-    return {"shape": parts, "n": n, "dimension": f, "checks": checks}
-
-
 def cmd_bounds(args) -> int:
     if args.n_max < 1:
         print("modmaj bounds: --n-max must be >= 1", file=sys.stderr)
@@ -515,12 +382,7 @@ def cmd_bounds(args) -> int:
         for lam in sorted(partitions_of(n))
     ]
     rows = list(parallel_map(_bounds_row, tasks, args.jobs))
-    violations = [
-        {"shape": list(row["shape"]), "check": name}
-        for row in rows
-        for name, flag in row["checks"].items()
-        if flag is False
-    ]
+    violations = bound_violations(rows)
     report = {
         "config": {"command": "bounds", "n_max": args.n_max, "suite": args.suite},
         "results": [
@@ -560,6 +422,8 @@ def cmd_bounds(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     handlers = {
         "table": cmd_table,
         "char": cmd_char,

@@ -21,19 +21,33 @@ tests that statement rather than a rederivation:
     lam = (n), r in {1,...,n-1};
     lam = (1^n), r in {1,...,n-1} for odd n, everything but n/2 for even n.
 
-The inequality suite at the bottom clears denominators and raises both
-sides to integer powers so every comparison except the logarithmic one is
-exact; the logarithmic bound carries an explicit 1e-9 slack.
+The inequality suite clears denominators and raises both sides to integer
+powers so every comparison except the logarithmic one is exact; the
+logarithmic bound carries an explicit 1e-9 slack.
+
+``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
+check of one n.  The command and the acceptance gate both run these, so
+the gate tests the code the command ships.
 """
 
 import math
+import os
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .characters import mn_character, rect_character
-from .numtheory import divisors, ramanujan_sum, totient
-from .partitions import Partition, capped_excess, dimension, partitions_of
+from .numtheory import divisors, ramanujan_matrix_square, ramanujan_sum, ramanujan_sum_oracle, totient
+from .partitions import (
+    Partition,
+    capped_excess,
+    dimension,
+    ell_core,
+    hook_lengths,
+    partitions_of,
+    removable_ribbons,
+)
 from .qpoly import amod_by_qhook
 from .tableaux import ModularClassVector
 
@@ -164,10 +178,9 @@ class ClassificationReport:
 
 def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, tuple | None]:
     lam = Partition(parts)
-    n = lam.n
     computed = tuple(sorted(amod_by_qhook(lam).zero_residues()))
     predicted = tuple(sorted(zero_residues(lam)))
-    small = dimension(lam) < n**3
+    small = not n_cubed_criterion(lam)
     mismatch = (parts, computed, predicted) if computed != predicted else None
     return parts, small, mismatch
 
@@ -175,8 +188,9 @@ def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, 
 def parallel_map(
     fn: Callable, items: Iterable, jobs: int = 1, chunksize: int = 16
 ) -> Iterator:
-    """Ordered map over items, optionally through a worker pool."""
+    """Ordered map over items, through a pool when min(jobs, os.cpu_count()) > 1."""
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
@@ -219,12 +233,11 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
 
 def small_dimension_census(n_max: int) -> dict[int, int]:
     """Per-n counts of shapes with fewer than n^3 standard tableaux."""
-    census = {}
-    for n in range(1, n_max + 1):
-        census[n] = sum(
-            1 for lam in partitions_of(n) if dimension(lam) < n**3
-        )
-    return census
+    return {n: _small_dimension_count(n) for n in range(1, n_max + 1)}
+
+
+def _small_dimension_count(n: int) -> int:
+    return sum(1 for lam in partitions_of(n) if not n_cubed_criterion(lam))
 
 
 def _amod(lam: Partition, amod: ModularClassVector | None) -> ModularClassVector:
@@ -308,3 +321,146 @@ def binomial_lower_bound_check(lam: Partition) -> bool:
     f = dimension(lam)
     cap = capped_excess(lam)
     return all((m + 1) * f >= math.comb(n, m) for m in range(cap + 1))
+
+
+# ---------------------------------------------------------------- verify checks
+
+
+def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
+    """Every bound of one suite ("all" for every suite) at one shape.
+
+    A check reads None where its hypothesis does not apply to the shape.
+    """
+    parts, suite = task
+    lam = Partition(parts)
+    n = lam.n
+    f = dimension(lam)
+    amod = amod_by_character_formula(lam)
+    checks: dict[str, bool | None] = {}
+
+    def want(name):
+        return suite in ("all", name)
+
+    if want("fl"):
+        checks["fl"] = all(fl_bound_check(lam, ell) for ell in divisors(n))
+    if want("equidistribution"):
+        checks["equidistribution"] = equidistribution_check(lam, amod)
+    if want("dist"):
+        checks["dist"] = dist_check(lam, amod)
+    if want("fl-log"):
+        ok = True
+        for ell in divisors(n):
+            if ell == 1:
+                continue
+            chi = abs(rect_character(lam, ell))
+            if chi:
+                ok = ok and math.log(chi / f) <= fl_log_bound(n, ell, f) + 1e-9
+        checks["fl-log"] = ok
+    if want("phi-d"):
+        checks["phi-d-1"] = phi_d_check(lam, 1, amod)
+        checks["phi-d-2"] = phi_d_check(lam, 2, amod)
+    if want("n-cubed"):
+        checks["n-cubed"] = (not n_cubed_criterion(lam)) or not amod.zero_residues()
+    if want("binom"):
+        checks["binom"] = binomial_lower_bound_check(lam)
+    return {"shape": parts, "n": n, "dimension": f, "checks": checks}
+
+
+def bound_violations(rows: Iterable[dict]) -> list[dict]:
+    """One record per check that a ``_bounds_row`` row reports as failed."""
+    return [
+        {"shape": list(row["shape"]), "check": name}
+        for row in rows
+        for name, flag in row["checks"].items()
+        if flag is False
+    ]
+
+
+def _check_classification(n: int, jobs: int) -> dict:
+    report = verify_classification_at(n, jobs)
+    return {
+        "n": n,
+        "suite": "classification",
+        "shapes": report.shapes_checked,
+        "small_dimension": report.small_dimension_count,
+        "mismatches": [
+            {"shape": list(m.shape.parts), "computed": list(m.computed), "predicted": list(m.predicted)}
+            for m in report.mismatches
+        ],
+    }
+
+
+def _check_census(n: int, jobs: int) -> dict:
+    return {"n": n, "suite": "fdim-census", "small_dimension": _small_dimension_count(n), "mismatches": []}
+
+
+def _check_ramanujan(n: int, jobs: int) -> dict:
+    """The two Ramanujan-sum formulas agree for |s| <= 2n, and C^2 = n I."""
+    mismatches = []
+    for s in range(-2 * n, 2 * n + 1):
+        if ramanujan_sum(n, s) != ramanujan_sum_oracle(n, s):
+            mismatches.append({"j": n, "s": s})
+    square = ramanujan_matrix_square(n)
+    for i, row in enumerate(square):
+        for j, value in enumerate(row):
+            if value != (n if i == j else 0):
+                mismatches.append({"matrix_n": n, "row": i, "col": j, "value": value})
+    return {"n": n, "suite": "ramanujan", "mismatches": mismatches}
+
+
+def _check_fiber_laws(n: int, jobs: int) -> dict:
+    """Hook residues under an empty ell-core, and under removal of an ell-ribbon.
+
+    With an empty ell-core, each class {a, -a} mod ell holds s = n / ell
+    hooks per residue in it; removing an ell-ribbon removes one hook per
+    residue in each class, for every ell <= n.
+    """
+    mismatches = []
+    for lam in sorted(partitions_of(n)):
+        hooks = hook_lengths(lam)
+        for ell in divisors(n):
+            if ell == 1 or ell_core(lam, ell):
+                continue
+            s = n // ell
+            for a, count in enumerate(_class_counts(hooks, ell)):
+                if count != s * _class_size(a, ell):
+                    mismatches.append({"shape": list(lam.parts), "ell": ell, "a": a})
+        for ell in range(1, n + 1):
+            steps = removable_ribbons(lam, ell)
+            big = _class_counts(hooks, ell) if steps else ()
+            for step in steps:
+                small = _class_counts(hook_lengths(step.shape), ell)
+                for a in range(ell):
+                    if big[a] - small[a] != _class_size(a, ell):
+                        mismatches.append(
+                            {"shape": list(lam.parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
+                        )
+    return {"n": n, "suite": "fiber-laws", "mismatches": mismatches}
+
+
+def _class_size(a: int, ell: int) -> int:
+    """Size of the residue class {a, -a} mod ell."""
+    return 1 if 2 * a % ell == 0 else 2
+
+
+def _class_counts(hooks: list[int], ell: int) -> list[int]:
+    """For each a mod ell, how many hooks lie in the class {a, -a} mod ell."""
+    residues = Counter(h % ell for h in hooks)
+    return [residues[a] + (residues[-a % ell] if 2 * a % ell else 0) for a in range(ell)]
+
+
+def _check_bounds(n: int, jobs: int) -> dict:
+    tasks = [(lam.parts, "all") for lam in sorted(partitions_of(n))]
+    return {"n": n, "suite": "bounds", "mismatches": bound_violations(parallel_map(_bounds_row, tasks, jobs))}
+
+
+# Suite name -> check(n, jobs), in report order.  Each check returns the
+# entry ``modmaj verify`` reports and checkpoints for that n; its
+# "mismatches" list is empty when the law holds at every shape of n.
+VERIFY_CHECKS: dict[str, Callable[[int, int], dict]] = {
+    "classification": _check_classification,
+    "fdim-census": _check_census,
+    "ramanujan": _check_ramanujan,
+    "fiber-laws": _check_fiber_laws,
+    "bounds": _check_bounds,
+}

@@ -3,7 +3,9 @@
 Every criterion runs at its stated range with exact comparisons (the one
 logarithmic bound carries its stated 1e-9 slack).  Residue-count vectors
 for shapes up to size 25 are computed once via the q-hook route and shared
-across criteria.
+by criteria 1, 3 and 4.  Criteria 6, 7 (its fiber and ribbon-step laws)
+and 8 run the checks of ``modmaj verify`` from ``VERIFY_CHECKS``, so the
+gate tests the code the command ships.
 """
 
 import math
@@ -13,24 +15,13 @@ import pytest
 
 from modmaj.characters import mn_character, rect_character
 from modmaj.modular import (
+    VERIFY_CHECKS,
     amod_by_character_formula,
-    binomial_lower_bound_check,
-    dist_check,
-    equidistribution_check,
-    fl_bound_check,
-    fl_log_bound,
-    n_cubed_criterion,
-    phi_d_check,
     small_dimension_census,
     verify_main_theorem,
     zero_residues,
 )
-from modmaj.numtheory import (
-    divisors,
-    ramanujan_matrix_square,
-    ramanujan_sum,
-    ramanujan_sum_oracle,
-)
+from modmaj.numtheory import divisors
 from modmaj.partitions import (
     DiagOrder,
     Partition,
@@ -38,12 +29,10 @@ from modmaj.partitions import (
     conjugate,
     diag_compare,
     diagonal_fibers,
-    dimension,
     ell_core,
     hook_lengths,
     opposite_hook_lengths,
     partitions_of,
-    removable_ribbons,
     staircase_peak,
 )
 from modmaj.qpoly import amod_by_qhook
@@ -143,25 +132,13 @@ def test_criterion_5_character_routes_and_equivalences():
     report(5, "hook-quotient character equals rim-hook recursion for n <= 18, with the nonvanishing equivalences", ok)
 
 
-def test_criterion_6_bound_suites(qhook_vectors):
-    ok = True
-    for n in range(1, 26):
-        for lam in partitions_of(n):
-            vec = qhook_vectors[lam]
-            f = dimension(lam)
-            ok &= equidistribution_check(lam, vec)
-            ok &= dist_check(lam, vec) is not False
-            ok &= phi_d_check(lam, 1, vec) is not False
-            ok &= phi_d_check(lam, 2, vec) is not False
-            ok &= (not n_cubed_criterion(lam)) or not vec.zero_residues()
-            ok &= binomial_lower_bound_check(lam)
-            for ell in divisors(n):
-                ok &= fl_bound_check(lam, ell)
-                if n <= 18 and ell > 1:
-                    chi = abs(rect_character(lam, ell))
-                    if chi:
-                        ok &= math.log(chi / f) <= fl_log_bound(n, ell, f) + 1e-9
-    report(6, "inequality suites hold exactly (n <= 25; log form n <= 18)", ok)
+def verify_mismatches(name: str, n_max: int, jobs: int = 1) -> list[dict]:
+    return [m for n in range(1, n_max + 1) for m in VERIFY_CHECKS[name](n, jobs)["mismatches"]]
+
+
+def test_criterion_6_bound_suites():
+    mismatches = verify_mismatches("bounds", 25, jobs=2)
+    report(6, f"inequality suites hold exactly, log form included (n <= 25; {len(mismatches)} violations)", not mismatches)
 
 
 def test_criterion_7_structural_laws():
@@ -186,35 +163,10 @@ def test_criterion_7_structural_laws():
                     DiagOrder.LESS_OR_EQUAL,
                     DiagOrder.EQUIVALENT,
                 )
-                for ell in divisors(n):
-                    if ell == 1 or ell_core(lam, ell):
-                        continue
-                    s = n // ell
-                    ok &= all(
-                        sum(1 for h in hooks if h % ell in {a, (-a) % ell})
-                        == s * len({a % ell, (-a) % ell})
-                        for a in range(ell)
-                    )
-            if n <= 16:
-                for ell in range(1, n + 1):
-                    for step in removable_ribbons(lam, ell):
-                        small = hook_lengths(step.shape)
-                        for a in range(ell):
-                            residues = {a % ell, (-a) % ell}
-                            ok &= sum(1 for h in hooks if h % ell in residues) - sum(
-                                1 for h in small if h % ell in residues
-                            ) == len(residues)
-    report(7, "hook-product, fiber, and ribbon-step laws (n <= 25/20/16)", ok)
+    ok &= not verify_mismatches("fiber-laws", 20)
+    report(7, "hook-product and fiber-profile laws (n <= 25), diagonal order, hook-fiber and ribbon-step laws (n <= 20)", ok)
 
 
 def test_criterion_8_ramanujan_identities():
-    ok = True
-    for j in range(1, 61):
-        for s in range(-2 * j, 2 * j + 1):
-            ok &= ramanujan_sum(j, s) == ramanujan_sum_oracle(j, s)
-    for n in range(1, 61):
-        square = ramanujan_matrix_square(n)
-        for i, row in enumerate(square):
-            for j, value in enumerate(row):
-                ok &= value == (n if i == j else 0)
-    report(8, "Ramanujan sum two-formula agreement (j <= 60) and matrix identity (n <= 60)", ok)
+    mismatches = verify_mismatches("ramanujan", 60)
+    report(8, f"Ramanujan sum two-formula agreement and matrix identity (n <= 60; {len(mismatches)} mismatches)", not mismatches)

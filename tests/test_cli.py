@@ -233,6 +233,14 @@ def test_usage_error_from_argparse(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--n-max", "2", "--jobs", jobs])
+    assert info.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_internal_failure_maps_to_exit_3(monkeypatch, capsys):
     def boom(lam):
         raise ArithmeticError("planted failure")

@@ -1,11 +1,14 @@
 """Character-formula route, the vanishing classification, and the bound suites."""
 
 import math
+import os
 import random
 
 import pytest
 
+from modmaj import modular
 from modmaj.modular import (
+    VERIFY_CHECKS,
     ClassWeightTable,
     amod_by_character_formula,
     binomial_lower_bound_check,
@@ -16,6 +19,7 @@ from modmaj.modular import (
     fl_log_bound,
     induced_multiplicity,
     n_cubed_criterion,
+    parallel_map,
     phi_d_check,
     predicted_exceptions,
     small_dimension_census,
@@ -23,8 +27,8 @@ from modmaj.modular import (
     zero_residues,
 )
 from modmaj.characters import rect_character
-from modmaj.numtheory import divisors, ramanujan_sum, totient
-from modmaj.partitions import Partition, conjugate, dimension, partitions_of
+from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
+from modmaj.partitions import Partition, conjugate, dimension, hook_lengths, partitions_of
 from modmaj.qpoly import amod_by_qhook
 
 P = Partition
@@ -167,6 +171,48 @@ def test_verify_main_theorem_parallel_matches_serial():
     parallel = verify_main_theorem(9, jobs=2)
     assert serial == parallel
     assert parallel.ok
+
+
+def test_parallel_map_caps_pool_at_cpu_count(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(modular, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert list(parallel_map(abs, [-1, -2, -3, -4], 100000)) == [1, 2, 3, 4]
+    assert list(parallel_map(abs, [-1, -2], 2)) == [1, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert list(parallel_map(abs, [-1, -2], 2)) == [1, 2]
+    assert opened == [3, 2]
+
+
+# One broken lookup in modmaj.modular per check that can report a mismatch
+# (fdim-census only counts), so the gate cannot pass vacuously.
+PLANTED_FAULTS = {
+    "classification": ("zero_residues", lambda lam: frozenset({0})),
+    "ramanujan": ("ramanujan_sum_oracle", lambda j, s: ramanujan_sum_oracle(j, s) + 1),
+    "fiber-laws": ("hook_lengths", lambda lam: hook_lengths(lam)[1:]),
+    "bounds": ("equidistribution_check", lambda lam, amod=None: False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
+def test_verify_check_reports_planted_fault(name, monkeypatch):
+    assert not any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
+    monkeypatch.setattr(modular, *PLANTED_FAULTS[name])
+    assert any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
 
 
 def test_census_small():
