@@ -24,6 +24,7 @@ from modmaj import (
     n_cubed_criterion,
     opposite_hook_lengths,
     partitions_of,
+    rect_character,
 )
 
 # %% Watch the counts flatten as the dimension grows.
@@ -39,10 +40,11 @@ for parts in [(3, 1), (4, 3, 1), (6, 5, 4, 3, 2)]:
     )
 
 # %% The package checks the deviation bound exactly, in integers, by
-# clearing denominators and squaring: no floating point anywhere.
+# clearing denominators and squaring: no floating point anywhere.  Each
+# check takes the numbers it compares, here f and the residue counts.
 
 violations = sum(
-    not equidistribution_check(lam)
+    not equidistribution_check(dimension(lam), amod_by_character_formula(lam))
     for n in range(1, 15)
     for lam in partitions_of(n)
 )
@@ -55,13 +57,13 @@ for n in (16, 17, 18):
     qualifying = [lam for lam in partitions_of(n) if dimension(lam) >= n**5]
     print(f"n={n}: {len(qualifying)} shapes with f >= n^5")
     for lam in qualifying:
-        assert dist_check(lam) is True
+        assert dist_check(dimension(lam), amod_by_character_formula(lam)) is True
 
 # %% f >= n^3 already forces every residue to be hit.
 
 lam = Partition((4, 3, 2, 1, 1, 1))
 print(f"\n{lam}: f = {dimension(lam)}, n^3 = {lam.n ** 3}")
-print("criterion applies:", n_cubed_criterion(lam))
+print("criterion applies:", n_cubed_criterion(lam.n, dimension(lam)))
 print("zero residues:", sorted(amod_by_character_formula(lam).zero_residues()))
 
 # %% Where do dimension lower bounds come from?  Replace each hook length
@@ -82,14 +84,14 @@ for parts in [(4, 4), (5, 2, 1), (3, 3, 3)]:
 lam = Partition((4, 4, 4, 4))
 print(f"\n{lam}: diagonal profile {diagonal_fibers(lam)}")
 print(f"excess {diagonal_excess(lam)}, capped {capped_excess(lam)}")
-print("binomial lower bounds hold:", binomial_lower_bound_check(lam))
+print("binomial lower bounds hold:", binomial_lower_bound_check(lam, dimension(lam)))
 
 # %% The character-magnitude bound behind the equidistribution statement,
 # checked in its exact integer form (both sides raised to the ell-th
-# power) over every shape of 12.
+# power) over every shape of 12, from chi_ell and f.
 
 ok = all(
-    fl_bound_check(lam, ell)
+    fl_bound_check(12, ell, rect_character(lam, ell), dimension(lam))
     for lam in partitions_of(12)
     for ell in (1, 2, 3, 4, 6, 12)
 )

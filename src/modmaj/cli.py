@@ -45,12 +45,17 @@ VERIFY_SUITES = (*VERIFY_CHECKS, "all")
 BOUND_SUITES = ("fl", "equidistribution", "dist", "fl-log", "phi-d", "n-cubed", "binom", "all")
 
 
-def _default_jobs() -> int:
-    value = os.environ.get("MODMAJ_JOBS", "1")
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value; argparse also converts the MODMAJ_JOBS default with it."""
     try:
-        return max(1, int(value))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"--jobs must be >= 1, got {text!r} (the default comes from MODMAJ_JOBS)"
+        )
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         if nmax:
             p.add_argument("--n-max", type=int, required=True, dest="n_max")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--jobs", type=_jobs, default=os.environ.get("MODMAJ_JOBS", "1"))
         p.add_argument("--out", help="write the report to this file")
 
     p_table = sub.add_parser("table", help="residue counts for one shape")
@@ -422,8 +427,6 @@ def cmd_bounds(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     handlers = {
         "table": cmd_table,
         "char": cmd_char,

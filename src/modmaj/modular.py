@@ -23,7 +23,10 @@ tests that statement rather than a rederivation:
 
 The inequality suite clears denominators and raises both sides to integer
 powers so every comparison except the logarithmic one is exact; the
-logarithmic bound carries an explicit 1e-9 slack.
+logarithmic bound carries an explicit 1e-9 slack.  Each bound predicate
+takes the numbers it compares (n, f, the characters chi_ell and the
+residue counts a_r) rather than the shape; ``_bounds_row`` computes those
+once per shape and passes them to every predicate.
 
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check of one n.  The command and the acceptance gate both run these, so
@@ -180,7 +183,7 @@ def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, 
     lam = Partition(parts)
     computed = tuple(sorted(amod_by_qhook(lam).zero_residues()))
     predicted = tuple(sorted(zero_residues(lam)))
-    small = not n_cubed_criterion(lam)
+    small = not n_cubed_criterion(lam.n, dimension(lam))
     mismatch = (parts, computed, predicted) if computed != predicted else None
     return parts, small, mismatch
 
@@ -237,41 +240,30 @@ def small_dimension_census(n_max: int) -> dict[int, int]:
 
 
 def _small_dimension_count(n: int) -> int:
-    return sum(1 for lam in partitions_of(n) if not n_cubed_criterion(lam))
+    return sum(1 for lam in partitions_of(n) if not n_cubed_criterion(n, dimension(lam)))
 
 
-def _amod(lam: Partition, amod: ModularClassVector | None) -> ModularClassVector:
-    return amod_by_character_formula(lam) if amod is None else amod
-
-
-def equidistribution_check(lam: Partition, amod: ModularClassVector | None = None) -> bool:
+def equidistribution_check(f: int, amod: ModularClassVector) -> bool:
     """Every residue count is within 2 n^1.5 / sqrt(f) of uniform, squared exact form."""
-    n = lam.n
-    f = dimension(lam)
-    vec = _amod(lam, amod)
+    n = amod.n
     bound = 4 * n**5 * f * f
-    return all((n * a - f) ** 2 * f <= bound for a in vec)
+    return all((n * a - f) ** 2 * f <= bound for a in amod)
 
 
-def dist_check(lam: Partition, amod: ModularClassVector | None = None) -> bool | None:
+def dist_check(f: int, amod: ModularClassVector) -> bool | None:
     """Strict 1/n^2 closeness to uniform; None when f is below n^5."""
-    n = lam.n
-    f = dimension(lam)
+    n = amod.n
     if f < n**5:
         return None
-    vec = _amod(lam, amod)
-    return all(abs(n * a - f) * n < f for a in vec)
+    return all(abs(n * a - f) * n < f for a in amod)
 
 
-def fl_bound_check(lam: Partition, ell: int) -> bool:
+def fl_bound_check(n: int, ell: int, chi: int, f: int) -> bool:
     """Character magnitude bound at the rectangular type, raised to the ell-th power."""
-    n = lam.n
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
     s = n // ell
-    chi = abs(rect_character(lam, ell))
-    f = dimension(lam)
-    return chi**ell * math.factorial(n) <= math.factorial(s) ** ell * ell ** (s * ell) * f
+    return abs(chi) ** ell * math.factorial(n) <= math.factorial(s) ** ell * ell ** (s * ell) * f
 
 
 def fl_log_bound(n: int, ell: int, f: int) -> float:
@@ -289,36 +281,31 @@ def fl_log_bound(n: int, ell: int, f: int) -> float:
     )
 
 
-def phi_d_check(lam: Partition, d: int, amod: ModularClassVector | None = None) -> bool | None:
+def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: int) -> bool | None:
     """Small normalized characters force 1/n^d closeness to uniform.
 
-    Hypothesis, checked exactly for every ell | n, ell != 1:
-    |chi| * n^d * phi(ell) <= f.  When it fails, returns None; when it
-    holds, returns whether |a_r / f - 1/n| < 1/n^d for all r (exactly).
+    ``chis`` maps each ell | n to the character chi_ell.  Hypothesis,
+    checked exactly for every ell != 1: |chi_ell| * n^d * phi(ell) <= f.
+    When it fails, returns None; when it holds, returns whether
+    |a_r / f - 1/n| < 1/n^d for all r (exactly).
     """
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
-    n = lam.n
-    f = dimension(lam)
+    n = amod.n
     nd = n**d
-    for ell in divisors(n):
-        if ell == 1:
-            continue
-        if abs(rect_character(lam, ell)) * nd * totient(ell) > f:
-            return None
-    vec = _amod(lam, amod)
-    return all(abs(n * a - f) * nd < n * f for a in vec)
+    if any(abs(chi) * nd * totient(ell) > f for ell, chi in chis.items() if ell != 1):
+        return None
+    return all(abs(n * a - f) * nd < n * f for a in amod)
 
 
-def n_cubed_criterion(lam: Partition) -> bool:
+def n_cubed_criterion(n: int, f: int) -> bool:
     """Whether f >= n^3, the sufficient condition for no vanishing residue."""
-    return dimension(lam) >= lam.n**3
+    return f >= n**3
 
 
-def binomial_lower_bound_check(lam: Partition) -> bool:
+def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
     """f >= binom(n, M) / (M + 1) for every M up to the capped diagonal excess."""
     n = lam.n
-    f = dimension(lam)
     cap = capped_excess(lam)
     return all((m + 1) * f >= math.comb(n, m) for m in range(cap + 1))
 
@@ -329,12 +316,15 @@ def binomial_lower_bound_check(lam: Partition) -> bool:
 def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     """Every bound of one suite ("all" for every suite) at one shape.
 
-    A check reads None where its hypothesis does not apply to the shape.
+    The values the bounds compare (f, chi_ell for each ell | n, the
+    residue counts) are computed here once and passed to each check.  A
+    check reads None where its hypothesis does not apply to the shape.
     """
     parts, suite = task
     lam = Partition(parts)
     n = lam.n
     f = dimension(lam)
+    chis = {ell: rect_character(lam, ell) for ell in divisors(n)}
     amod = amod_by_character_formula(lam)
     checks: dict[str, bool | None] = {}
 
@@ -342,27 +332,24 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
         return suite in ("all", name)
 
     if want("fl"):
-        checks["fl"] = all(fl_bound_check(lam, ell) for ell in divisors(n))
+        checks["fl"] = all(fl_bound_check(n, ell, chi, f) for ell, chi in chis.items())
     if want("equidistribution"):
-        checks["equidistribution"] = equidistribution_check(lam, amod)
+        checks["equidistribution"] = equidistribution_check(f, amod)
     if want("dist"):
-        checks["dist"] = dist_check(lam, amod)
+        checks["dist"] = dist_check(f, amod)
     if want("fl-log"):
         ok = True
-        for ell in divisors(n):
-            if ell == 1:
-                continue
-            chi = abs(rect_character(lam, ell))
-            if chi:
-                ok = ok and math.log(chi / f) <= fl_log_bound(n, ell, f) + 1e-9
+        for ell, chi in chis.items():
+            if ell != 1 and chi:
+                ok = ok and math.log(abs(chi) / f) <= fl_log_bound(n, ell, f) + 1e-9
         checks["fl-log"] = ok
     if want("phi-d"):
-        checks["phi-d-1"] = phi_d_check(lam, 1, amod)
-        checks["phi-d-2"] = phi_d_check(lam, 2, amod)
+        checks["phi-d-1"] = phi_d_check(f, chis, amod, 1)
+        checks["phi-d-2"] = phi_d_check(f, chis, amod, 2)
     if want("n-cubed"):
-        checks["n-cubed"] = (not n_cubed_criterion(lam)) or not amod.zero_residues()
+        checks["n-cubed"] = (not n_cubed_criterion(n, f)) or not amod.zero_residues()
     if want("binom"):
-        checks["binom"] = binomial_lower_bound_check(lam)
+        checks["binom"] = binomial_lower_bound_check(lam, f)
     return {"shape": parts, "n": n, "dimension": f, "checks": checks}
 
 

@@ -55,7 +55,10 @@ class Partition:
                 raise ValueError(f"empty component in partition text {text!r}")
             if "^" in piece:
                 base, _, count = piece.partition("^")
-                parts.extend([int(base)] * int(count))
+                repeats = int(count)
+                if repeats < 1:
+                    raise ValueError(f"repeat count below 1 in partition text {text!r}")
+                parts.extend([int(base)] * repeats)
             else:
                 parts.append(int(piece))
         return cls(parts)

@@ -52,6 +52,12 @@ def test_bad_shape_is_usage_error(capsys):
     assert "weakly decreasing" in err
 
 
+def test_repeat_count_below_one_is_usage_error(capsys):
+    code, _, err = run(["table", "--shape", "3,2^-1"], capsys)
+    assert code == 2
+    assert "repeat count" in err
+
+
 def test_char_rectangular(capsys):
     code, out, _ = run(["char", "--shape", "2,2", "--ell", "2"], capsys)
     assert code == 0
@@ -251,13 +257,16 @@ def test_unknown_internal_failure_maps_to_exit_3(monkeypatch, capsys):
     assert "internal consistency failure" in err
 
 
-def test_jobs_env_default(monkeypatch):
+def test_jobs_env_default(monkeypatch, capsys):
     monkeypatch.setenv("MODMAJ_JOBS", "7")
     args = cli.build_parser().parse_args(["verify", "--n-max", "2"])
     assert args.jobs == 7
-    monkeypatch.setenv("MODMAJ_JOBS", "not-a-number")
-    args = cli.build_parser().parse_args(["verify", "--n-max", "2"])
-    assert args.jobs == 1
+    for value in ("not-a-number", "0", "-2"):
+        monkeypatch.setenv("MODMAJ_JOBS", value)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--n-max", "2"])
+        assert info.value.code == 2
+        assert "MODMAJ_JOBS" in capsys.readouterr().err
 
 
 def test_parallel_verify_matches_serial(capsys):

@@ -204,7 +204,7 @@ PLANTED_FAULTS = {
     "classification": ("zero_residues", lambda lam: frozenset({0})),
     "ramanujan": ("ramanujan_sum_oracle", lambda j, s: ramanujan_sum_oracle(j, s) + 1),
     "fiber-laws": ("hook_lengths", lambda lam: hook_lengths(lam)[1:]),
-    "bounds": ("equidistribution_check", lambda lam, amod=None: False),
+    "bounds": ("equidistribution_check", lambda f, amod: False),
 }
 
 
@@ -213,6 +213,27 @@ def test_verify_check_reports_planted_fault(name, monkeypatch):
     assert not any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
     monkeypatch.setattr(modular, *PLANTED_FAULTS[name])
     assert any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
+
+
+def test_bounds_row_computes_each_value_once(monkeypatch):
+    # (6,4,2): 6 divisors of 12.  f twice and chi_ell eleven times, counting
+    # the calls inside amod_by_character_formula, whose route stays separate.
+    calls = {"dimension": 0, "rect_character": 0}
+
+    def counting(name):
+        fn = getattr(modular, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(modular, name, counting(name))
+    modular._bounds_row(((6, 4, 2), "all"))
+    assert calls["dimension"] <= 2
+    assert calls["rect_character"] <= 11
 
 
 def test_census_small():
@@ -240,23 +261,28 @@ def test_residue_zero_shapes():
 # ------------------------------------------------------------ distribution bounds
 
 
+def chis_of(lam):
+    """chi_ell for each ell | n, the map the phi_d check takes."""
+    return {ell: rect_character(lam, ell) for ell in divisors(lam.n)}
+
+
 def test_equidistribution_examples(formula_vectors):
-    assert equidistribution_check(P((1,)))
-    assert equidistribution_check(P((2, 2)))
+    for lam in (P((1,)), P((2, 2))):
+        assert equidistribution_check(dimension(lam), amod_by_character_formula(lam))
     for lam, vec in formula_vectors.items():
-        assert equidistribution_check(lam, vec), lam
+        assert equidistribution_check(dimension(lam), vec), lam
 
 
 def test_dist_check_no_shape_qualifies_at_12():
     for lam in partitions_of(12):
         assert dimension(lam) < 12**5
-        assert dist_check(lam) is None
+        assert dist_check(dimension(lam), amod_by_character_formula(lam)) is None
 
 
 def test_dist_check_applicable_shapes(formula_vectors):
     applicable = 0
     for lam, vec in formula_vectors.items():
-        verdict = dist_check(lam, vec)
+        verdict = dist_check(dimension(lam), vec)
         assert verdict is not False, lam
         applicable += verdict is True
     assert applicable > 0  # n = 17..20 contain qualifying shapes
@@ -292,16 +318,17 @@ def test_dist_second_clause_sampled():
 def test_fl_bound_examples():
     lam = P((2, 2))
     assert abs(rect_character(lam, 2)) ** 2 * math.factorial(4) == 96
-    assert fl_bound_check(lam, 2)
+    assert fl_bound_check(4, 2, rect_character(lam, 2), dimension(lam))
     for lam in partitions_of(6):
-        assert fl_bound_check(lam, 1)
+        assert fl_bound_check(6, 1, rect_character(lam, 1), dimension(lam))
 
 
 def test_fl_bound_exhaustive():
     for n in range(1, 15):
         for lam in partitions_of(n):
+            f = dimension(lam)
             for ell in divisors(n):
-                assert fl_bound_check(lam, ell), (lam, ell)
+                assert fl_bound_check(n, ell, rect_character(lam, ell), f), (lam, ell)
 
 
 def test_fl_log_bound_contract():
@@ -324,32 +351,37 @@ def test_fl_log_bound_monotone_in_f():
 
 
 def test_phi_d_check(formula_vectors):
-    assert phi_d_check(P((1,)), 1) is True
+    lam = P((1,))
+    assert phi_d_check(1, chis_of(lam), amod_by_character_formula(lam), 1) is True
     for n in range(1, 17):
         for lam in partitions_of(n):
             vec = formula_vectors[lam]
             for d in (1, 2):
-                assert phi_d_check(lam, d, vec) is not False, (lam, d)
+                assert phi_d_check(dimension(lam), chis_of(lam), vec, d) is not False, (lam, d)
+    lam = P((2, 1))
     with pytest.raises(ValueError):
-        phi_d_check(P((2, 1)), 3)
+        phi_d_check(2, chis_of(lam), amod_by_character_formula(lam), 3)
 
 
 def test_phi_d_hypothesis_fails_somewhere():
-    values = {phi_d_check(lam, 2) for lam in partitions_of(8)}
+    values = {
+        phi_d_check(dimension(lam), chis_of(lam), amod_by_character_formula(lam), 2)
+        for lam in partitions_of(8)
+    }
     assert None in values
 
 
 def test_n_cubed_criterion(formula_vectors):
-    assert not n_cubed_criterion(P((3, 2)))
-    assert n_cubed_criterion(P((1,)))
+    assert not n_cubed_criterion(5, dimension(P((3, 2))))
+    assert n_cubed_criterion(1, dimension(P((1,))))
     for lam, vec in formula_vectors.items():
-        if n_cubed_criterion(lam):
+        if n_cubed_criterion(lam.n, dimension(lam)):
             assert not vec.zero_residues(), lam
 
 
 def test_binomial_lower_bound(formula_vectors):
     for lam in formula_vectors:
-        assert binomial_lower_bound_check(lam), lam
+        assert binomial_lower_bound_check(lam, dimension(lam)), lam
 
 
 def test_residue_one_gap(formula_vectors):

@@ -57,6 +57,9 @@ def test_parse():
     assert P.parse("5") == P((5,))
     with pytest.raises(ValueError):
         P.parse("1,2")
+    for text in ("3,2^-1", "2^0,1"):
+        with pytest.raises(ValueError):
+            P.parse(text)
 
 
 def test_ordering_is_lexicographic():
