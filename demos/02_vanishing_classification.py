@@ -10,7 +10,6 @@ from modmaj import (
     Partition,
     amod_by_qhook,
     dimension,
-    partitions_of,
     predicted_exceptions,
     small_dimension_census,
     verify_main_theorem,

@@ -2,9 +2,10 @@
 
 At a cycle type with all cycles the same length ell, irreducible
 characters collapse to a hook-length quotient times a sign, with no
-cancellation.  This script compares that production path against the
-classical signed rim-hook recursion and tours the structure that makes
-the shortcut work.
+cancellation.  The sign is read off one abacus pass.  This script compares
+that production path against the classical signed rim-hook recursion and
+the greedy ribbon peeling, and tours the structure that makes the
+shortcut work.
 """
 
 from modmaj import (
@@ -31,9 +32,7 @@ print(f"shape {lam}, cycle type {mu}")
 print("  rim-hook recursion:", mn_character(lam, mu))
 print(
     "  hook quotient:      "
-    f"{rect_character_sign(lam, ell) * rect_character_magnitude(lam, ell)}"
-    f"  (sign {rect_character_sign(lam, ell):+d}, "
-    f"magnitude {rect_character_magnitude(lam, ell)})"
+    f"{rect_character(lam, ell)}  (magnitude {rect_character_magnitude(lam, ell)})"
 )
 
 # %% The magnitude is literally a quotient of hook lengths: multiples of
@@ -54,6 +53,10 @@ for ell in (2, 4):
 
 # %% The sign comes from ANY greedy peeling: remove length-ell ribbons in
 # whatever order, multiply (-1)^height.  Order truly does not matter.
+# rect_character skips the peeling: it slides the beads (beta-numbers) on
+# each runner mod ell all the way down in one pass.  Beads on one runner
+# never pass each other, so the sign is the parity of the bead pairs the
+# slide reorders; the greedy peeling stays as the oracle.
 
 lam = Partition((5, 4, 3))
 steps = removable_ribbons(lam, 3)
@@ -62,6 +65,7 @@ for step in steps:
     print(f"  -> {step.shape} (height {step.height})")
 print("sign, first-eligible order:", rect_character_sign(lam, 3, order="first"))
 print("sign, last-eligible order: ", rect_character_sign(lam, 3, order="last"))
+print("sign, abacus pass:         ", 1 if rect_character(lam, 3) > 0 else -1)
 
 # %% Full agreement sweep, every shape and divisor up to n = 12.
 

@@ -5,7 +5,7 @@ tableaux of a shape by major index residue through three independent
 routes (brute enumeration, the q-hook generating polynomial, and a
 character formula over Ramanujan sums), evaluates symmetric group
 characters at rectangular cycle types both by the rim-hook recursion and
-by a hook-length quotient with a greedy sign, and ships the exhaustive
+by a hook-length quotient with an abacus sign, and ships the exhaustive
 verification sweeps and inequality suites built on top.  All arithmetic
 is exact.
 """
@@ -17,6 +17,7 @@ from .numtheory import (
     ramanujan_matrix_square,
     ramanujan_sum,
     ramanujan_sum_oracle,
+    ramanujan_table,
     totient,
 )
 from .partitions import (
@@ -132,6 +133,7 @@ __all__ = [
     "ramanujan_matrix_square",
     "ramanujan_sum",
     "ramanujan_sum_oracle",
+    "ramanujan_table",
     "rect_character",
     "rect_character_magnitude",
     "rect_character_sign",

@@ -8,16 +8,24 @@ Two routes are provided and kept deliberately independent:
   many shapes at the same rectangular type share work.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
-  multiset: the magnitude is the quotient of the multiples of ell in 1..n
-  by the hooks divisible by ell, and the sign is the parity of rim-hook
-  heights along one greedy removal sequence, any order giving the same
-  answer.  Agreement of the two routes is an acceptance gate.
+  multiset, which is computed once per shape.  One abacus pass gives core
+  emptiness and the sign: the beads (beta-numbers) on each runner mod ell
+  slide down as far as they go; the ell-core is empty exactly when the
+  slid beads fill positions 0..m-1, and because beads on one runner never
+  pass each other, the sign is the parity of the inversions of the slid
+  positions listed in the original bead order.  The magnitude is the
+  quotient of the multiples of ell in 1..n by the hooks divisible by ell.
+  Agreement with ``mn_character`` is an acceptance gate.
+* ``rect_character_sign`` removes one ell-ribbon at a time greedily and
+  adds up the heights.  It is the test oracle for the abacus sign, which
+  must match it for either removal order.
 
 Memo tables are per-process; under fork-based worker pools each process
 grows its own copy.
 """
 
 from functools import lru_cache
+from math import prod
 
 from .partitions import (
     Partition,
@@ -52,24 +60,8 @@ def rect_character_magnitude(lam: Partition, ell: int) -> int:
 
     Zero when the ell-core is nonempty; otherwise the exact quotient of
     the multiples of ell in 1..n by the hook lengths divisible by ell.
-    The division is exact whenever the core is empty; a remainder would
-    mean a bug.
     """
-    n = lam.n
-    if ell < 1 or n % ell != 0:
-        raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    if ell_core(lam, ell):
-        return 0
-    numerator = 1
-    for i in range(ell, n + 1, ell):
-        numerator *= i
-    denominator = 1
-    for h in hook_lengths(lam):
-        if h % ell == 0:
-            denominator *= h
-    if numerator % denominator != 0:
-        raise ArithmeticError(f"hook quotient not exact for {lam}, ell={ell}")
-    return numerator // denominator
+    return abs(rect_character(lam, ell))
 
 
 def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:
@@ -109,16 +101,65 @@ def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:
     return sign
 
 
+@lru_cache(maxsize=64)
+def _hooks_and_betas(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Callers ask for every ell | n of one shape in a row, so a small memo
+    # computes the hook multiset and the beta-numbers once per shape.
+    return tuple(hook_lengths(lam)), tuple(beta_numbers(lam))
+
+
+def _abacus_sign(betas: tuple[int, ...], ell: int) -> int:
+    """The character's sign at the rectangular type, or 0 when the ell-core is nonempty.
+
+    ``betas`` is strictly decreasing.  The beads on runner r (the betas
+    congruent to r mod ell) slide down to r, r + ell, r + 2 ell, ... in
+    order.  The slid positions are distinct, so the core is empty exactly
+    when they fill 0..m-1, that is when none is m or above.  Each rim-hook
+    height counts the beads one move jumps over, and two beads of one
+    runner never pass, so the sign is (-1) to the number of bead pairs
+    whose order the slide reverses: the inversions of the slid positions
+    in the original order, whose parity is that of the permutation
+    i -> m - 1 - slid[i].
+    """
+    m = len(betas)
+    on_runner = [0] * ell
+    for x in betas:
+        on_runner[x % ell] += 1
+    perm = []
+    for x in betas:
+        r = x % ell
+        on_runner[r] -= 1
+        perm.append(m - 1 - r - ell * on_runner[r])
+    if min(perm, default=0) < 0:
+        return 0
+    cycles = 0
+    for start in range(m):
+        if perm[start] >= 0:
+            cycles += 1
+            i = start
+            while perm[i] >= 0:
+                perm[i], i = -1, perm[i]
+    return -1 if (m - cycles) % 2 else 1
+
+
 def rect_character(lam: Partition, ell: int) -> int:
     """Character at the rectangular cycle type, sign times magnitude.
 
-    Contract: equals ``mn_character(lam, (ell, ..., ell))``; the greedy
-    sign and hook quotient are the production path, the rim-hook recursion
-    the oracle.
+    Contract: equals ``mn_character(lam, (ell, ..., ell))``; the abacus
+    sign and the hook quotient are the production path, the rim-hook
+    recursion the oracle.  The quotient is exact whenever the core is
+    empty; a remainder would mean a bug.
     """
-    magnitude = rect_character_magnitude(lam, ell)
-    if magnitude == 0:
+    n = lam.n
+    if ell < 1 or n % ell != 0:
+        raise ValueError(f"need ell | n, got ell={ell}, n={n}")
+    hooks, betas = _hooks_and_betas(lam)
+    sign = _abacus_sign(betas, ell)
+    if sign == 0:
         return 0
-    if ell == 1:
-        return magnitude
-    return rect_character_sign(lam, ell) * magnitude
+    numerator = prod(range(ell, n + 1, ell))
+    denominator = prod(h for h in hooks if h % ell == 0)
+    magnitude, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"hook quotient not exact for {lam}, ell={ell}")
+    return sign * magnitude

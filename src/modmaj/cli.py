@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .characters import mn_character, rect_character, rect_character_magnitude, rect_character_sign
+from .characters import mn_character, rect_character
 from .modular import (
     VERIFY_CHECKS,
     _bounds_row,
@@ -212,9 +212,9 @@ def cmd_char(args) -> int:
             print(f"modmaj char: --ell must divide n={n}", file=sys.stderr)
             return 2
         core = ell_core(lam, ell)
-        magnitude = rect_character_magnitude(lam, ell)
-        sign = rect_character_sign(lam, ell) if magnitude and ell > 1 else 1
         value = rect_character(lam, ell)
+        magnitude = abs(value)
+        sign = -1 if value < 0 else 1
         result = {
             "shape": _shape_list(lam),
             "ell": ell,

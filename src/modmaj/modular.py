@@ -41,7 +41,14 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .characters import mn_character, rect_character
-from .numtheory import divisors, ramanujan_matrix_square, ramanujan_sum, ramanujan_sum_oracle, totient
+from .numtheory import (
+    divisors,
+    ramanujan_matrix_square,
+    ramanujan_sum,
+    ramanujan_sum_oracle,
+    ramanujan_table,
+    totient,
+)
 from .partitions import (
     Partition,
     capped_excess,
@@ -60,16 +67,30 @@ def amod_by_character_formula(lam: Partition) -> ModularClassVector:
     n = lam.n
     if n < 1:
         raise ValueError("amod_by_character_formula requires a nonempty partition")
-    f = dimension(lam)
     chis = {ell: rect_character(lam, ell) for ell in divisors(n) if ell != 1}
+    return _counts_from_characters(n, dimension(lam), chis)
+
+
+def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularClassVector:
+    """n * a_r = f + sum over ell | n, ell != 1 of chi_ell * c_ell(r), for every r.
+
+    ``chis`` maps each ell | n to chi_ell (an entry for ell = 1 is not
+    read); the Ramanujan sums come from the table of n.  Each class sum
+    must be divisible by n and the count nonnegative.
+    """
+    totals = [f] * n
+    # Row 0 of the table is ell = 1, whose term is f itself.
+    for ell, row in zip(divisors(n)[1:], ramanujan_table(n)[1:]):
+        chi = chis[ell]
+        if chi:
+            totals = [t + chi * c for t, c in zip(totals, row)]
     counts = []
-    for r in range(n):
-        total = f + sum(chi * ramanujan_sum(ell, r) for ell, chi in chis.items())
-        if total % n != 0:
-            raise ArithmeticError(f"n does not divide the class sum for {lam}, r={r}")
-        term = total // n
+    for r, total in enumerate(totals):
+        term, remainder = divmod(total, n)
+        if remainder:
+            raise ArithmeticError(f"n does not divide the class sum for n={n}, f={f}, r={r}")
         if term < 0:
-            raise ArithmeticError(f"negative count for {lam}, r={r}")
+            raise ArithmeticError(f"negative count for n={n}, f={f}, r={r}")
         counts.append(term)
     return ModularClassVector(n, counts)
 
@@ -158,11 +179,16 @@ def predicted_exceptions(n: int) -> list[ExceptionRecord]:
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One shape where computed and predicted zero residues disagree."""
+    """One shape where computed and predicted zero residues disagree.
+
+    ``counts`` is the q-hook residue count vector the computed zero set
+    was read from, so the failure can be reproduced and checked by hand.
+    """
 
     shape: Partition
     computed: tuple[int, ...]
     predicted: tuple[int, ...]
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -181,10 +207,11 @@ class ClassificationReport:
 
 def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, tuple | None]:
     lam = Partition(parts)
-    computed = tuple(sorted(amod_by_qhook(lam).zero_residues()))
+    amod = amod_by_qhook(lam)
+    computed = tuple(sorted(amod.zero_residues()))
     predicted = tuple(sorted(zero_residues(lam)))
     small = not n_cubed_criterion(lam.n, dimension(lam))
-    mismatch = (parts, computed, predicted) if computed != predicted else None
+    mismatch = (parts, computed, predicted, amod.counts) if computed != predicted else None
     return parts, small, mismatch
 
 
@@ -209,8 +236,8 @@ def verify_classification_at(n: int, jobs: int = 1) -> ClassificationReport:
     for _, small, mismatch in parallel_map(_classification_row, shapes, jobs):
         small_count += small
         if mismatch is not None:
-            parts, computed, predicted = mismatch
-            mismatches.append(Mismatch(Partition(parts), computed, predicted))
+            parts, computed, predicted, counts = mismatch
+            mismatches.append(Mismatch(Partition(parts), computed, predicted, counts))
     return ClassificationReport(n, len(shapes), tuple(mismatches), small_count)
 
 
@@ -325,7 +352,7 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     n = lam.n
     f = dimension(lam)
     chis = {ell: rect_character(lam, ell) for ell in divisors(n)}
-    amod = amod_by_character_formula(lam)
+    amod = _counts_from_characters(n, f, chis)
     checks: dict[str, bool | None] = {}
 
     def want(name):
@@ -371,7 +398,12 @@ def _check_classification(n: int, jobs: int) -> dict:
         "shapes": report.shapes_checked,
         "small_dimension": report.small_dimension_count,
         "mismatches": [
-            {"shape": list(m.shape.parts), "computed": list(m.computed), "predicted": list(m.predicted)}
+            {
+                "shape": list(m.shape.parts),
+                "computed": list(m.computed),
+                "predicted": list(m.predicted),
+                "counts": list(m.counts),
+            }
             for m in report.mismatches
         ],
     }

@@ -2,8 +2,12 @@
 
 Everything here is plain integer arithmetic.  Inputs stay small (a few
 thousand at most), so factorization is trial division and no sieve is kept
-around.  The two Ramanujan-sum implementations are deliberately independent
-formulas so one can cross-check the other:
+around.  Beside it, one table per n is kept: ``ramanujan_table(n)`` holds
+c_ell(r) for every ell | n and 0 <= r < n, built once from
+``ramanujan_sum`` and memoized for the 128 most recent n, so a sweep over
+the shapes of one n reads its Ramanujan sums instead of refactorizing for
+every term.  The two Ramanujan-sum implementations are deliberately
+independent formulas so one can cross-check the other:
 
 * ``ramanujan_sum`` uses the closed form ``mu(j/g) * phi(j) / phi(j/g)``
   with ``g = gcd(j, s)``;
@@ -15,6 +19,7 @@ matrix ``C = (c_{n/r}(s))``; callers compare it against ``n * I``.  The
 matrix itself is exposed so a failed comparison stays diagnosable.
 """
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -88,6 +93,22 @@ def ramanujan_sum(j: int, s: int) -> int:
     if phi_j % phi_quot != 0:
         raise ArithmeticError(f"totient quotient not exact for j={j}, s={s}")
     return moebius(j // g) * (phi_j // phi_quot)
+
+
+@lru_cache(maxsize=128)
+def ramanujan_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """c_ell(r) for every ell | n and 0 <= r < n, computed once per n.
+
+    Row i belongs to the i-th divisor of n in ascending order (as
+    ``divisors`` lists them), column r to the residue r.  c_ell(r) has
+    period ell in r, so each row is one period repeated.  Rows are tuples,
+    so the memoized table cannot be changed by a caller.
+    """
+    rows = []
+    for ell in divisors(n):
+        period = [ramanujan_sum(ell, r) for r in range(ell)]
+        rows.append(tuple(period * (n // ell)))
+    return tuple(rows)
 
 
 def ramanujan_sum_oracle(j: int, s: int) -> int:

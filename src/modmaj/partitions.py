@@ -25,6 +25,12 @@ from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 
+# The largest size, and number of parts, that ``Partition.parse`` accepts:
+# far beyond the sizes the sweeps reach, and it keeps a text such as
+# "1^10000000000" from asking for an unbounded parts list.
+MAX_PARSED_SIZE = 1000
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing tuple of positive parts; the empty partition is allowed.
@@ -47,20 +53,28 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the one-token text format: "4,2,1", with "2^3,1" meaning (2,2,2,1)."""
+        """Parse the one-token text format: "4,2,1", with "2^3,1" meaning (2,2,2,1).
+
+        A text whose size (or number of parts) exceeds MAX_PARSED_SIZE is
+        refused before its parts list is built.
+        """
         parts = []
+        size = 0
         for piece in text.split(","):
             piece = piece.strip()
             if not piece:
                 raise ValueError(f"empty component in partition text {text!r}")
             if "^" in piece:
                 base, _, count = piece.partition("^")
-                repeats = int(count)
+                part, repeats = int(base), int(count)
                 if repeats < 1:
                     raise ValueError(f"repeat count below 1 in partition text {text!r}")
-                parts.extend([int(base)] * repeats)
             else:
-                parts.append(int(piece))
+                part, repeats = int(piece), 1
+            size += part * repeats
+            if len(parts) + repeats > MAX_PARSED_SIZE or size > MAX_PARSED_SIZE:
+                raise ValueError(f"partition text {text!r} is larger than {MAX_PARSED_SIZE}")
+            parts.extend([part] * repeats)
         return cls(parts)
 
     def __repr__(self):

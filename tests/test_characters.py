@@ -3,7 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
+from modmaj import characters
 from modmaj.characters import (
     mn_character,
     rect_character,
@@ -13,6 +15,7 @@ from modmaj.characters import (
 from modmaj.numtheory import divisors, ramanujan_sum
 from modmaj.partitions import Partition, dimension, ell_core, hook_lengths, partitions_of
 from modmaj.qpoly import amod_by_qhook
+from random_shapes import shapes
 
 P = Partition
 
@@ -63,6 +66,14 @@ def test_rect_sign_examples():
         rect_character_sign(P((2, 1)), 2)  # nonempty 2-core
 
 
+def test_inexact_hook_quotient_is_caught(monkeypatch):
+    # (2,2) at ell = 2: multiples 2 * 4 over hooks 2 * 2; a hook of 6 in
+    # place of a 2 leaves a remainder, which must raise, not round
+    monkeypatch.setattr(characters, "_hooks_and_betas", lambda lam: ((6, 2, 1, 1), (3, 2)))
+    with pytest.raises(ArithmeticError, match="hook quotient"):
+        rect_character(P((2, 2)), 2)
+
+
 def test_rect_character_examples():
     assert rect_character(P((2, 2)), 2) == 2
     # (2,1) is a single 3-ribbon spanning two rows: chi = -1, empty 3-core
@@ -80,15 +91,29 @@ def test_rect_equals_mn_small():
                 assert rect_character(lam, ell) == expected, (lam, ell)
 
 
+def assert_abacus_matches_greedy(lam, ell):
+    # rect_character reads core emptiness and the sign off the abacus;
+    # the greedy removal must give the same sign in either order
+    chi = rect_character(lam, ell)
+    assert (chi == 0) == bool(ell_core(lam, ell)), (lam, ell)
+    if chi:
+        first = rect_character_sign(lam, ell, order="first")
+        last = rect_character_sign(lam, ell, order="last")
+        assert first == last == (1 if chi > 0 else -1), (lam, ell)
+
+
 def test_greedy_sign_order_independent():
-    for n in range(1, 17):
+    for n in range(1, 19):
         for lam in partitions_of(n):
             for ell in divisors(n):
-                if ell == 1 or ell_core(lam, ell):
-                    continue
-                first = rect_character_sign(lam, ell, order="first")
-                last = rect_character_sign(lam, ell, order="last")
-                assert first == last, (lam, ell)
+                assert_abacus_matches_greedy(lam, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes(40, 60))
+def test_abacus_sign_matches_greedy_beyond_the_gate(lam):
+    for ell in divisors(lam.n):
+        assert_abacus_matches_greedy(lam, ell)
 
 
 def test_nonvanishing_equivalences():

@@ -58,6 +58,12 @@ def test_repeat_count_below_one_is_usage_error(capsys):
     assert "repeat count" in err
 
 
+def test_oversized_shape_is_usage_error(capsys):
+    code, _, err = run(["table", "--shape", "1^10000000000"], capsys)
+    assert code == 2
+    assert "larger than" in err
+
+
 def test_char_rectangular(capsys):
     code, out, _ = run(["char", "--shape", "2,2", "--ell", "2"], capsys)
     assert code == 0

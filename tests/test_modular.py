@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from modmaj import modular
+from modmaj import modular, numtheory
 from modmaj.modular import (
     VERIFY_CHECKS,
     ClassWeightTable,
@@ -27,7 +27,7 @@ from modmaj.modular import (
     zero_residues,
 )
 from modmaj.characters import rect_character
-from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
+from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle
 from modmaj.partitions import Partition, conjugate, dimension, hook_lengths, partitions_of
 from modmaj.qpoly import amod_by_qhook
 
@@ -55,6 +55,16 @@ def test_formula_examples():
 def test_formula_matches_qhook(formula_vectors):
     for lam, vec in formula_vectors.items():
         assert vec == amod_by_qhook(lam), lam
+
+
+@pytest.mark.parametrize(
+    "n,f,chis,check",
+    [(4, 2, {2: 1, 4: 0}, "does not divide"), (2, 1, {2: 3}, "negative count")],
+)
+def test_formula_exactness_checks(n, f, chis, check):
+    # (2,2) has f = 2, chi_2 = 2, chi_4 = 0; wrong characters must not pass
+    with pytest.raises(ArithmeticError, match=check):
+        modular._counts_from_characters(n, f, chis)
 
 
 def test_formula_vectors_are_consistent(formula_vectors):
@@ -212,28 +222,41 @@ PLANTED_FAULTS = {
 def test_verify_check_reports_planted_fault(name, monkeypatch):
     assert not any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
     monkeypatch.setattr(modular, *PLANTED_FAULTS[name])
-    assert any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
+    records = [m for n in range(1, 7) for m in VERIFY_CHECKS[name](n, 1)["mismatches"]]
+    assert records
+    if name == "classification":
+        # each record carries the q-hook count vector it was read from
+        for record in records:
+            lam = P(record["shape"])
+            assert len(record["counts"]) == lam.n
+            assert sum(record["counts"]) == dimension(lam)
 
 
 def test_bounds_row_computes_each_value_once(monkeypatch):
-    # (6,4,2): 6 divisors of 12.  f twice and chi_ell eleven times, counting
-    # the calls inside amod_by_character_formula, whose route stays separate.
-    calls = {"dimension": 0, "rect_character": 0}
+    # (6,4,2): f once and chi_ell once for each of the 6 divisors of 12.  The
+    # residue counts are read off the Ramanujan table of n = 12, which a
+    # second shape of the same n uses without computing a Ramanujan sum.
+    calls = {"dimension": 0, "rect_character": 0, "ramanujan_sum": 0}
 
-    def counting(name):
-        fn = getattr(modular, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(modular, name, counting(name))
+    counting(modular, "dimension")
+    counting(modular, "rect_character")
+    counting(numtheory, "ramanujan_sum")
+    counting(modular, "ramanujan_sum")
     modular._bounds_row(((6, 4, 2), "all"))
-    assert calls["dimension"] <= 2
-    assert calls["rect_character"] <= 11
+    assert calls["dimension"] == 1
+    assert calls["rect_character"] == len(divisors(12))
+    calls["ramanujan_sum"] = 0
+    modular._bounds_row(((5, 4, 3), "all"))
+    assert calls["ramanujan_sum"] == 0
 
 
 def test_census_small():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modmaj.partitions import (
+    MAX_PARSED_SIZE,
     DiagOrder,
     Partition,
     beta_numbers,
@@ -60,6 +61,15 @@ def test_parse():
     for text in ("3,2^-1", "2^0,1"):
         with pytest.raises(ValueError):
             P.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1^10000000000", "-1^10000000000", "10000000000", f"1^{MAX_PARSED_SIZE + 1}", f"{MAX_PARSED_SIZE},1"],
+)
+def test_parse_refuses_sizes_above_the_cap(text):
+    with pytest.raises(ValueError, match="larger than"):
+        P.parse(text)
 
 
 def test_ordering_is_lexicographic():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import modmaj.qpoly
 from modmaj.modular import amod_by_character_formula
@@ -16,6 +16,7 @@ from modmaj.qpoly import (
     min_major_index,
 )
 from modmaj.tableaux import amod_by_enumeration, enumerate_syt, maj
+from random_shapes import shapes
 
 P = Partition
 
@@ -116,18 +117,6 @@ def test_empty_shape_is_rejected():
         amod_by_qhook(P(()))
     with pytest.raises(ValueError):
         maj_generating_polynomial(P(()))
-
-
-@st.composite
-def shapes(draw, n_min, n_max):
-    """A partition of some n in [n_min, n_max], drawn largest part first."""
-    remaining = part = draw(st.integers(min_value=n_min, max_value=n_max))
-    parts = []
-    while remaining:
-        part = draw(st.integers(min_value=1, max_value=min(part, remaining)))
-        parts.append(part)
-        remaining -= part
-    return P(parts)
 
 
 @settings(max_examples=40, deadline=None)
