@@ -19,6 +19,7 @@ from .numtheory import (
     ramanujan_sum_oracle,
     ramanujan_table,
     totient,
+    totient_table,
 )
 from .partitions import (
     DiagOrder,
@@ -141,6 +142,7 @@ __all__ = [
     "small_dimension_census",
     "staircase_peak",
     "totient",
+    "totient_table",
     "transpose",
     "verify_main_theorem",
     "zero_residues",

@@ -8,10 +8,12 @@ Subcommands::
     modmaj classify --n-max 6
     modmaj bounds   --n-max 14 [--suite fl|equidistribution|dist|fl-log|phi-d|n-cubed|binom|all]
 
-Common flags: --format json|csv|text, --jobs N (default from MODMAJ_JOBS),
---budget N (enumeration cap), --out FILE (report), --resume FILE
-(checkpoint for long verify sweeps: one JSON line per completed n, read
-back on restart so an interrupted run picks up where it left off).
+Common flags: --format json|csv|text, --out FILE (report).  ``table``
+takes --budget N (enumeration cap).  ``verify`` and ``bounds`` take --jobs
+N (worker processes, default from MODMAJ_JOBS; one pool serves the whole
+command), and ``verify`` takes --resume FILE (checkpoint for long sweeps:
+one JSON line per completed n, read back on restart so an interrupted run
+picks up where it left off).
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
 2 usage error, 3 internal assertion failure.
@@ -35,6 +37,7 @@ from .modular import (
     bound_violations,
     parallel_map,
     predicted_exceptions,
+    sweep_pool,
     zero_residues,
 )
 from .partitions import Partition, dimension, ell_core, partitions_of
@@ -66,13 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, shape=False, nmax=False):
+    def common(p, shape=False, nmax=False, jobs=False):
         if shape:
             p.add_argument("--shape", required=True, help='partition, e.g. "4,2,1" or "2^3,1"')
         if nmax:
             p.add_argument("--n-max", type=int, required=True, dest="n_max")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--jobs", type=_jobs, default=os.environ.get("MODMAJ_JOBS", "1"))
+        if jobs:
+            p.add_argument("--jobs", type=_jobs, default=os.environ.get("MODMAJ_JOBS", "1"))
         p.add_argument("--out", help="write the report to this file")
 
     p_table = sub.add_parser("table", help="residue counts for one shape")
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mu", help="full cycle type as a partition")
 
     p_verify = sub.add_parser("verify", help="exhaustive verification sweeps")
-    common(p_verify, nmax=True)
+    common(p_verify, nmax=True, jobs=True)
     p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="classification")
     p_verify.add_argument("--resume", help="checkpoint file, one JSON line per finished n")
 
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_classify, nmax=True)
 
     p_bounds = sub.add_parser("bounds", help="inequality suites per shape")
-    common(p_bounds, nmax=True)
+    common(p_bounds, nmax=True, jobs=True)
     p_bounds.add_argument("--suite", choices=BOUND_SUITES, default="all")
 
     return parser
@@ -297,16 +301,17 @@ def cmd_verify(args) -> int:
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     total_mismatches = 0
-    for suite in suites:
-        done = _checkpoint_read(args.resume, suite) if args.resume else {}
-        for n in range(1, args.n_max + 1):
-            if n in done:
-                entry = done[n]
-            else:
-                entry = VERIFY_CHECKS[suite](n, args.jobs)
-                _checkpoint_append(args.resume, entry)
-            results.append(entry)
-            total_mismatches += len(entry["mismatches"])
+    with sweep_pool(args.jobs):
+        for suite in suites:
+            done = _checkpoint_read(args.resume, suite) if args.resume else {}
+            for n in range(1, args.n_max + 1):
+                if n in done:
+                    entry = done[n]
+                else:
+                    entry = VERIFY_CHECKS[suite](n, args.jobs)
+                    _checkpoint_append(args.resume, entry)
+                results.append(entry)
+                total_mismatches += len(entry["mismatches"])
     summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
     census_suite = next((s for s in ("classification", "fdim-census") if s in suites), None)
     if census_suite:

@@ -31,11 +31,22 @@ once per shape and passes them to every predicate.
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check of one n.  The command and the acceptance gate both run these, so
 the gate tests the code the command ships.
+
+Parallel work goes through ``parallel_map``, which opens one worker pool
+per call.  A sweep that maps once per n (one ``modmaj verify`` command,
+one ``verify_main_theorem`` call) runs inside ``with sweep_pool(jobs):``
+instead, and every ``parallel_map`` in that block shares one pool, forked
+by the first of them and shut down when the block ends; ``modmaj bounds``
+maps once, so it gets one pool too.  The workers are forked inside the
+sweep, so they run the code in place when the sweep started, patched
+functions included.
 """
 
 import math
 import os
 from collections import Counter
+from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping
@@ -47,7 +58,7 @@ from .numtheory import (
     ramanujan_sum,
     ramanujan_sum_oracle,
     ramanujan_table,
-    totient,
+    totient_table,
 )
 from .partitions import (
     Partition,
@@ -215,17 +226,70 @@ def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, 
     return parts, small, mismatch
 
 
-def parallel_map(
-    fn: Callable, items: Iterable, jobs: int = 1, chunksize: int = 16
-) -> Iterator:
-    """Ordered map over items, through a pool when min(jobs, os.cpu_count()) > 1."""
+class _SweepPool:
+    """The worker pool one sweep shares, forked by its first parallel map.
+
+    Each map is cut into about four chunks per worker, so a worker gets
+    enough shapes per message to outweigh pickling and IPC.
+    """
+
+    def __init__(self, processes: int, stack: ExitStack):
+        self.processes = processes
+        self._stack = stack
+        self._pool = None
+
+    def imap(self, fn: Callable, items: list) -> Iterator:
+        if self._pool is None:
+            self._pool = self._stack.enter_context(Pool(processes=self.processes))
+        chunksize = -(-len(items) // (4 * self.processes))
+        return self._pool.imap(fn, items, chunksize=chunksize)
+
+
+# The pool of the innermost open ``sweep_pool`` block, None outside one.
+_SWEEP_POOL: ContextVar[_SweepPool | None] = ContextVar("modmaj_sweep_pool", default=None)
+
+
+def _processes(jobs: int) -> int:
+    return min(jobs, os.cpu_count() or 1)
+
+
+@contextmanager
+def sweep_pool(jobs: int) -> Iterator[None]:
+    """Let every ``parallel_map`` inside the block share one pool of workers.
+
+    The pool has min(jobs, os.cpu_count()) processes; it is forked by the
+    first parallel map in the block that has work for it, so a block that
+    never needs it (or jobs = 1) starts no process.  Leaving the block
+    terminates and joins the workers, also when an exception leaves it.
+    """
+    processes = _processes(jobs)
+    with ExitStack() as stack:
+        token = _SWEEP_POOL.set(_SweepPool(processes, stack) if processes > 1 else None)
+        try:
+            yield
+        finally:
+            _SWEEP_POOL.reset(token)
+
+
+def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
+    """Ordered map over items, through worker processes when min(jobs, os.cpu_count()) > 1.
+
+    Inside a ``sweep_pool`` block the map runs on that block's pool.
+    Outside one, a pool is opened for this call alone and shut down when
+    the map is exhausted or closed.  ``fn`` and the items are pickled to
+    the workers, so ``fn`` must be a module-level function.
+    """
     items = list(items)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(items) <= 1:
+    processes = _processes(jobs)
+    if processes <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
-    with Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, items, chunksize=max(1, min(chunksize, len(items) // jobs + 1)))
+    pool = _SWEEP_POOL.get()
+    if pool is not None:
+        yield from pool.imap(fn, items)
+        return
+    with ExitStack() as stack:
+        yield from _SweepPool(processes, stack).imap(fn, items)
 
 
 def verify_classification_at(n: int, jobs: int = 1) -> ClassificationReport:
@@ -253,11 +317,12 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     shapes_checked = 0
     small_count = 0
     mismatches: list[Mismatch] = []
-    for n in range(1, n_max + 1):
-        report = verify_classification_at(n, jobs)
-        shapes_checked += report.shapes_checked
-        small_count += report.small_dimension_count
-        mismatches.extend(report.mismatches)
+    with sweep_pool(jobs):
+        for n in range(1, n_max + 1):
+            report = verify_classification_at(n, jobs)
+            shapes_checked += report.shapes_checked
+            small_count += report.small_dimension_count
+            mismatches.extend(report.mismatches)
     return ClassificationReport(n_max, shapes_checked, tuple(mismatches), small_count)
 
 
@@ -312,15 +377,17 @@ def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: in
     """Small normalized characters force 1/n^d closeness to uniform.
 
     ``chis`` maps each ell | n to the character chi_ell.  Hypothesis,
-    checked exactly for every ell != 1: |chi_ell| * n^d * phi(ell) <= f.
-    When it fails, returns None; when it holds, returns whether
-    |a_r / f - 1/n| < 1/n^d for all r (exactly).
+    checked exactly for every ell != 1: |chi_ell| * n^d * phi(ell) <= f,
+    with phi(ell) read from the totient table of n.  When it fails,
+    returns None; when it holds, returns whether |a_r / f - 1/n| < 1/n^d
+    for all r (exactly).
     """
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
     n = amod.n
     nd = n**d
-    if any(abs(chi) * nd * totient(ell) > f for ell, chi in chis.items() if ell != 1):
+    phis = totient_table(n)
+    if any(abs(chi) * nd * phis[ell] > f for ell, chi in chis.items() if ell != 1):
         return None
     return all(abs(n * a - f) * nd < n * f for a in amod)
 

@@ -2,11 +2,12 @@
 
 Everything here is plain integer arithmetic.  Inputs stay small (a few
 thousand at most), so factorization is trial division and no sieve is kept
-around.  Beside it, one table per n is kept: ``ramanujan_table(n)`` holds
-c_ell(r) for every ell | n and 0 <= r < n, built once from
-``ramanujan_sum`` and memoized for the 128 most recent n, so a sweep over
-the shapes of one n reads its Ramanujan sums instead of refactorizing for
-every term.  The two Ramanujan-sum implementations are deliberately
+around.  Beside it, two tables per n are kept, each memoized for the 128
+most recent n, so a sweep over the shapes of one n reads them instead of
+refactorizing for every term: ``ramanujan_table(n)`` holds c_ell(r) for
+every ell | n and 0 <= r < n, built once from ``ramanujan_sum``, and
+``totient_table(n)`` maps each ell | n to phi(ell), built from one
+factorization of n.  The two Ramanujan-sum implementations are deliberately
 independent formulas so one can cross-check the other:
 
 * ``ramanujan_sum`` uses the closed form ``mu(j/g) * phi(j) / phi(j/g)``
@@ -21,6 +22,8 @@ matrix itself is exposed so a failed comparison stays diagnosable.
 
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -109,6 +112,26 @@ def ramanujan_table(n: int) -> tuple[tuple[int, ...], ...]:
         period = [ramanujan_sum(ell, r) for r in range(ell)]
         rows.append(tuple(period * (n // ell)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=128)
+def totient_table(n: int) -> Mapping[int, int]:
+    """phi(ell) for every ell | n, from one factorization of n.
+
+    phi(ell) = ell * prod over primes p | ell of (1 - 1/p), and the primes
+    of a divisor are among those of n.  Keys come in ``divisors`` order;
+    the mapping is read-only, so the memoized table cannot be changed by
+    a caller.
+    """
+    primes = [p for p, _ in factorize(n)]
+    table = {}
+    for ell in divisors(n):
+        phi = ell
+        for p in primes:
+            if ell % p == 0:
+                phi = phi // p * (p - 1)
+        table[ell] = phi
+    return MappingProxyType(table)
 
 
 def ramanujan_sum_oracle(j: int, s: int) -> int:

@@ -5,7 +5,9 @@ logarithmic bound carries its stated 1e-9 slack).  Residue-count vectors
 for shapes up to size 25 are computed once via the q-hook route and shared
 by criteria 1, 3 and 4.  Criteria 6, 7 (its fiber and ribbon-step laws)
 and 8 run the checks of ``modmaj verify`` from ``VERIFY_CHECKS``, so the
-gate tests the code the command ships.
+gate tests the code the command ships.  The two parallel criteria use one
+worker pool each: criterion 1 through ``verify_main_theorem``, criterion 6
+through ``sweep_pool``.
 """
 
 import math
@@ -18,6 +20,7 @@ from modmaj.modular import (
     VERIFY_CHECKS,
     amod_by_character_formula,
     small_dimension_census,
+    sweep_pool,
     verify_main_theorem,
     zero_residues,
 )
@@ -137,7 +140,8 @@ def verify_mismatches(name: str, n_max: int, jobs: int = 1) -> list[dict]:
 
 
 def test_criterion_6_bound_suites():
-    mismatches = verify_mismatches("bounds", 25, jobs=2)
+    with sweep_pool(2):
+        mismatches = verify_mismatches("bounds", 25, jobs=2)
     report(6, f"inequality suites hold exactly, log form included (n <= 25; {len(mismatches)} violations)", not mismatches)
 
 

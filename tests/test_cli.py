@@ -276,7 +276,27 @@ def test_jobs_env_default(monkeypatch, capsys):
 
 
 def test_parallel_verify_matches_serial(capsys):
-    serial = run(["verify", "--n-max", "7", "--format", "json"], capsys)
-    parallel = run(["verify", "--n-max", "7", "--format", "json", "--jobs", "2"], capsys)
-    assert serial[0] == parallel[0] == 0
-    assert json.loads(serial[1])["results"] == json.loads(parallel[1])["results"]
+    for command in (["verify", "--suite", "all"], ["bounds"]):
+        argv = command + ["--n-max", "8", "--format", "json"]
+        serial = run(argv + ["--jobs", "1"], capsys)
+        parallel = run(argv + ["--jobs", "2"], capsys)
+        assert serial[0] == parallel[0] == 0
+        assert serial[1] == parallel[1], command
+
+
+SERIAL_COMMANDS = {
+    "table": ["table", "--shape", "3,1"],
+    "char": ["char", "--shape", "3,1", "--ell", "2"],
+    "classify": ["classify", "--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_COMMANDS))
+def test_serial_commands_take_no_jobs(name, monkeypatch, capsys):
+    # Only verify and bounds run in parallel, so a bad MODMAJ_JOBS is no
+    # error elsewhere, and --jobs is not an option there.
+    monkeypatch.setenv("MODMAJ_JOBS", "0")
+    assert run(SERIAL_COMMANDS[name], capsys)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(SERIAL_COMMANDS[name] + ["--jobs", "2"])
+    assert info.value.code == 2

@@ -1,12 +1,13 @@
 """Character-formula route, the vanishing classification, and the bound suites."""
 
 import math
+import multiprocessing
 import os
 import random
 
 import pytest
 
-from modmaj import modular, numtheory
+from modmaj import cli, modular, numtheory
 from modmaj.modular import (
     VERIFY_CHECKS,
     ClassWeightTable,
@@ -23,6 +24,7 @@ from modmaj.modular import (
     phi_d_check,
     predicted_exceptions,
     small_dimension_census,
+    sweep_pool,
     verify_main_theorem,
     zero_residues,
 )
@@ -183,7 +185,12 @@ def test_verify_main_theorem_parallel_matches_serial():
     assert parallel.ok
 
 
-def test_parallel_map_caps_pool_at_cpu_count(monkeypatch):
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """Sizes of the pools a run asks ``modmaj.modular.Pool`` for, on 4 CPUs.
+
+    The recording fake maps in this process, so no worker is started.
+    """
     opened = []
 
     class RecordingPool:
@@ -200,12 +207,63 @@ def test_parallel_map_caps_pool_at_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(modular, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return opened
+
+
+def test_parallel_map_caps_pool_at_cpu_count(pools_opened, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert list(parallel_map(abs, [-1, -2, -3, -4], 100000)) == [1, 2, 3, 4]
     assert list(parallel_map(abs, [-1, -2], 2)) == [1, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert list(parallel_map(abs, [-1, -2], 2)) == [1, 2]
-    assert opened == [3, 2]
+    assert pools_opened == [3, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "all", "--n-max", "8"], ["bounds", "--n-max", "8"]],
+    ids=["verify-all", "bounds"],
+)
+def test_command_opens_one_pool(argv, pools_opened):
+    assert cli.main(argv + ["--format", "json", "--jobs", "2"]) == 0
+    assert pools_opened == [2]
+    assert cli.main(argv + ["--format", "json", "--jobs", "1"]) == 0
+    assert pools_opened == [2]
+
+
+def test_verify_main_theorem_opens_one_pool(pools_opened):
+    assert verify_main_theorem(9, jobs=2).ok
+    assert pools_opened == [2]
+    assert verify_main_theorem(9, jobs=1).ok
+    assert pools_opened == [2]
+
+
+def test_sweep_pool_without_parallel_work_opens_none(pools_opened):
+    with sweep_pool(2):
+        assert VERIFY_CHECKS["ramanujan"](6, 2)["mismatches"] == []
+        assert list(parallel_map(abs, [-1, -2], 1)) == [1, 2]
+    assert pools_opened == []
+
+
+def test_no_worker_outlives_the_command(monkeypatch, capsys):
+    # Real pools of 2 workers.  The planted fault is raised in a worker
+    # (n = 5 has 7 shapes) and reaches the command as exit 3.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for argv in (["verify", "--suite", "all", "--n-max", "6"], ["bounds", "--n-max", "6"]):
+        assert cli.main(argv + ["--jobs", "2"]) == 0
+        assert multiprocessing.active_children() == []
+
+    def faulty_dimension(lam):
+        if lam.parts == (3, 2):
+            raise ArithmeticError("planted failure")
+        return dimension(lam)
+
+    monkeypatch.setattr(modular, "dimension", faulty_dimension)
+    for argv in (["verify", "--n-max", "6"], ["bounds", "--n-max", "6"]):
+        assert cli.main(argv + ["--jobs", "2"]) == 3
+        assert "planted failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 # One broken lookup in modmaj.modular per check that can report a mismatch
@@ -236,7 +294,7 @@ def test_bounds_row_computes_each_value_once(monkeypatch):
     # (6,4,2): f once and chi_ell once for each of the 6 divisors of 12.  The
     # residue counts are read off the Ramanujan table of n = 12, which a
     # second shape of the same n uses without computing a Ramanujan sum.
-    calls = {"dimension": 0, "rect_character": 0, "ramanujan_sum": 0}
+    calls = {"dimension": 0, "rect_character": 0, "ramanujan_sum": 0, "factorize": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -251,12 +309,15 @@ def test_bounds_row_computes_each_value_once(monkeypatch):
     counting(modular, "rect_character")
     counting(numtheory, "ramanujan_sum")
     counting(modular, "ramanujan_sum")
+    counting(numtheory, "factorize")
     modular._bounds_row(((6, 4, 2), "all"))
     assert calls["dimension"] == 1
     assert calls["rect_character"] == len(divisors(12))
-    calls["ramanujan_sum"] = 0
+    calls["ramanujan_sum"] = calls["factorize"] = 0
     modular._bounds_row(((5, 4, 3), "all"))
     assert calls["ramanujan_sum"] == 0
+    # the totients of the phi-d hypothesis come from the table of n = 12 too
+    assert calls["factorize"] == 0
 
 
 def test_census_small():

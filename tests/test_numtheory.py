@@ -14,6 +14,7 @@ from modmaj.numtheory import (
     ramanujan_sum_oracle,
     ramanujan_table,
     totient,
+    totient_table,
 )
 
 
@@ -77,6 +78,16 @@ def test_table_matches_oracle():
             assert isinstance(row, tuple) and len(row) == n
             assert list(row) == [ramanujan_sum_oracle(ell, r) for r in range(n)], (n, ell)
         assert ramanujan_table(n) is table
+
+
+def test_totient_table_matches_totient():
+    for n in range(1, 61):
+        table = totient_table(n)
+        assert list(table) == divisors(n)
+        assert all(table[ell] == totient(ell) for ell in table), n
+        assert totient_table(n) is table
+        with pytest.raises(TypeError):
+            table[1] = 0
 
 
 def test_depends_only_on_gcd():
