@@ -17,7 +17,6 @@ from modmaj import (
     mn_character,
     partitions_of,
     rect_character,
-    rect_character_magnitude,
     rect_character_sign,
     removable_ribbons,
 )
@@ -32,7 +31,7 @@ print(f"shape {lam}, cycle type {mu}")
 print("  rim-hook recursion:", mn_character(lam, mu))
 print(
     "  hook quotient:      "
-    f"{rect_character(lam, ell)}  (magnitude {rect_character_magnitude(lam, ell)})"
+    f"{rect_character(lam, ell)}  (magnitude {abs(rect_character(lam, ell))})"
 )
 
 # %% The magnitude is literally a quotient of hook lengths: multiples of

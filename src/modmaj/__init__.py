@@ -60,7 +60,7 @@ from .qpoly import (
 from .characters import (
     mn_character,
     rect_character,
-    rect_character_magnitude,
+    rect_characters,
     rect_character_sign,
 )
 from .modular import (
@@ -136,7 +136,7 @@ __all__ = [
     "ramanujan_sum_oracle",
     "ramanujan_table",
     "rect_character",
-    "rect_character_magnitude",
+    "rect_characters",
     "rect_character_sign",
     "removable_ribbons",
     "small_dimension_census",

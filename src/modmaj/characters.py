@@ -8,7 +8,7 @@ Two routes are provided and kept deliberately independent:
   many shapes at the same rectangular type share work.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
-  multiset, which is computed once per shape.  One abacus pass gives core
+  multiset.  One abacus pass gives core
   emptiness and the sign: the beads (beta-numbers) on each runner mod ell
   slide down as far as they go; the ell-core is empty exactly when the
   slid beads fill positions 0..m-1, and because beads on one runner never
@@ -16,6 +16,9 @@ Two routes are provided and kept deliberately independent:
   positions listed in the original bead order.  The magnitude is the
   quotient of the multiples of ell in 1..n by the hooks divisible by ell.
   Agreement with ``mn_character`` is an acceptance gate.
+* ``rect_characters`` gives chi_ell for every ell | n from one hook
+  multiset and one set of beta-numbers; its ell = 1 entry, n! over the
+  hook product, is f (the Fomin-Lulov hook formula at ell = 1).
 * ``rect_character_sign`` removes one ell-ribbon at a time greedily and
   adds up the heights.  It is the test oracle for the abacus sign, which
   must match it for either removal order.
@@ -27,6 +30,7 @@ grows its own copy.
 from functools import lru_cache
 from math import prod
 
+from .numtheory import divisors
 from .partitions import (
     Partition,
     beta_numbers,
@@ -53,15 +57,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
     return _mn(lam.parts, tuple(sorted(mu.parts, reverse=True)))
-
-
-def rect_character_magnitude(lam: Partition, ell: int) -> int:
-    """|character| at the cycle type with n/ell cycles of length ell.
-
-    Zero when the ell-core is nonempty; otherwise the exact quotient of
-    the multiples of ell in 1..n by the hook lengths divisible by ell.
-    """
-    return abs(rect_character(lam, ell))
 
 
 def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:
@@ -101,14 +96,7 @@ def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:
     return sign
 
 
-@lru_cache(maxsize=64)
-def _hooks_and_betas(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Callers ask for every ell | n of one shape in a row, so a small memo
-    # computes the hook multiset and the beta-numbers once per shape.
-    return tuple(hook_lengths(lam)), tuple(beta_numbers(lam))
-
-
-def _abacus_sign(betas: tuple[int, ...], ell: int) -> int:
+def _abacus_sign(betas: list[int], ell: int) -> int:
     """The character's sign at the rectangular type, or 0 when the ell-core is nonempty.
 
     ``betas`` is strictly decreasing.  The beads on runner r (the betas
@@ -142,6 +130,19 @@ def _abacus_sign(betas: tuple[int, ...], ell: int) -> int:
     return -1 if (m - cycles) % 2 else 1
 
 
+def _rect_value(lam: Partition, hooks: list[int], betas: list[int], ell: int) -> int:
+    """``rect_character(lam, ell)`` from lam's hook multiset and beta-numbers."""
+    sign = _abacus_sign(betas, ell)
+    if sign == 0:
+        return 0
+    numerator = prod(range(ell, lam.n + 1, ell))
+    denominator = prod(h for h in hooks if h % ell == 0)
+    magnitude, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"hook quotient not exact for {lam}, ell={ell}")
+    return sign * magnitude
+
+
 def rect_character(lam: Partition, ell: int) -> int:
     """Character at the rectangular cycle type, sign times magnitude.
 
@@ -153,13 +154,13 @@ def rect_character(lam: Partition, ell: int) -> int:
     n = lam.n
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    hooks, betas = _hooks_and_betas(lam)
-    sign = _abacus_sign(betas, ell)
-    if sign == 0:
-        return 0
-    numerator = prod(range(ell, n + 1, ell))
-    denominator = prod(h for h in hooks if h % ell == 0)
-    magnitude, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"hook quotient not exact for {lam}, ell={ell}")
-    return sign * magnitude
+    return _rect_value(lam, hook_lengths(lam), beta_numbers(lam), ell)
+
+
+def rect_characters(lam: Partition) -> dict[int, int]:
+    """``rect_character(lam, ell)`` for every ell | n in ``divisors`` order, from one hook multiset.
+
+    The entry for ell = 1 is f; lam must be nonempty.
+    """
+    hooks, betas = hook_lengths(lam), beta_numbers(lam)
+    return {ell: _rect_value(lam, hooks, betas, ell) for ell in divisors(lam.n)}

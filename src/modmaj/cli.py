@@ -61,6 +61,13 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _n_max(text: str) -> int:
+    """An ``--n-max`` value, a whole number >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modmaj",
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         if shape:
             p.add_argument("--shape", required=True, help='partition, e.g. "4,2,1" or "2^3,1"')
         if nmax:
-            p.add_argument("--n-max", type=int, required=True, dest="n_max")
+            p.add_argument("--n-max", type=_n_max, required=True, dest="n_max")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if jobs:
             p.add_argument("--jobs", type=_jobs, default=os.environ.get("MODMAJ_JOBS", "1"))
@@ -112,10 +119,6 @@ def _parse_shape(text: str) -> Partition:
     if lam.n < 1:
         raise ValueError("shape must be nonempty")
     return lam
-
-
-def _shape_list(lam: Partition) -> list[int]:
-    return list(lam.parts)
 
 
 # ---------------------------------------------------------------- reports
@@ -177,7 +180,7 @@ def cmd_table(args) -> int:
     if "qhook" in vectors:
         summary["maj_polynomial"] = maj_generating_polynomial(lam).to_text()
     report = {
-        "config": {"command": "table", "shape": _shape_list(lam), "method": args.method},
+        "config": {"command": "table", "shape": list(lam.parts), "method": args.method},
         "results": results,
         "summary": summary,
     }
@@ -185,7 +188,7 @@ def cmd_table(args) -> int:
         {"shape": str(lam), "n": n, "r": r, **{m: vectors[m][r] for m in sorted(vectors)}}
         for r in range(n)
     ]
-    text = [f"shape {lam}  n={n}  dimension={dimension(lam)}"]
+    text = [f"shape {lam}  n={n}  dimension={summary['dimension']}"]
     for m, v in sorted(vectors.items()):
         text.append(f"  {m:<9} {list(v)}")
     if "maj_polynomial" in summary:
@@ -208,7 +211,7 @@ def cmd_char(args) -> int:
             print(f"modmaj char: cycle type {mu} does not have size {n}", file=sys.stderr)
             return 2
         value = mn_character(lam, mu)
-        result = {"shape": _shape_list(lam), "cycle_type": _shape_list(mu), "value": value}
+        result = {"shape": list(lam.parts), "cycle_type": list(mu.parts), "value": value}
         text = [f"chi({lam}) at cycle type {mu} = {value}"]
     else:
         ell = args.ell
@@ -220,12 +223,12 @@ def cmd_char(args) -> int:
         magnitude = abs(value)
         sign = -1 if value < 0 else 1
         result = {
-            "shape": _shape_list(lam),
+            "shape": list(lam.parts),
             "ell": ell,
             "value": value,
             "sign": sign,
             "magnitude": magnitude,
-            "core": _shape_list(core),
+            "core": list(core.parts),
             "core_empty": not core,
         }
         text = [
@@ -233,9 +236,9 @@ def cmd_char(args) -> int:
             f"  [sign {sign:+d}, magnitude {magnitude}]",
             f"  {ell}-core: {core if core else 'empty'}",
         ]
-    config = {"command": "char", "shape": _shape_list(lam)}
+    config = {"command": "char", "shape": list(lam.parts)}
     if args.mu is not None:
-        config["mu"] = _shape_list(mu)
+        config["mu"] = list(mu.parts)
     else:
         config["ell"] = args.ell
     report = {
@@ -295,9 +298,6 @@ def _checkpoint_append(path: str | None, entry: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 1:
-        print("modmaj verify: --n-max must be >= 1", file=sys.stderr)
-        return 2
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     total_mismatches = 0
@@ -347,13 +347,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.n_max < 1:
-        print("modmaj classify: --n-max must be >= 1", file=sys.stderr)
-        return 2
     results = []
     for n in range(1, args.n_max + 1):
         records = [
-            {"shape": _shape_list(rec.shape), "residues": sorted(rec.residues)}
+            {"shape": list(rec.shape.parts), "residues": sorted(rec.residues)}
             for rec in predicted_exceptions(n)
         ]
         results.append({"n": n, "exceptions": records})
@@ -383,9 +380,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n_max < 1:
-        print("modmaj bounds: --n-max must be >= 1", file=sys.stderr)
-        return 2
     tasks = [
         (lam.parts, args.suite)
         for n in range(1, args.n_max + 1)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .characters import mn_character, rect_character
+from .characters import mn_character, rect_characters
 from .numtheory import (
     divisors,
     ramanujan_matrix_square,
@@ -78,8 +78,8 @@ def amod_by_character_formula(lam: Partition) -> ModularClassVector:
     n = lam.n
     if n < 1:
         raise ValueError("amod_by_character_formula requires a nonempty partition")
-    chis = {ell: rect_character(lam, ell) for ell in divisors(n) if ell != 1}
-    return _counts_from_characters(n, dimension(lam), chis)
+    chis = rect_characters(lam)
+    return _counts_from_characters(n, chis[1], chis)
 
 
 def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularClassVector:
@@ -221,7 +221,8 @@ def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, 
     amod = amod_by_qhook(lam)
     computed = tuple(sorted(amod.zero_residues()))
     predicted = tuple(sorted(zero_residues(lam)))
-    small = not n_cubed_criterion(lam.n, dimension(lam))
+    # The q-hook slots are checked to sum to f, so the census reads f off them.
+    small = not n_cubed_criterion(lam.n, amod.total())
     mismatch = (parts, computed, predicted, amod.counts) if computed != predicted else None
     return parts, small, mismatch
 
@@ -417,8 +418,8 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     parts, suite = task
     lam = Partition(parts)
     n = lam.n
-    f = dimension(lam)
-    chis = {ell: rect_character(lam, ell) for ell in divisors(n)}
+    chis = rect_characters(lam)
+    f = chis[1]
     amod = _counts_from_characters(n, f, chis)
     checks: dict[str, bool | None] = {}
 

@@ -9,8 +9,8 @@ from modmaj import characters
 from modmaj.characters import (
     mn_character,
     rect_character,
-    rect_character_magnitude,
     rect_character_sign,
+    rect_characters,
 )
 from modmaj.numtheory import divisors, ramanujan_sum
 from modmaj.partitions import Partition, dimension, ell_core, hook_lengths, partitions_of
@@ -50,12 +50,12 @@ def test_mn_sign_representation():
 
 
 def test_rect_magnitude_examples():
-    assert rect_character_magnitude(P((2, 2)), 2) == 2
-    assert rect_character_magnitude(P((3, 1, 1, 1)), 2) == 2
+    assert abs(rect_character(P((2, 2)), 2)) == 2
+    assert abs(rect_character(P((3, 1, 1, 1)), 2)) == 2
     # (2,2) is its own 4-core, so the character at the full cycle vanishes
-    assert rect_character_magnitude(P((2, 2)), 4) == 0
+    assert abs(rect_character(P((2, 2)), 4)) == 0
     with pytest.raises(ValueError):
-        rect_character_magnitude(P((2, 2)), 3)
+        rect_character(P((2, 2)), 3)
 
 
 def test_rect_sign_examples():
@@ -68,10 +68,13 @@ def test_rect_sign_examples():
 
 def test_inexact_hook_quotient_is_caught(monkeypatch):
     # (2,2) at ell = 2: multiples 2 * 4 over hooks 2 * 2; a hook of 6 in
-    # place of a 2 leaves a remainder, which must raise, not round
-    monkeypatch.setattr(characters, "_hooks_and_betas", lambda lam: ((6, 2, 1, 1), (3, 2)))
+    # place of a 2 leaves a remainder, which must raise, not round, on
+    # both entry points
+    monkeypatch.setattr(characters, "hook_lengths", lambda lam: [6, 2, 1, 1])
     with pytest.raises(ArithmeticError, match="hook quotient"):
         rect_character(P((2, 2)), 2)
+    with pytest.raises(ArithmeticError, match="hook quotient"):
+        rect_characters(P((2, 2)))
 
 
 def test_rect_character_examples():
@@ -83,12 +86,21 @@ def test_rect_character_examples():
         assert rect_character(lam, 1) == dimension(lam)
 
 
+def assert_all_divisors_agree(lam):
+    # rect_characters is rect_character at every ell | n, in divisors
+    # order, with f as its ell = 1 entry
+    chis = rect_characters(lam)
+    assert list(chis.items()) == [(ell, rect_character(lam, ell)) for ell in divisors(lam.n)], lam
+    assert chis[1] == dimension(lam), lam
+
+
 def test_rect_equals_mn_small():
     for n in range(1, 15):
         for lam in partitions_of(n):
             for ell in divisors(n):
                 expected = mn_character(lam, rectangular(ell, n // ell))
                 assert rect_character(lam, ell) == expected, (lam, ell)
+            assert_all_divisors_agree(lam)
 
 
 def assert_abacus_matches_greedy(lam, ell):
@@ -114,6 +126,7 @@ def test_greedy_sign_order_independent():
 def test_abacus_sign_matches_greedy_beyond_the_gate(lam):
     for ell in divisors(lam.n):
         assert_abacus_matches_greedy(lam, ell)
+    assert_all_divisors_agree(lam)
 
 
 def test_nonvanishing_equivalences():

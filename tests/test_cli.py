@@ -253,6 +253,14 @@ def test_jobs_below_one_is_usage_error(jobs, capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "bounds"])
+def test_n_max_below_one_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--n-max", "0"])
+    assert info.value.code == 2
+    assert "--n-max" in capsys.readouterr().err
+
+
 def test_unknown_internal_failure_maps_to_exit_3(monkeypatch, capsys):
     def boom(lam):
         raise ArithmeticError("planted failure")

@@ -1,6 +1,11 @@
-"""Source hygiene that no installed linter checks: every import is used."""
+"""Source hygiene that no installed linter checks.
+
+Every import is used, and every module-level private function in
+``src/modmaj`` is referenced from somewhere in ``src`` besides its own body.
+"""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,45 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nimport a.b\nfrom x import y as z, w\nprint(w, a.b)\n")
     assert unused_imports(tree) == ["line 1: os", "line 3: z"]
+
+
+def dead_private_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions that no other top-level statement references.
+
+    A reference is a name, an attribute or an imported name anywhere in the
+    given modules, outside the function's own definition (so recursion does
+    not count).
+    """
+    referenced = defaultdict(set)
+    for path, tree in modules.items():
+        for index, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    referenced[node.id].add((path, index))
+                elif isinstance(node, ast.Attribute):
+                    referenced[node.attr].add((path, index))
+                elif isinstance(node, ast.alias):
+                    referenced[node.name].add((path, index))
+    return [
+        f"{path}:{stmt.lineno}: {stmt.name}"
+        for path, tree in modules.items()
+        for index, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.endswith("__")
+        and not referenced[stmt.name] - {(path, index)}
+    ]
+
+
+def test_no_dead_private_functions():
+    modules = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert dead_private_functions(modules) == []
+
+
+def test_dead_private_function_is_found():
+    a = ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n")
+    b = ast.parse("from a import _used\n_used()\n")
+    assert dead_private_functions({"a.py": a, "b.py": b}) == ["a.py:4: _dead"]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from modmaj import cli, modular, numtheory
+from modmaj import characters, cli, modular, numtheory, partitions, qpoly, tableaux
 from modmaj.modular import (
     VERIFY_CHECKS,
     ClassWeightTable,
@@ -25,6 +25,7 @@ from modmaj.modular import (
     predicted_exceptions,
     small_dimension_census,
     sweep_pool,
+    verify_classification_at,
     verify_main_theorem,
     zero_residues,
 )
@@ -254,13 +255,18 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
         assert cli.main(argv + ["--jobs", "2"]) == 0
         assert multiprocessing.active_children() == []
 
-    def faulty_dimension(lam):
-        if lam.parts == (3, 2):
-            raise ArithmeticError("planted failure")
-        return dimension(lam)
+    def faulty(fn):
+        def wrapper(lam):
+            if lam.parts == (3, 2):
+                raise ArithmeticError("planted failure")
+            return fn(lam)
 
-    monkeypatch.setattr(modular, "dimension", faulty_dimension)
-    for argv in (["verify", "--n-max", "6"], ["bounds", "--n-max", "6"]):
+        return wrapper
+
+    # the classification rows read zero_residues, the bounds rows rect_characters
+    planted = {"zero_residues": ["verify", "--n-max", "6"], "rect_characters": ["bounds", "--n-max", "6"]}
+    for name, argv in planted.items():
+        monkeypatch.setattr(modular, name, faulty(getattr(modular, name)))
         assert cli.main(argv + ["--jobs", "2"]) == 3
         assert "planted failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
@@ -290,29 +296,32 @@ def test_verify_check_reports_planted_fault(name, monkeypatch):
             assert sum(record["counts"]) == dimension(lam)
 
 
-def test_bounds_row_computes_each_value_once(monkeypatch):
-    # (6,4,2): f once and chi_ell once for each of the 6 divisors of 12.  The
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of the per-shape layers, through every modmaj module that binds each name."""
+    counts = dict.fromkeys(("hook_lengths", "beta_numbers", "dimension", "ramanujan_sum", "factorize"), 0)
+    for name in counts:
+        for module in (partitions, characters, qpoly, numtheory, modular, tableaux):
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def wrapper(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_bounds_row_computes_each_value_once(calls):
+    # (6,4,2): one hook multiset and one set of beta-numbers give f and
+    # chi_ell for all 6 divisors of 12, with no separate dimension.  The
     # residue counts are read off the Ramanujan table of n = 12, which a
     # second shape of the same n uses without computing a Ramanujan sum.
-    calls = {"dimension": 0, "rect_character": 0, "ramanujan_sum": 0, "factorize": 0}
-
-    def counting(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(modular, "dimension")
-    counting(modular, "rect_character")
-    counting(numtheory, "ramanujan_sum")
-    counting(modular, "ramanujan_sum")
-    counting(numtheory, "factorize")
     modular._bounds_row(((6, 4, 2), "all"))
-    assert calls["dimension"] == 1
-    assert calls["rect_character"] == len(divisors(12))
+    assert calls["hook_lengths"] == calls["beta_numbers"] == 1
+    assert calls["dimension"] == 0
     calls["ramanujan_sum"] = calls["factorize"] = 0
     modular._bounds_row(((5, 4, 3), "all"))
     assert calls["ramanujan_sum"] == 0
@@ -320,9 +329,26 @@ def test_bounds_row_computes_each_value_once(monkeypatch):
     assert calls["factorize"] == 0
 
 
+def test_formula_and_classification_rows_compute_hooks_once(calls):
+    amod_by_character_formula(P((6, 4, 2)))
+    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    # the census reads f off the q-hook counts, whose slots are checked to sum to f
+    calls["hook_lengths"] = 0
+    parts, small, mismatch = modular._classification_row((6, 4, 2))
+    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    assert (parts, small, mismatch) == ((6, 4, 2), False, None)
+
+
 def test_census_small():
     census = small_dimension_census(5)
     assert census == {1: 0, 2: 2, 3: 3, 4: 5, 5: 7}
+
+
+def test_classification_census_matches_dimension_census():
+    # the classification suite counts f from the q-hook totals, fdim-census
+    # from dimension
+    for n in range(1, 21):
+        assert verify_classification_at(n).small_dimension_count == modular._small_dimension_count(n), n
 
 
 def test_residue_zero_shapes():
