@@ -5,7 +5,9 @@ Two routes are provided and kept deliberately independent:
 * ``mn_character`` is the classical signed rim-hook recursion, valid for
   any cycle type.  It is the oracle; it is memoized on (remaining shape,
   remaining cycle parts) with parts consumed largest-first, so sweeps over
-  many shapes at the same rectangular type share work.
+  many shapes at the same rectangular type share work.  Its steps come
+  from ``partitions.ribbon_moves``, which works on the parts tuples the
+  memo is keyed on and builds no ``Partition``.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
   multiset.  One abacus pass gives core
@@ -36,7 +38,7 @@ from .partitions import (
     beta_numbers,
     ell_core,
     hook_lengths,
-    removable_ribbons,
+    ribbon_moves,
 )
 
 
@@ -46,9 +48,9 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
         return 1
     ell, rest = cycles[0], cycles[1:]
     total = 0
-    for step in removable_ribbons(Partition(shape), ell):
-        term = _mn(step.shape.parts, rest)
-        total += -term if step.height % 2 else term
+    for parts, height in ribbon_moves(shape, ell):
+        term = _mn(parts, rest)
+        total += -term if height % 2 else term
     return total
 
 

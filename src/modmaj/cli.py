@@ -155,6 +155,7 @@ def cmd_table(args) -> int:
     n = lam.n
     methods = ["enumerate", "qhook", "formula"] if args.method == "all" else [args.method]
     vectors = {}
+    poly = None
     for method in methods:
         if method == "enumerate":
             try:
@@ -163,7 +164,8 @@ def cmd_table(args) -> int:
                 print(f"modmaj table: {exc}; use --method qhook or formula", file=sys.stderr)
                 return 2
         elif method == "qhook":
-            vectors[method] = amod_by_qhook(lam)
+            poly = maj_generating_polynomial(lam)
+            vectors[method] = amod_by_qhook(lam, poly)
         else:
             vectors[method] = amod_by_character_formula(lam)
     agree = len({tuple(v) for v in vectors.values()}) == 1
@@ -177,8 +179,8 @@ def cmd_table(args) -> int:
         "agreement": agree,
         "predicted_zero_residues": sorted(zero_residues(lam)),
     }
-    if "qhook" in vectors:
-        summary["maj_polynomial"] = maj_generating_polynomial(lam).to_text()
+    if poly is not None:
+        summary["maj_polynomial"] = poly.to_text()
     report = {
         "config": {"command": "table", "shape": list(lam.parts), "method": args.method},
         "results": results,

@@ -162,9 +162,19 @@ def maj_generating_polynomial(lam: Partition) -> IntPolynomial:
     return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
 
 
-def amod_by_qhook(lam: Partition) -> ModularClassVector:
-    """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w."""
+def amod_by_qhook(lam: Partition, poly: IntPolynomial | None = None) -> ModularClassVector:
+    """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w.
+
+    A caller that already holds ``maj_generating_polynomial(lam)`` passes it
+    as ``poly``; its coefficients are then folded mod n, with no second
+    division.
+    """
     n = lam.n
+    if poly is not None:
+        counts = [0] * n
+        for k, c in enumerate(poly.coeffs):
+            counts[k % n] += c
+        return ModularClassVector(n, counts)
     value, w, _, f = _packed_quotient(lam)
     # X^n is 1 modulo 2^(wn) - 1, so only b mod n of the shift by q^b matters.
     value <<= w * (min_major_index(lam) % n)

@@ -11,6 +11,11 @@ polynomial, which the opposite convention fails already at shape (2, 1).
 (how many tableaux have each value of major index mod n).  It refuses
 shapes with more tableaux than its budget; callers are expected to switch
 to the generating-polynomial or character-formula routes there.
+
+``enumerate_syt`` and ``amod_by_enumeration`` read one walk,
+``_row_word_stream``: a depth-first search on an explicit stack, with no
+depth limit, that carries the major index down as it places entries, so
+no tableau is rescanned for its descents.
 """
 
 from typing import Iterator
@@ -105,32 +110,62 @@ class StandardTableau:
         )
 
 
-def _row_word_stream(parts: tuple[int, ...]) -> Iterator[list[int]]:
-    """Backtracking enumeration of row words; yields a shared buffer.
+def _row_word_stream(parts: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
+    """Every standard tableau of the shape as (row word, major index).
 
-    ``word[k]`` is the 0-based row receiving entry k+1.  Entry placement in
-    row r needs the row below to be strictly longer so far, which is
-    exactly column-strictness.  Each tableau appears once, in lexicographic
-    order of the row word.
+    ``word[k]`` is the 0-based row receiving entry k+1; ``word`` is one
+    buffer, overwritten after each yield.  Entry k+1 may go to row r when
+    row r is not full and the row below is strictly longer so far, which
+    is exactly column-strictness.  Each tableau appears once, in
+    lexicographic order of the row word.
+
+    The walk is depth-first on an explicit stack: the word itself, since
+    backing up from entry k+1 resumes at the row after ``word[k]``.  So it
+    has no recursion and no depth limit.  The major index is carried down
+    the stack: ``majs[k]`` is that of entries 1..k, and entry k adds k when
+    entry k+1 goes to a higher row.  Entry n always fills the one cell
+    left, so the walk stops a level early.
     """
     n = sum(parts)
     m = len(parts)
+    last = n - 1
     filled = [0] * m
     word = [0] * n
-
-    def place(k: int) -> Iterator[list[int]]:
-        if k == n:
-            yield word
-            return
-        for r in range(m):
+    majs = [0] * n
+    k = r = 0  # place entry k+1, trying rows r, r+1, ...
+    while True:
+        while r < m:
             c = filled[r]
             if c < parts[r] and (r == 0 or filled[r - 1] > c):
-                filled[r] += 1
-                word[k] = r
-                yield from place(k + 1)
-                filled[r] -= 1
-
-    yield from place(0)
+                break
+            r += 1
+        else:
+            # No row left for entry k+1: take entry k back out.
+            if k == 0:
+                return
+            k -= 1
+            r = word[k]
+            filled[r] -= 1
+            r += 1
+            continue
+        word[k] = r
+        major = majs[k] + k if k and r > word[k - 1] else majs[k]
+        if k + 1 < last:
+            filled[r] += 1
+            k += 1
+            majs[k] = major
+            r = 0
+            continue
+        if k < last:  # k == last only when n == 1
+            # Entry n goes to the one cell left.
+            s = 0
+            while filled[s] + (s == r) == parts[s]:
+                s += 1
+            word[last] = s
+            if s > r:
+                major += last
+        yield word, major
+        r += 1
 
 
 def _tableau_from_row_word(parts: tuple[int, ...], word) -> StandardTableau:
@@ -144,7 +179,7 @@ def enumerate_syt(lam: Partition) -> Iterator[StandardTableau]:
     """Stream every standard tableau of the shape exactly once."""
     if lam.n < 1:
         raise ValueError("enumerate_syt requires a nonempty partition")
-    for word in _row_word_stream(lam.parts):
+    for word, _ in _row_word_stream(lam.parts):
         yield _tableau_from_row_word(lam.parts, word)
 
 
@@ -183,10 +218,6 @@ def amod_by_enumeration(
             f"{lam} has {count} tableaux, above the budget of {budget}"
         )
     counts = [0] * n
-    for word in _row_word_stream(lam.parts):
-        total = 0
-        for i in range(1, n):
-            if word[i] > word[i - 1]:
-                total += i
-        counts[total % n] += 1
+    for _, major in _row_word_stream(lam.parts):
+        counts[major % n] += 1
     return ModularClassVector(n, counts)

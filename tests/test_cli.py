@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from modmaj import cli
+from modmaj import cli, qpoly
+from modmaj.partitions import Partition
 
 
 def run(argv, capsys):
@@ -44,6 +45,35 @@ def test_table_budget_exhaustion_is_usage_error(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "shape,nonzero",
+    [("1000", {0: 1}), ("1^1000", {499500 % 1000: 1}), ("999,1", {r: 1 for r in range(1, 1000)})],
+)
+def test_table_enumerates_shapes_deeper_than_the_recursion_limit(shape, nonzero, capsys):
+    code, out, _ = run(["table", "--shape", shape, "--method", "enumerate", "--format", "json"], capsys)
+    assert code == 0
+    counts = json.loads(out)["results"][0]["counts"]
+    assert {r: c for r, c in enumerate(counts) if c} == nonzero
+
+
+@pytest.mark.parametrize("method", ["qhook", "all"])
+def test_table_divides_once(method, monkeypatch, capsys):
+    # The report's polynomial and its q-hook counts come from one big-integer quotient.
+    calls = []
+    original = qpoly._packed_quotient
+
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
+
+    monkeypatch.setattr(qpoly, "_packed_quotient", counted)
+    code, out, _ = run(["table", "--shape", "6,4,2", "--method", method, "--format", "json"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    counts = {r["method"]: r["counts"] for r in json.loads(out)["results"]}
+    assert counts["qhook"] == list(qpoly.amod_by_qhook(Partition((6, 4, 2))))
 
 
 def test_bad_shape_is_usage_error(capsys):
@@ -262,7 +292,7 @@ def test_n_max_below_one_is_usage_error(command, capsys):
 
 
 def test_unknown_internal_failure_maps_to_exit_3(monkeypatch, capsys):
-    def boom(lam):
+    def boom(lam, poly=None):
         raise ArithmeticError("planted failure")
 
     monkeypatch.setattr(cli, "amod_by_qhook", boom)

@@ -93,6 +93,12 @@ def test_amod_matches_enumeration():
             assert amod_by_qhook(lam) == amod_by_enumeration(lam), lam
 
 
+def test_folded_polynomial_matches_packed_fold():
+    for n in range(1, 16):
+        for lam in partitions_of(n):
+            assert amod_by_qhook(lam, maj_generating_polynomial(lam)) == amod_by_qhook(lam), lam
+
+
 @pytest.mark.parametrize(
     "parts,hooks,check",
     [

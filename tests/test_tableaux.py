@@ -9,6 +9,8 @@ from modmaj.tableaux import (
     EnumerationBudgetExceeded,
     ModularClassVector,
     StandardTableau,
+    _row_word_stream,
+    _tableau_from_row_word,
     amod_by_enumeration,
     descent_set,
     enumerate_syt,
@@ -43,6 +45,17 @@ def test_enumeration_matches_hook_count():
                 assert tab.shape == lam
                 seen.add(tab)
             assert len(seen) == dimension(lam), lam
+
+
+def test_enumeration_has_no_depth_limit():
+    assert len(list(enumerate_syt(P((1000,))))) == 1
+
+
+def test_carried_maj_matches_maj_of_the_tableau():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for word, major in _row_word_stream(lam.parts):
+                assert major == maj(_tableau_from_row_word(lam.parts, word)), (lam, word)
 
 
 def test_descents():
