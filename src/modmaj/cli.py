@@ -31,6 +31,7 @@ import sys
 
 from .characters import mn_character, rect_character
 from .modular import (
+    BOUND_SUITES,
     VERIFY_CHECKS,
     _bounds_row,
     amod_by_character_formula,
@@ -45,7 +46,6 @@ from .qpoly import amod_by_qhook, maj_generating_polynomial
 from .tableaux import EnumerationBudgetExceeded, amod_by_enumeration
 
 VERIFY_SUITES = (*VERIFY_CHECKS, "all")
-BOUND_SUITES = ("fl", "equidistribution", "dist", "fl-log", "phi-d", "n-cubed", "binom", "all")
 
 
 def _jobs(text: str) -> int:
@@ -263,7 +263,8 @@ def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
 
     A last line with no newline that does not parse is a write torn by a
     kill: it is cut from the file, so its n is computed again.  A malformed
-    line anywhere else is a ValueError.
+    line anywhere else is a ValueError, and so is an entry whose ``n`` or
+    ``small_dimension`` (if present) is no int, bool included, or whose ``mismatches`` is no list.
     """
     done = {}
     if not os.path.exists(path):
@@ -284,8 +285,12 @@ def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
             continue
         try:
             entry = json.loads(line)
-            if not isinstance(entry, dict) or not isinstance(entry.get("n"), int):
+            if not isinstance(entry, dict) or type(entry.get("n")) is not int:
                 raise ValueError("not a checkpoint entry")
+            if not isinstance(entry.get("mismatches"), list):
+                raise ValueError('"mismatches" is not a list')
+            if type(entry.get("small_dimension", 0)) is not int:
+                raise ValueError('"small_dimension" is not a whole number')
         except ValueError as exc:
             raise ValueError(f"checkpoint {path}, line {number}: {exc}") from None
         if entry.get("suite") == suite:
@@ -303,14 +308,14 @@ def cmd_verify(args) -> int:
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     total_mismatches = 0
-    with sweep_pool(args.jobs):
+    with sweep_pool(args.jobs) as pool_map:
         for suite in suites:
             done = _checkpoint_read(args.resume, suite) if args.resume else {}
             for n in range(1, args.n_max + 1):
                 if n in done:
                     entry = done[n]
                 else:
-                    entry = VERIFY_CHECKS[suite](n, args.jobs)
+                    entry = VERIFY_CHECKS[suite](n, pool_map)
                     _checkpoint_append(args.resume, entry)
                 results.append(entry)
                 total_mismatches += len(entry["mismatches"])
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"modmaj: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

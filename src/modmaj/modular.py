@@ -32,21 +32,21 @@ once per shape and passes them to every predicate.
 check of one n.  The command and the acceptance gate both run these, so
 the gate tests the code the command ships.
 
-Parallel work goes through ``parallel_map``, which opens one worker pool
-per call.  A sweep that maps once per n (one ``modmaj verify`` command,
-one ``verify_main_theorem`` call) runs inside ``with sweep_pool(jobs):``
-instead, and every ``parallel_map`` in that block shares one pool, forked
-by the first of them and shut down when the block ends; ``modmaj bounds``
-maps once, so it gets one pool too.  The workers are forked inside the
-sweep, so they run the code in place when the sweep started, patched
-functions included.
+Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
+map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
+takes it as ``check(n, pool_map=map)``, so one ``modmaj verify`` command or
+one ``verify_main_theorem`` call shares one pool of workers, forked by the
+map's first parallel call and shut down when the block ends.
+``parallel_map(fn, items, jobs)`` is one such block around one map; it is
+how ``modmaj bounds``, which maps once, gets its pool.  The workers are
+forked inside the sweep, so they run the code in place when the sweep
+started, patched functions included.
 """
 
 import math
 import os
 from collections import Counter
 from contextlib import ExitStack, contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping
@@ -189,26 +189,12 @@ def predicted_exceptions(n: int) -> list[ExceptionRecord]:
 
 
 @dataclass(frozen=True)
-class Mismatch:
-    """One shape where computed and predicted zero residues disagree.
-
-    ``counts`` is the q-hook residue count vector the computed zero set
-    was read from, so the failure can be reproduced and checked by hand.
-    """
-
-    shape: Partition
-    computed: tuple[int, ...]
-    predicted: tuple[int, ...]
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     """Outcome of the exhaustive zero-set verification up to n_max."""
 
     n_max: int
     shapes_checked: int
-    mismatches: tuple[Mismatch, ...]
+    mismatches: tuple[dict, ...]
     small_dimension_count: int
 
     @property
@@ -216,94 +202,55 @@ class ClassificationReport:
         return not self.mismatches
 
 
-def _classification_row(parts: tuple[int, ...]) -> tuple[tuple[int, ...], bool, tuple | None]:
+def _classification_row(parts: tuple[int, ...]) -> tuple[bool, dict | None]:
+    """Whether f < n^3 at one shape, and its mismatch record (None when the zero sets agree).
+
+    The record carries the q-hook residue count vector the computed zero
+    set was read from, so the failure can be reproduced and checked by hand.
+    """
     lam = Partition(parts)
     amod = amod_by_qhook(lam)
-    computed = tuple(sorted(amod.zero_residues()))
-    predicted = tuple(sorted(zero_residues(lam)))
+    computed = sorted(amod.zero_residues())
+    predicted = sorted(zero_residues(lam))
     # The q-hook slots are checked to sum to f, so the census reads f off them.
     small = not n_cubed_criterion(lam.n, amod.total())
-    mismatch = (parts, computed, predicted, amod.counts) if computed != predicted else None
-    return parts, small, mismatch
-
-
-class _SweepPool:
-    """The worker pool one sweep shares, forked by its first parallel map.
-
-    Each map is cut into about four chunks per worker, so a worker gets
-    enough shapes per message to outweigh pickling and IPC.
-    """
-
-    def __init__(self, processes: int, stack: ExitStack):
-        self.processes = processes
-        self._stack = stack
-        self._pool = None
-
-    def imap(self, fn: Callable, items: list) -> Iterator:
-        if self._pool is None:
-            self._pool = self._stack.enter_context(Pool(processes=self.processes))
-        chunksize = -(-len(items) // (4 * self.processes))
-        return self._pool.imap(fn, items, chunksize=chunksize)
-
-
-# The pool of the innermost open ``sweep_pool`` block, None outside one.
-_SWEEP_POOL: ContextVar[_SweepPool | None] = ContextVar("modmaj_sweep_pool", default=None)
-
-
-def _processes(jobs: int) -> int:
-    return min(jobs, os.cpu_count() or 1)
+    if computed == predicted:
+        return small, None
+    counts = list(amod.counts)
+    return small, {"shape": list(parts), "computed": computed, "predicted": predicted, "counts": counts}
 
 
 @contextmanager
-def sweep_pool(jobs: int) -> Iterator[None]:
-    """Let every ``parallel_map`` inside the block share one pool of workers.
+def sweep_pool(jobs: int) -> Iterator[Callable[[Callable, Iterable], Iterator]]:
+    """Yield ``pool_map(fn, items)``, an ordered map on one pool of min(jobs, os.cpu_count()) workers.
 
-    The pool has min(jobs, os.cpu_count()) processes; it is forked by the
-    first parallel map in the block that has work for it, so a block that
-    never needs it (or jobs = 1) starts no process.  Leaving the block
-    terminates and joins the workers, also when an exception leaves it.
+    The first map with more than one item forks the pool (none when
+    min(jobs, os.cpu_count()) is 1), so a block that never needs it starts
+    no process.  Each map is cut into about four chunks per worker, enough
+    items per message to outweigh pickling and IPC; ``fn`` must be a
+    module-level function.  Leaving the block terminates and joins the
+    workers, also when an exception leaves it.
     """
-    processes = _processes(jobs)
+    processes = min(jobs, os.cpu_count() or 1)
     with ExitStack() as stack:
-        token = _SWEEP_POOL.set(_SweepPool(processes, stack) if processes > 1 else None)
-        try:
-            yield
-        finally:
-            _SWEEP_POOL.reset(token)
+        pool = None
+
+        def pool_map(fn: Callable, items: Iterable) -> Iterator:
+            nonlocal pool
+            items = list(items)
+            if processes <= 1 or len(items) <= 1:
+                return map(fn, items)
+            if pool is None:
+                pool = stack.enter_context(Pool(processes=processes))
+            return pool.imap(fn, items, chunksize=-(-len(items) // (4 * processes)))
+
+        yield pool_map
 
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
-    """Ordered map over items, through worker processes when min(jobs, os.cpu_count()) > 1.
-
-    Inside a ``sweep_pool`` block the map runs on that block's pool.
-    Outside one, a pool is opened for this call alone and shut down when
-    the map is exhausted or closed.  ``fn`` and the items are pickled to
-    the workers, so ``fn`` must be a module-level function.
-    """
-    items = list(items)
-    processes = _processes(jobs)
-    if processes <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    pool = _SWEEP_POOL.get()
-    if pool is not None:
-        yield from pool.imap(fn, items)
-        return
-    with ExitStack() as stack:
-        yield from _SweepPool(processes, stack).imap(fn, items)
-
-
-def verify_classification_at(n: int, jobs: int = 1) -> ClassificationReport:
-    """Check computed-vs-predicted zero residues for every shape of one n."""
-    shapes = [lam.parts for lam in partitions_of(n)]
-    mismatches = []
-    small_count = 0
-    for _, small, mismatch in parallel_map(_classification_row, shapes, jobs):
-        small_count += small
-        if mismatch is not None:
-            parts, computed, predicted, counts = mismatch
-            mismatches.append(Mismatch(Partition(parts), computed, predicted, counts))
-    return ClassificationReport(n, len(shapes), tuple(mismatches), small_count)
+    """Ordered map over items on a ``sweep_pool(jobs)`` of its own, shut down when the map ends."""
+    with sweep_pool(jobs) as pool_map:
+        yield from pool_map(fn, items)
 
 
 def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
@@ -315,16 +262,14 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     """
     if n_max < 1:
         raise ValueError(f"verify_main_theorem requires n_max >= 1, got {n_max}")
-    shapes_checked = 0
-    small_count = 0
-    mismatches: list[Mismatch] = []
-    with sweep_pool(jobs):
-        for n in range(1, n_max + 1):
-            report = verify_classification_at(n, jobs)
-            shapes_checked += report.shapes_checked
-            small_count += report.small_dimension_count
-            mismatches.extend(report.mismatches)
-    return ClassificationReport(n_max, shapes_checked, tuple(mismatches), small_count)
+    with sweep_pool(jobs) as pool_map:
+        entries = [_check_classification(n, pool_map) for n in range(1, n_max + 1)]
+    return ClassificationReport(
+        n_max,
+        sum(entry["shapes"] for entry in entries),
+        tuple(record for entry in entries for record in entry["mismatches"]),
+        sum(entry["small_dimension"] for entry in entries),
+    )
 
 
 def small_dimension_census(n_max: int) -> dict[int, int]:
@@ -408,6 +353,11 @@ def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
 # ---------------------------------------------------------------- verify checks
 
 
+# The ``--suite`` choices of ``modmaj bounds``: each names the checks of
+# ``_bounds_row`` it runs, and "all" runs every one.
+BOUND_SUITES = ("fl", "equidistribution", "dist", "fl-log", "phi-d", "n-cubed", "binom", "all")
+
+
 def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     """Every bound of one suite ("all" for every suite) at one shape.
 
@@ -458,30 +408,23 @@ def bound_violations(rows: Iterable[dict]) -> list[dict]:
     ]
 
 
-def _check_classification(n: int, jobs: int) -> dict:
-    report = verify_classification_at(n, jobs)
+def _check_classification(n: int, pool_map: Callable = map) -> dict:
+    shapes = [lam.parts for lam in partitions_of(n)]
+    rows = list(pool_map(_classification_row, shapes))
     return {
         "n": n,
         "suite": "classification",
-        "shapes": report.shapes_checked,
-        "small_dimension": report.small_dimension_count,
-        "mismatches": [
-            {
-                "shape": list(m.shape.parts),
-                "computed": list(m.computed),
-                "predicted": list(m.predicted),
-                "counts": list(m.counts),
-            }
-            for m in report.mismatches
-        ],
+        "shapes": len(shapes),
+        "small_dimension": sum(small for small, _ in rows),
+        "mismatches": [record for _, record in rows if record is not None],
     }
 
 
-def _check_census(n: int, jobs: int) -> dict:
+def _check_census(n: int, pool_map: Callable = map) -> dict:
     return {"n": n, "suite": "fdim-census", "small_dimension": _small_dimension_count(n), "mismatches": []}
 
 
-def _check_ramanujan(n: int, jobs: int) -> dict:
+def _check_ramanujan(n: int, pool_map: Callable = map) -> dict:
     """The two Ramanujan-sum formulas agree for |s| <= 2n, and C^2 = n I."""
     mismatches = []
     for s in range(-2 * n, 2 * n + 1):
@@ -495,7 +438,7 @@ def _check_ramanujan(n: int, jobs: int) -> dict:
     return {"n": n, "suite": "ramanujan", "mismatches": mismatches}
 
 
-def _check_fiber_laws(n: int, jobs: int) -> dict:
+def _check_fiber_laws(n: int, pool_map: Callable = map) -> dict:
     """Hook residues under an empty ell-core, and under removal of an ell-ribbon.
 
     With an empty ell-core, each class {a, -a} mod ell holds s = n / ell
@@ -536,15 +479,16 @@ def _class_counts(hooks: list[int], ell: int) -> list[int]:
     return [residues[a] + (residues[-a % ell] if 2 * a % ell else 0) for a in range(ell)]
 
 
-def _check_bounds(n: int, jobs: int) -> dict:
+def _check_bounds(n: int, pool_map: Callable = map) -> dict:
     tasks = [(lam.parts, "all") for lam in sorted(partitions_of(n))]
-    return {"n": n, "suite": "bounds", "mismatches": bound_violations(parallel_map(_bounds_row, tasks, jobs))}
+    return {"n": n, "suite": "bounds", "mismatches": bound_violations(pool_map(_bounds_row, tasks))}
 
 
-# Suite name -> check(n, jobs), in report order.  Each check returns the
-# entry ``modmaj verify`` reports and checkpoints for that n; its
-# "mismatches" list is empty when the law holds at every shape of n.
-VERIFY_CHECKS: dict[str, Callable[[int, int], dict]] = {
+# Suite name -> check(n, pool_map=map), in report order.  Each check returns
+# the entry ``modmaj verify`` reports and checkpoints for that n; its
+# "mismatches" list is empty when the law holds at every shape of n.  A
+# check that maps over the shapes of n does so through ``pool_map``.
+VERIFY_CHECKS: dict[str, Callable[..., dict]] = {
     "classification": _check_classification,
     "fdim-census": _check_census,
     "ramanujan": _check_ramanujan,

@@ -135,13 +135,13 @@ def test_criterion_5_character_routes_and_equivalences():
     report(5, "hook-quotient character equals rim-hook recursion for n <= 18, with the nonvanishing equivalences", ok)
 
 
-def verify_mismatches(name: str, n_max: int, jobs: int = 1) -> list[dict]:
-    return [m for n in range(1, n_max + 1) for m in VERIFY_CHECKS[name](n, jobs)["mismatches"]]
+def verify_mismatches(name: str, n_max: int, pool_map=map) -> list[dict]:
+    return [m for n in range(1, n_max + 1) for m in VERIFY_CHECKS[name](n, pool_map)["mismatches"]]
 
 
 def test_criterion_6_bound_suites():
-    with sweep_pool(2):
-        mismatches = verify_mismatches("bounds", 25, jobs=2)
+    with sweep_pool(2) as pool_map:
+        mismatches = verify_mismatches("bounds", 25, pool_map)
     report(6, f"inequality suites hold exactly, log form included (n <= 25; {len(mismatches)} violations)", not mismatches)
 
 

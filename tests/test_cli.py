@@ -197,6 +197,37 @@ def test_golden_reports(command, fmt, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[command, fmt]
 
 
+# SHA-256 of stdout for the commands test_golden_reports leaves unpinned,
+# recorded before the verify checks took the sweep's map as an argument.
+GOLDEN_COMMANDS = {
+    "table": ["table", "--shape", "4,2,1,1", "--method", "all"],
+    "char-ell": ["char", "--shape", "4,2,1,1", "--ell", "2"],
+    "char-mu": ["char", "--shape", "4,2,1,1", "--mu", "4,2,1,1"],
+    "classify": ["classify", "--n-max", "8"],
+}
+GOLDEN_COMMAND_REPORTS = {
+    ("table", "json"): "84f5808ad4769e2b92774b5670697b1657cf552c32ff84fd1996671024bc6b22",
+    ("table", "csv"): "bd2ba9adc7585f34ee96395749314c314d1ce8647e1df7790ef60b0cf602c5c7",
+    ("table", "text"): "a6721d748071bafe28dc442e380d687257f67529566313d67477450dfb2f4969",
+    ("char-ell", "json"): "e98c6a9f06362667462b1755cf7dee47bd215b59a90aecc0430f66e94199ea83",
+    ("char-ell", "csv"): "f83d35aeea7d2230883903700d88461f565146dff36e1ccdc06d05901a81b1e9",
+    ("char-ell", "text"): "c299e2e9167aa968100fef01750c587908d70e08d9dea462a1c866ad8743cf1c",
+    ("char-mu", "json"): "8938aa6c4eac07aa7a979114607f12ac696c87e6a0673a4982fdee8db0b7861e",
+    ("char-mu", "csv"): "0ef1eac19b705026de2c8202bddf3b5726024cf7397803a0d3b688c23c5f3371",
+    ("char-mu", "text"): "63bb364144f99059fcbc3bffdcdb4b3f0ad857a2dda9e12a5239f033054333ac",
+    ("classify", "json"): "064ba61ee91afa7114e9f43bfe94ff2fad2cb228d2c93284e2b7f308651f065c",
+    ("classify", "csv"): "85865f87b2aa64a72c991495aaa199cfab73d4af42785ba9736dc1460e7d06ea",
+    ("classify", "text"): "f2900ea346bd872ab78d1f5c2da25e8f724b0a6605828949f870b599e8c99618",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN_COMMAND_REPORTS))
+def test_golden_command_reports(name, fmt, capsys):
+    code, out, _ = run([*GOLDEN_COMMANDS[name], "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_COMMAND_REPORTS[name, fmt]
+
+
 def test_csv_report(capsys):
     code, out, _ = run(["table", "--shape", "3,1", "--format", "csv"], capsys)
     assert code == 0
@@ -254,8 +285,24 @@ def test_resume_drops_torn_last_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "index,bad",
-    [(1, '{"n": 2, "suite'), (3, '{"n": 4, "suite'), (1, "[2]")],
-    ids=["torn middle line", "torn terminated last line", "not an entry"],
+    [
+        (1, '{"n": 2, "suite'),
+        (3, '{"n": 4, "suite'),
+        (1, "[2]"),
+        (0, '{"n": 1, "suite": "classification"}'),
+        (2, '{"mismatches": 5, "n": 3, "suite": "classification"}'),
+        (1, '{"mismatches": [], "n": 2, "small_dimension": "2", "suite": "classification"}'),
+        (3, '{"mismatches": [], "n": 4, "small_dimension": true, "suite": "classification"}'),
+    ],
+    ids=[
+        "torn middle line",
+        "torn terminated last line",
+        "not an entry",
+        "no mismatches",
+        "mismatches not a list",
+        "small_dimension a string",
+        "small_dimension a bool",
+    ],
 )
 def test_resume_rejects_malformed_line(tmp_path, capsys, index, bad):
     ckpt = tmp_path / "progress.jsonl"
@@ -267,6 +314,20 @@ def test_resume_rejects_malformed_line(tmp_path, capsys, index, bad):
     code, _, err = run(args, capsys)
     assert code == 2
     assert f"line {index + 1}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--n-max", "2", "--out", "missing_dir/x.json"], ["verify", "--n-max", "2", "--resume", "some_dir"]],
+    ids=["out into a missing directory", "resume naming a directory"],
+)
+def test_unopenable_path_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "some_dir").mkdir()
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("modmaj: ") and argv[-1] in err
 
 
 def test_usage_error_from_argparse(capsys):

@@ -25,7 +25,6 @@ from modmaj.modular import (
     predicted_exceptions,
     small_dimension_census,
     sweep_pool,
-    verify_classification_at,
     verify_main_theorem,
     zero_residues,
 )
@@ -241,8 +240,8 @@ def test_verify_main_theorem_opens_one_pool(pools_opened):
 
 
 def test_sweep_pool_without_parallel_work_opens_none(pools_opened):
-    with sweep_pool(2):
-        assert VERIFY_CHECKS["ramanujan"](6, 2)["mismatches"] == []
+    with sweep_pool(2) as pool_map:
+        assert VERIFY_CHECKS["ramanujan"](6, pool_map)["mismatches"] == []
         assert list(parallel_map(abs, [-1, -2], 1)) == [1, 2]
     assert pools_opened == []
 
@@ -284,9 +283,9 @@ PLANTED_FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
 def test_verify_check_reports_planted_fault(name, monkeypatch):
-    assert not any(VERIFY_CHECKS[name](n, 1)["mismatches"] for n in range(1, 7))
+    assert not any(VERIFY_CHECKS[name](n)["mismatches"] for n in range(1, 7))
     monkeypatch.setattr(modular, *PLANTED_FAULTS[name])
-    records = [m for n in range(1, 7) for m in VERIFY_CHECKS[name](n, 1)["mismatches"]]
+    records = [m for n in range(1, 7) for m in VERIFY_CHECKS[name](n)["mismatches"]]
     assert records
     if name == "classification":
         # each record carries the q-hook count vector it was read from
@@ -334,9 +333,20 @@ def test_formula_and_classification_rows_compute_hooks_once(calls):
     assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
     # the census reads f off the q-hook counts, whose slots are checked to sum to f
     calls["hook_lengths"] = 0
-    parts, small, mismatch = modular._classification_row((6, 4, 2))
+    small, mismatch = modular._classification_row((6, 4, 2))
     assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
-    assert (parts, small, mismatch) == ((6, 4, 2), False, None)
+    assert (small, mismatch) == (False, None)
+
+
+def test_every_bound_suite_reports_a_check():
+    everything = modular._bounds_row(((4, 2, 1, 1), "all"))["checks"]
+    named = {}
+    for suite in modular.BOUND_SUITES:
+        if suite != "all":
+            checks = modular._bounds_row(((4, 2, 1, 1), suite))["checks"]
+            assert checks, suite
+            named.update(checks)
+    assert named == everything
 
 
 def test_census_small():
@@ -348,7 +358,7 @@ def test_classification_census_matches_dimension_census():
     # the classification suite counts f from the q-hook totals, fdim-census
     # from dimension
     for n in range(1, 21):
-        assert verify_classification_at(n).small_dimension_count == modular._small_dimension_count(n), n
+        assert VERIFY_CHECKS["classification"](n)["small_dimension"] == modular._small_dimension_count(n), n
 
 
 def test_residue_zero_shapes():
