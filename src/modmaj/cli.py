@@ -138,6 +138,17 @@ def _emit(report: dict, fmt: str, out: str | None, text_lines: list[str], csv_ro
         sys.stdout.write(payload)
 
 
+def _check_out(path: str | None) -> None:
+    """Fail on an ``--out`` path that cannot be written before a sweep starts.
+
+    Opening it for appending creates a missing file and truncates none, so
+    an earlier report stays as it is until the new one replaces it.
+    """
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def _to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     if rows:
@@ -164,8 +175,12 @@ def cmd_table(args) -> int:
                 print(f"modmaj table: {exc}; use --method qhook or formula", file=sys.stderr)
                 return 2
         elif method == "qhook":
-            poly = maj_generating_polynomial(lam)
-            vectors[method] = amod_by_qhook(lam, poly)
+            # One q-hook division gives both the polynomial and the counts.
+            from .qpoly import _packed_quotient
+
+            quotient = _packed_quotient(lam)
+            poly = maj_generating_polynomial(lam, quotient)
+            vectors[method] = amod_by_qhook(lam, quotient)
         else:
             vectors[method] = amod_by_character_formula(lam)
     agree = len({tuple(v) for v in vectors.values()}) == 1
@@ -305,6 +320,7 @@ def _checkpoint_append(path: str | None, entry: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    _check_out(args.out)
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     total_mismatches = 0
@@ -387,6 +403,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _check_out(args.out)
     tasks = [
         (lam.parts, args.suite)
         for n in range(1, args.n_max + 1)

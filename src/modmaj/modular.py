@@ -30,7 +30,10 @@ once per shape and passes them to every predicate.
 
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check of one n.  The command and the acceptance gate both run these, so
-the gate tests the code the command ships.
+the gate tests the code the command ships.  The classification check
+maps one task per conjugate pair: a shape and its conjugate share the
+q-hook quotient, so the sweep divides once per pair, and each shape's
+row folds that quotient with its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
@@ -63,13 +66,14 @@ from .numtheory import (
 from .partitions import (
     Partition,
     capped_excess,
+    conjugate,
     dimension,
     ell_core,
     hook_lengths,
     partitions_of,
     removable_ribbons,
 )
-from .qpoly import amod_by_qhook
+from .qpoly import Quotient, _packed_quotient, amod_by_qhook
 from .tableaux import ModularClassVector
 
 
@@ -202,22 +206,48 @@ class ClassificationReport:
         return not self.mismatches
 
 
-def _classification_row(parts: tuple[int, ...]) -> tuple[bool, dict | None]:
+def _classification_row(parts: tuple[int, ...], quotient: Quotient | None = None) -> tuple[bool, dict | None]:
     """Whether f < n^3 at one shape, and its mismatch record (None when the zero sets agree).
 
-    The record carries the q-hook residue count vector the computed zero
-    set was read from, so the failure can be reproduced and checked by hand.
+    ``quotient`` is the shape's q-hook quotient when a conjugate pair
+    shares one (see ``_classification_pair``).  The record carries the
+    q-hook residue count vector the computed zero set was read from, so
+    the failure can be reproduced and checked by hand.
     """
     lam = Partition(parts)
-    amod = amod_by_qhook(lam)
-    computed = sorted(amod.zero_residues())
+    counts = amod_by_qhook(lam, quotient).counts
+    computed = [r for r, c in enumerate(counts) if not c]
     predicted = sorted(zero_residues(lam))
     # The q-hook slots are checked to sum to f, so the census reads f off them.
-    small = not n_cubed_criterion(lam.n, amod.total())
+    small = not n_cubed_criterion(lam.n, sum(counts))
     if computed == predicted:
         return small, None
-    counts = list(amod.counts)
-    return small, {"shape": list(parts), "computed": computed, "predicted": predicted, "counts": counts}
+    return small, {"shape": list(parts), "computed": computed, "predicted": predicted, "counts": list(counts)}
+
+
+def _leads_pair(lam: Partition) -> bool:
+    """Whether lam is the lexicographically larger of lam and lam' (or lam = lam').
+
+    Only a shape with lam_1 = len(lam) needs its conjugate to decide:
+    otherwise the larger first part, lam_1 against lam'_1 = len(lam), wins.
+    """
+    first, rows = lam.parts[0], len(lam.parts)
+    return first > rows or (first == rows and lam >= conjugate(lam))
+
+
+def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None]]:
+    """The rows of the pair led by parts (one row when it is self-conjugate).
+
+    lam and lam' have the same hook multiset, so one q-hook quotient serves
+    both, and each row folds it with its own shift.
+    """
+    lam = Partition(parts)
+    quotient = _packed_quotient(lam)
+    conj = conjugate(lam).parts
+    rows = [_classification_row(parts, quotient)]
+    if conj != parts:
+        rows.append(_classification_row(conj, quotient))
+    return rows
 
 
 @contextmanager
@@ -409,14 +439,23 @@ def bound_violations(rows: Iterable[dict]) -> list[dict]:
 
 
 def _check_classification(n: int, pool_map: Callable = map) -> dict:
-    shapes = [lam.parts for lam in partitions_of(n)]
-    rows = list(pool_map(_classification_row, shapes))
+    """One task per conjugate pair; mismatches come back in ``partitions_of`` order."""
+    leaders = [lam.parts for lam in partitions_of(n) if _leads_pair(lam)]
+    shapes = small = 0
+    mismatches = []
+    for rows in pool_map(_classification_pair, leaders):
+        for is_small, record in rows:
+            shapes += 1
+            small += is_small
+            if record is not None:
+                mismatches.append(record)
+    mismatches.sort(key=lambda record: record["shape"], reverse=True)
     return {
         "n": n,
         "suite": "classification",
-        "shapes": len(shapes),
-        "small_dimension": sum(small for small, _ in rows),
-        "mismatches": [record for _, record in rows if record is not None],
+        "shapes": shapes,
+        "small_dimension": small,
+        "mismatches": mismatches,
     }
 
 

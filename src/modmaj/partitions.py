@@ -44,12 +44,16 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {parts}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        parts = tuple(map(int, parts))
+        # A weakly decreasing tuple is its own descending sort, and then
+        # its last part is its smallest; only a bad tuple is walked for its
+        # first fault.
+        if parts and (parts[-1] < 1 or parts != tuple(sorted(parts, reverse=True))):
+            for i, p in enumerate(parts):
+                if p < 1:
+                    raise ValueError(f"parts must be positive, got {parts}")
+                if i and parts[i - 1] < p:
+                    raise ValueError(f"parts must be weakly decreasing, got {parts}")
         self.parts = parts
         self.n = sum(parts)
 
@@ -125,24 +129,37 @@ class RibbonStep(NamedTuple):
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest-first (descending lexicographic order)."""
+    """All partitions of n, largest-first (descending lexicographic order).
+
+    Each shape is the successor of the one before: take one cell off the
+    last part above 1 and deal it, with the trailing ones, into parts of
+    that new size, which is the next shape down in lexicographic order.
+    The first shape is the largest one whose parts are at most max_part.
+    """
     if n < 0:
         raise ValueError(f"partitions_of requires n >= 0, got {n}")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    cap = n if max_part is None else min(max_part, n)
     if n == 0:
         yield Partition(())
         return
-    for parts in rec(n, cap):
+    cap = n if max_part is None else min(max_part, n)
+    if cap < 1:
+        return
+    top, rest = divmod(n, cap)
+    parts = [cap] * top + ([rest] if rest else [])
+    while True:
         yield Partition(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        size = parts[-1] - 1
+        parts[-1] = size
+        top, rest = divmod(ones + 1, size)
+        parts += [size] * top
+        if rest:
+            parts.append(rest)
 
 
 def cells(lam: Partition) -> Iterator[tuple[int, int]]:
@@ -152,16 +169,18 @@ def cells(lam: Partition) -> Iterator[tuple[int, int]]:
             yield (a, b)
 
 
+def _column_lengths(parts: tuple[int, ...]) -> list[int]:
+    """Length of each column of the shape, read from the shortest row down."""
+    columns: list[int] = []
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] > len(columns):
+            columns += [i + 1] * (parts[i] - len(columns))
+    return columns
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the shape: part i of the result is the length of column i."""
-    parts = lam.parts
-    if not parts:
-        return Partition(())
-    conj = [0] * parts[0]
-    for p in parts:
-        for i in range(p):
-            conj[i] += 1
-    return Partition(conj)
+    return Partition(_column_lengths(lam.parts))
 
 
 def hook_length_table(lam: Partition) -> list[list[int]]:
@@ -174,8 +193,15 @@ def hook_length_table(lam: Partition) -> list[list[int]]:
 
 
 def hook_lengths(lam: Partition) -> list[int]:
-    """The multiset of hook lengths, flattened in cell order."""
-    return [h for row in hook_length_table(lam) for h in row]
+    """The multiset of hook lengths, flattened in cell order.
+
+    The hook of cell (a, b), 0-based, is (lam_b - b - 1) + (column a's
+    length - a): a row term plus a column term, the second computed once
+    per column.
+    """
+    parts = lam.parts
+    column_terms = [c - a for a, c in enumerate(_column_lengths(parts))]
+    return [p - b - 1 + t for b, p in enumerate(parts) for t in column_terms[:p]]
 
 
 def opposite_hook_length_table(lam: Partition) -> list[list[int]]:

@@ -23,6 +23,15 @@ remainder is zero, the quotient is below ``X^(deg+1)`` for the degree
 hooks, and the slots sum to f.  f itself is the quotient of the cancelled
 factors' products, so a hook product that does not divide n! fails first.
 
+The quotient before the shift by ``q^b`` depends only on the hook
+multiset, which ``lam`` shares with its conjugate ``lam'``, and so does
+its degree.  ``amod_by_qhook`` and ``maj_generating_polynomial`` take a
+quotient that a caller already holds, as ``_packed_quotient`` of ``lam``
+or of ``lam'``, and apply ``lam``'s own shift to it: the classification
+sweep divides once per conjugate pair, and ``modmaj table`` once for its
+polynomial and its counts.  A quotient whose degree is not ``lam``'s is
+refused with ValueError.
+
 All arithmetic is exact on Python ints; at n = 60 the packed integers run
 to some hundred thousand bits.
 """
@@ -35,6 +44,10 @@ from .tableaux import ModularClassVector
 
 class ExactDivisionError(ArithmeticError):
     """The q-hook quotient failed an exactness check: a logic bug."""
+
+
+# What ``_packed_quotient`` returns: (value, w, deg, f).
+Quotient = tuple[int, int, int, int]
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -114,20 +127,32 @@ def min_major_index(lam: Partition) -> int:
     return sum(i * p for i, p in enumerate(lam.parts))
 
 
-def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
+def _degree(lam: Partition) -> int:
+    """C(n,2) - b(lam) - b(lam'), the quotient's degree, which lam and lam' share.
+
+    Row i (0-based) adds i * lam_i to b(lam) and C(lam_i, 2) to b(lam').
+    """
+    n = lam.n
+    return (n * (n - 1) - sum((2 * i + p - 1) * p for i, p in enumerate(lam.parts))) // 2
+
+
+def _packed_quotient(lam: Partition) -> Quotient:
     """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
 
     Returns (value, w, deg, f); value's base-X digits are the coefficients.
+    It depends only on the hook multiset, so lam' has the same one.
     """
     n = lam.n
     if n < 1:
         raise ValueError("the q-hook route requires a nonempty partition")
-    # Multiplicity of each length among the hooks minus its multiplicity in {1..n}.
-    excess = dict.fromkeys(range(1, n + 1), -1)
-    for h in hook_lengths(lam):
-        excess[h] = excess.get(h, 0) + 1
-    num = [a for a, e in excess.items() if e < 0]
-    den = [h for h, e in excess.items() for _ in range(e)]
+    hooks = hook_lengths(lam)
+    # Multiplicity of each length among the hooks minus its multiplicity in
+    # {1..n}, indexed by the length (a hook above n only in a corrupted multiset).
+    excess = [0] + [-1] * n + [0] * (max(hooks) - n)
+    for h in hooks:
+        excess[h] += 1
+    num = [a for a in range(1, n + 1) if excess[a] < 0]
+    den = [h for h, e in enumerate(excess) if e > 0 for _ in range(e)]
     f, rem = divmod(prod(num), prod(den))
     if rem:
         raise ExactDivisionError(f"hook product does not divide n! for {lam}")
@@ -140,11 +165,19 @@ def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
     value, rem = divmod(numerator, denominator)
     if rem:
         raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
-    conj_min = sum(p * (p - 1) // 2 for p in lam.parts)
-    deg = n * (n - 1) // 2 - min_major_index(lam) - conj_min
+    deg = _degree(lam)
     if value >> (w * (deg + 1)):
         raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
     return value, w, deg, f
+
+
+def _own_quotient(lam: Partition, quotient: Quotient | None) -> Quotient:
+    """``quotient``, or lam's own when None; one of another degree is a ValueError."""
+    if quotient is None:
+        return _packed_quotient(lam)
+    if quotient[2] != _degree(lam):
+        raise ValueError(f"a q-hook quotient of degree {quotient[2]} does not belong to {lam}")
+    return quotient
 
 
 def _slots(value: int, w: int, count: int, f: int) -> list[int]:
@@ -156,26 +189,25 @@ def _slots(value: int, w: int, count: int, f: int) -> list[int]:
     return slots
 
 
-def maj_generating_polynomial(lam: Partition) -> IntPolynomial:
-    """Coefficient of q^i counts the standard tableaux with major index i."""
-    value, w, deg, f = _packed_quotient(lam)
+def maj_generating_polynomial(lam: Partition, quotient: Quotient | None = None) -> IntPolynomial:
+    """Coefficient of q^i counts the standard tableaux with major index i.
+
+    ``quotient`` is as for ``amod_by_qhook``.
+    """
+    value, w, deg, f = _own_quotient(lam, quotient)
     return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
 
 
-def amod_by_qhook(lam: Partition, poly: IntPolynomial | None = None) -> ModularClassVector:
+def amod_by_qhook(lam: Partition, quotient: Quotient | None = None) -> ModularClassVector:
     """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w.
 
-    A caller that already holds ``maj_generating_polynomial(lam)`` passes it
-    as ``poly``; its coefficients are then folded mod n, with no second
-    division.
+    ``quotient`` is ``_packed_quotient`` of lam or of its conjugate, which
+    share it; a caller that holds one passes it, and the counts are then
+    folded from it with no second division.  The fold shifts by lam's own
+    b.  A quotient whose degree is not lam's is a ValueError.
     """
     n = lam.n
-    if poly is not None:
-        counts = [0] * n
-        for k, c in enumerate(poly.coeffs):
-            counts[k % n] += c
-        return ModularClassVector(n, counts)
-    value, w, _, f = _packed_quotient(lam)
+    value, w, _, f = _own_quotient(lam, quotient)
     # X^n is 1 modulo 2^(wn) - 1, so only b mod n of the shift by q^b matters.
     value <<= w * (min_major_index(lam) % n)
     span = w * n

@@ -35,7 +35,7 @@ class ModularClassVector:
     __slots__ = ("n", "counts")
 
     def __init__(self, n: int, counts):
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(map(int, counts))
         if n < 1 or len(counts) != n:
             raise ValueError(f"need exactly n={n} counts, got {len(counts)}")
         self.n = n
@@ -125,6 +125,11 @@ def _row_word_stream(parts: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
     the stack: ``majs[k]`` is that of entries 1..k, and entry k adds k when
     entry k+1 goes to a higher row.  Entry n always fills the one cell
     left, so the walk stops a level early.
+
+    The rows that can take the next entry lie between the lowest row that
+    is not full and the first empty row, so the scan starts at the one and
+    stops at the other; a tall shape such as ``1^1000`` is then walked in
+    time linear in n per tableau, not quadratic.
     """
     n = sum(parts)
     m = len(parts)
@@ -132,13 +137,15 @@ def _row_word_stream(parts: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
     filled = [0] * m
     word = [0] * n
     majs = [0] * n
+    low = 0  # every row below row ``low`` is full
     k = r = 0  # place entry k+1, trying rows r, r+1, ...
     while True:
         while r < m:
             c = filled[r]
             if c < parts[r] and (r == 0 or filled[r - 1] > c):
                 break
-            r += 1
+            # An empty row that cannot take the entry has only empty rows above.
+            r = r + 1 if c else m
         else:
             # No row left for entry k+1: take entry k back out.
             if k == 0:
@@ -146,19 +153,24 @@ def _row_word_stream(parts: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
             k -= 1
             r = word[k]
             filled[r] -= 1
+            if r < low:
+                low = r
             r += 1
             continue
         word[k] = r
         major = majs[k] + k if k and r > word[k - 1] else majs[k]
         if k + 1 < last:
             filled[r] += 1
+            if r == low:
+                while low < m and filled[low] == parts[low]:
+                    low += 1
             k += 1
             majs[k] = major
-            r = 0
+            r = low
             continue
         if k < last:  # k == last only when n == 1
             # Entry n goes to the one cell left.
-            s = 0
+            s = low
             while filled[s] + (s == r) == parts[s]:
                 s += 1
             word[last] = s

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from modmaj import cli, qpoly
+from modmaj import cli, modular, qpoly
 from modmaj.partitions import Partition
 
 
@@ -328,6 +328,56 @@ def test_unopenable_path_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("modmaj: ") and argv[-1] in err
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Every verify check and bounds row the CLI runs, counted."""
+    calls = []
+    for suite, check in list(modular.VERIFY_CHECKS.items()):
+
+        def counted(n, pool_map=map, _check=check):
+            calls.append(n)
+            return _check(n, pool_map)
+
+        monkeypatch.setitem(modular.VERIFY_CHECKS, suite, counted)
+
+    def counted_row(task):
+        calls.append(task)
+        return modular._bounds_row(task)
+
+    monkeypatch.setattr(cli, "_bounds_row", counted_row)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n-max", "22"], ["verify", "--n-max", "4", "--suite", "all"], ["bounds", "--n-max", "12"]],
+)
+def test_unopenable_out_fails_before_any_check(argv, tmp_path, check_calls, capsys):
+    assert run(argv + ["--out", str(tmp_path / "report.json")], capsys)[0] == 0
+    assert check_calls
+    check_calls.clear()
+    for out in (tmp_path / "missing_dir" / "x.json", tmp_path):
+        code, stdout, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("modmaj: ") and str(out) in err
+        assert check_calls == []
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_out_check_truncates_no_earlier_report(command, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+
+    def boom(*args):
+        raise ArithmeticError("planted failure")
+
+    monkeypatch.setitem(modular.VERIFY_CHECKS, "classification", boom)
+    monkeypatch.setattr(cli, "_bounds_row", boom)
+    code, _, _ = run([command, "--n-max", "3", "--out", str(out)], capsys)
+    assert code == 3
+    assert out.read_text() == "earlier report\n"
 
 
 def test_usage_error_from_argparse(capsys):

@@ -338,6 +338,37 @@ def test_formula_and_classification_rows_compute_hooks_once(calls):
     assert (small, mismatch) == (False, None)
 
 
+def test_classification_pair_computes_hooks_once(calls):
+    # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook multiset and one quotient
+    pair = modular._classification_pair((6, 4, 2))
+    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    assert pair == [modular._classification_row((6, 4, 2)), modular._classification_row((3, 3, 2, 2, 1, 1))]
+    assert modular._classification_pair((3, 2, 1)) == [modular._classification_row((3, 2, 1))]
+
+
+def test_classification_pairs_cover_each_shape_once(monkeypatch):
+    rows = []
+
+    def counted(parts, quotient=None, _row=modular._classification_row):
+        rows.append(parts)
+        return _row(parts, quotient)
+
+    monkeypatch.setattr(modular, "_classification_row", counted)
+    for n in range(1, 16):
+        rows.clear()
+        entry = VERIFY_CHECKS["classification"](n)
+        assert sorted(rows) == sorted(lam.parts for lam in partitions_of(n))
+        assert entry["shapes"] == len(rows)
+
+
+def test_classification_mismatches_keep_shape_order(monkeypatch):
+    monkeypatch.setattr(modular, "zero_residues", lambda lam: frozenset({0}))
+    for n in range(3, 10):
+        shapes = [record["shape"] for record in VERIFY_CHECKS["classification"](n)["mismatches"]]
+        expected = [list(lam.parts) for lam in partitions_of(n) if modular._classification_row(lam.parts)[1]]
+        assert shapes == expected and len(shapes) > 1
+
+
 def test_every_bound_suite_reports_a_check():
     everything = modular._bounds_row(((4, 2, 1, 1), "all"))["checks"]
     named = {}

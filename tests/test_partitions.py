@@ -24,6 +24,7 @@ from modmaj.partitions import (
     diagonal_fibers,
     dimension,
     ell_core,
+    hook_length_table,
     hook_lengths,
     is_ribbon,
     opposite_hook_lengths,
@@ -86,6 +87,30 @@ def test_partition_counts():
         assert sum(1 for _ in partitions_of(n)) == count
 
 
+def recursive_partitions(n, max_part=None):
+    """The recursive generator partitions_of used to be: the order oracle."""
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    if n == 0:
+        yield ()
+        return
+    yield from rec(n, n if max_part is None else min(max_part, n))
+
+
+def test_partitions_match_the_recursive_oracle():
+    for n in range(31):
+        for max_part in {None, 0, 1, 2, 3, n // 2, n}:
+            expected = list(recursive_partitions(n, max_part))
+            assert [lam.parts for lam in partitions_of(n, max_part)] == expected, (n, max_part)
+
+
 # ------------------------------------------------------------ conjugation
 
 
@@ -127,6 +152,14 @@ def test_hooks_against_cell_count_oracle():
     for n in range(1, 11):
         for lam in partitions_of(n):
             assert sorted(hook_lengths(lam)) == brute_hooks(lam), lam
+
+
+def test_hooks_match_the_table_and_the_cell_count_oracle():
+    for n in range(1, 21):
+        for lam in partitions_of(n):
+            hooks = hook_lengths(lam)
+            assert hooks == [h for row in hook_length_table(lam) for h in row], lam
+            assert sorted(hooks) == brute_hooks(lam), lam
 
 
 @pytest.mark.parametrize(

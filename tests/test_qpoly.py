@@ -15,7 +15,7 @@ from modmaj.qpoly import (
     maj_generating_polynomial,
     min_major_index,
 )
-from modmaj.tableaux import amod_by_enumeration, enumerate_syt, maj
+from modmaj.tableaux import ModularClassVector, amod_by_enumeration, enumerate_syt, maj
 from random_shapes import shapes
 
 P = Partition
@@ -96,7 +96,30 @@ def test_amod_matches_enumeration():
 def test_folded_polynomial_matches_packed_fold():
     for n in range(1, 16):
         for lam in partitions_of(n):
-            assert amod_by_qhook(lam, maj_generating_polynomial(lam)) == amod_by_qhook(lam), lam
+            folded = [0] * n
+            for k, c in enumerate(maj_generating_polynomial(lam).coeffs):
+                folded[k % n] += c
+            assert ModularClassVector(n, folded) == amod_by_qhook(lam), lam
+
+
+def test_conjugate_folds_the_leaders_quotient():
+    # lam and lam' share the hook multiset and the degree, so one quotient
+    # serves both; each folds it with its own shift b mod n.
+    for n in range(1, 26):
+        for lam in partitions_of(n):
+            conj = conjugate(lam)
+            if lam >= conj:
+                quotient = modmaj.qpoly._packed_quotient(lam)
+                assert amod_by_qhook(conj, quotient) == amod_by_qhook(conj), lam
+
+
+def test_quotient_of_another_degree_is_refused():
+    quotient = modmaj.qpoly._packed_quotient(P((4,)))  # degree 0; (2, 2) has degree 2
+    assert amod_by_qhook(P((1, 1, 1, 1)), quotient) == amod_by_qhook(P((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="degree"):
+        amod_by_qhook(P((2, 2)), quotient)
+    with pytest.raises(ValueError, match="degree"):
+        maj_generating_polynomial(P((2, 2)), quotient)
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,40 @@ def test_carried_maj_matches_maj_of_the_tableau():
                 assert major == maj(_tableau_from_row_word(lam.parts, word)), (lam, word)
 
 
+def reference_row_words(parts):
+    """Every row word in lexicographic order, with its major index, by plain recursion."""
+    n = sum(parts)
+    filled = [0] * len(parts)
+    word = []
+
+    def extend():
+        if len(word) == n:
+            yield list(word), sum(k for k in range(1, n) if word[k] > word[k - 1])
+            return
+        for r, size in enumerate(parts):
+            if filled[r] < size and (r == 0 or filled[r - 1] > filled[r]):
+                filled[r] += 1
+                word.append(r)
+                yield from extend()
+                word.pop()
+                filled[r] -= 1
+
+    return list(extend())
+
+
+def test_walk_matches_the_reference_sequence():
+    for n in range(1, 12):
+        for lam in partitions_of(n):
+            walked = [(list(word), major) for word, major in _row_word_stream(lam.parts)]
+            assert walked == reference_row_words(lam.parts), lam
+
+
+def test_tall_shapes_walk_each_tableau_in_linear_time():
+    # 1^1000 has one tableau; (2, 1^498) has 499, each 500 entries deep
+    assert [(list(w), m) for w, m in _row_word_stream((1,) * 1000)] == [(list(range(1000)), 499500)]
+    assert sum(1 for _ in _row_word_stream((2,) + (1,) * 498)) == 499
+
+
 def test_descents():
     row = next(enumerate_syt(P((6,))))
     assert descent_set(row) == set()
