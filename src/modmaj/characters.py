@@ -7,7 +7,8 @@ Two routes are provided and kept deliberately independent:
   remaining cycle parts) with parts consumed largest-first, so sweeps over
   many shapes at the same rectangular type share work.  Its steps come
   from ``partitions.ribbon_moves``, which works on the parts tuples the
-  memo is keyed on and builds no ``Partition``.
+  memo is keyed on and builds no ``Partition``, through a small bounded
+  cache (``_moves``).
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
   multiset.  One abacus pass gives core
@@ -48,10 +49,21 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
         return 1
     ell, rest = cycles[0], cycles[1:]
     total = 0
-    for parts, height in ribbon_moves(shape, ell):
+    for parts, height in _moves(shape, ell):
         term = _mn(parts, rest)
         total += -term if height % 2 else term
     return total
+
+
+@lru_cache(maxsize=64)
+def _moves(shape: tuple[int, ...], ell: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``ribbon_moves(shape, ell)``, for the recursion.
+
+    ``_mn`` asks for the moves of one (shape, ell) under many cycle tails,
+    and close together, so a small cache catches most repeats; it is
+    bounded, because the distinct keys grow with the sweep.
+    """
+    return tuple(ribbon_moves(shape, ell))
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:

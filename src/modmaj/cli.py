@@ -327,14 +327,13 @@ def cmd_verify(args) -> int:
     with sweep_pool(args.jobs) as pool_map:
         for suite in suites:
             done = _checkpoint_read(args.resume, suite) if args.resume else {}
-            for n in range(1, args.n_max + 1):
-                if n in done:
-                    entry = done[n]
-                else:
-                    entry = VERIFY_CHECKS[suite](n, pool_map)
-                    _checkpoint_append(args.resume, entry)
-                results.append(entry)
-                total_mismatches += len(entry["mismatches"])
+            ns = range(1, args.n_max + 1)
+            for entry in VERIFY_CHECKS[suite]([n for n in ns if n not in done], pool_map):
+                _checkpoint_append(args.resume, entry)
+                done[entry["n"]] = entry
+            for n in ns:
+                results.append(done[n])
+                total_mismatches += len(done[n]["mismatches"])
     summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
     census_suite = next((s for s in ("classification", "fdim-census") if s in suites), None)
     if census_suite:

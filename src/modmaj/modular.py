@@ -29,17 +29,22 @@ residue counts a_r) rather than the shape; ``_bounds_row`` computes those
 once per shape and passes them to every predicate.
 
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
-check of one n.  The command and the acceptance gate both run these, so
-the gate tests the code the command ships.  The classification check
-maps one task per conjugate pair: a shape and its conjugate share the
-q-hook quotient, so the sweep divides once per pair, and each shape's
-row folds that quotient with its own shift.
+check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
+order.  The command and the acceptance gate both run these, so the gate
+tests the code the command ships.  The classification check maps one task
+per conjugate pair: a shape and its conjugate share the q-hook quotient,
+so the sweep divides once per pair, and each shape's row folds that
+quotient with its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
-takes it as ``check(n, pool_map=map)``, so one ``modmaj verify`` command or
-one ``verify_main_theorem`` call shares one pool of workers, forked by the
-map's first parallel call and shut down when the block ends.
+takes it as its second argument, so one ``modmaj verify`` command or one
+``verify_main_theorem`` call shares one pool of workers, forked by the
+map's first parallel call and shut down when the block ends.  The checks
+that map over shapes (classification and bounds) go through
+``_map_ahead``: it issues the map of n + 1 before it folds the results of
+n, so the workers never wait at an n boundary, and at most two n are in
+flight.
 ``parallel_map(fn, items, jobs)`` is one such block around one map; it is
 how ``modmaj bounds``, which maps once, gets its pool.  The workers are
 forked inside the sweep, so they run the code in place when the sweep
@@ -65,8 +70,9 @@ from .numtheory import (
 )
 from .partitions import (
     Partition,
+    _column_lengths,
+    _parts_of,
     capped_excess,
-    conjugate,
     dimension,
     ell_core,
     hook_lengths,
@@ -225,14 +231,14 @@ def _classification_row(parts: tuple[int, ...], quotient: Quotient | None = None
     return small, {"shape": list(parts), "computed": computed, "predicted": predicted, "counts": list(counts)}
 
 
-def _leads_pair(lam: Partition) -> bool:
-    """Whether lam is the lexicographically larger of lam and lam' (or lam = lam').
+def _leads_pair(parts: tuple[int, ...]) -> bool:
+    """Whether parts is the lexicographically larger of lam and lam' (or lam = lam').
 
     Only a shape with lam_1 = len(lam) needs its conjugate to decide:
     otherwise the larger first part, lam_1 against lam'_1 = len(lam), wins.
     """
-    first, rows = lam.parts[0], len(lam.parts)
-    return first > rows or (first == rows and lam >= conjugate(lam))
+    first, rows = parts[0], len(parts)
+    return first > rows or (first == rows and parts >= tuple(_column_lengths(parts)))
 
 
 def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None]]:
@@ -241,9 +247,8 @@ def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None
     lam and lam' have the same hook multiset, so one q-hook quotient serves
     both, and each row folds it with its own shift.
     """
-    lam = Partition(parts)
-    quotient = _packed_quotient(lam)
-    conj = conjugate(lam).parts
+    quotient = _packed_quotient(Partition(parts))
+    conj = tuple(_column_lengths(parts))
     rows = [_classification_row(parts, quotient)]
     if conj != parts:
         rows.append(_classification_row(conj, quotient))
@@ -283,6 +288,30 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
         yield from pool_map(fn, items)
 
 
+def _map_ahead(
+    ns: Iterable[int],
+    pool_map: Callable,
+    fn: Callable,
+    tasks: Callable[[int], list],
+    fold: Callable[[int, Iterator], dict],
+) -> Iterator[dict]:
+    """``fold(n, pool_map(fn, tasks(n)))`` for each n of ns, in order, with the map of n + 1 issued first.
+
+    A pool's ``imap`` submits its tasks when it is called, so the workers
+    start on n + 1 while this process folds the results of n, and no n
+    boundary leaves them idle.  At most two n are in flight, so at most two
+    task lists are alive at once.
+    """
+    ahead = None
+    for n in ns:
+        results = pool_map(fn, tasks(n))
+        if ahead is not None:
+            yield fold(*ahead)
+        ahead = n, results
+    if ahead is not None:
+        yield fold(*ahead)
+
+
 def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     """Exhaustively verify the vanishing classification for all n up to n_max.
 
@@ -293,7 +322,7 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     if n_max < 1:
         raise ValueError(f"verify_main_theorem requires n_max >= 1, got {n_max}")
     with sweep_pool(jobs) as pool_map:
-        entries = [_check_classification(n, pool_map) for n in range(1, n_max + 1)]
+        entries = list(_check_classification(range(1, n_max + 1), pool_map))
     return ClassificationReport(
         n_max,
         sum(entry["shapes"] for entry in entries),
@@ -438,12 +467,19 @@ def bound_violations(rows: Iterable[dict]) -> list[dict]:
     ]
 
 
-def _check_classification(n: int, pool_map: Callable = map) -> dict:
+def _check_classification(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
     """One task per conjugate pair; mismatches come back in ``partitions_of`` order."""
-    leaders = [lam.parts for lam in partitions_of(n) if _leads_pair(lam)]
+    return _map_ahead(ns, pool_map, _classification_pair, _pair_leaders, _classification_entry)
+
+
+def _pair_leaders(n: int) -> list[tuple[int, ...]]:
+    return [parts for parts in _parts_of(n) if _leads_pair(parts)]
+
+
+def _classification_entry(n: int, pairs: Iterator[list[tuple[bool, dict | None]]]) -> dict:
     shapes = small = 0
     mismatches = []
-    for rows in pool_map(_classification_pair, leaders):
+    for rows in pairs:
         for is_small, record in rows:
             shapes += 1
             small += is_small
@@ -459,12 +495,18 @@ def _check_classification(n: int, pool_map: Callable = map) -> dict:
     }
 
 
-def _check_census(n: int, pool_map: Callable = map) -> dict:
-    return {"n": n, "suite": "fdim-census", "small_dimension": _small_dimension_count(n), "mismatches": []}
+def _check_census(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
+    for n in ns:
+        yield {"n": n, "suite": "fdim-census", "small_dimension": _small_dimension_count(n), "mismatches": []}
 
 
-def _check_ramanujan(n: int, pool_map: Callable = map) -> dict:
+def _check_ramanujan(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
     """The two Ramanujan-sum formulas agree for |s| <= 2n, and C^2 = n I."""
+    for n in ns:
+        yield {"n": n, "suite": "ramanujan", "mismatches": _ramanujan_mismatches(n)}
+
+
+def _ramanujan_mismatches(n: int) -> list[dict]:
     mismatches = []
     for s in range(-2 * n, 2 * n + 1):
         if ramanujan_sum(n, s) != ramanujan_sum_oracle(n, s):
@@ -474,16 +516,21 @@ def _check_ramanujan(n: int, pool_map: Callable = map) -> dict:
         for j, value in enumerate(row):
             if value != (n if i == j else 0):
                 mismatches.append({"matrix_n": n, "row": i, "col": j, "value": value})
-    return {"n": n, "suite": "ramanujan", "mismatches": mismatches}
+    return mismatches
 
 
-def _check_fiber_laws(n: int, pool_map: Callable = map) -> dict:
+def _check_fiber_laws(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
     """Hook residues under an empty ell-core, and under removal of an ell-ribbon.
 
     With an empty ell-core, each class {a, -a} mod ell holds s = n / ell
     hooks per residue in it; removing an ell-ribbon removes one hook per
     residue in each class, for every ell <= n.
     """
+    for n in ns:
+        yield {"n": n, "suite": "fiber-laws", "mismatches": _fiber_law_mismatches(n)}
+
+
+def _fiber_law_mismatches(n: int) -> list[dict]:
     mismatches = []
     for lam in sorted(partitions_of(n)):
         hooks = hook_lengths(lam)
@@ -504,7 +551,7 @@ def _check_fiber_laws(n: int, pool_map: Callable = map) -> dict:
                         mismatches.append(
                             {"shape": list(lam.parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
                         )
-    return {"n": n, "suite": "fiber-laws", "mismatches": mismatches}
+    return mismatches
 
 
 def _class_size(a: int, ell: int) -> int:
@@ -518,16 +565,25 @@ def _class_counts(hooks: list[int], ell: int) -> list[int]:
     return [residues[a] + (residues[-a % ell] if 2 * a % ell else 0) for a in range(ell)]
 
 
-def _check_bounds(n: int, pool_map: Callable = map) -> dict:
-    tasks = [(lam.parts, "all") for lam in sorted(partitions_of(n))]
-    return {"n": n, "suite": "bounds", "mismatches": bound_violations(pool_map(_bounds_row, tasks))}
+def _check_bounds(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
+    return _map_ahead(ns, pool_map, _bounds_row, _bounds_tasks, _bounds_entry)
 
 
-# Suite name -> check(n, pool_map=map), in report order.  Each check returns
-# the entry ``modmaj verify`` reports and checkpoints for that n; its
-# "mismatches" list is empty when the law holds at every shape of n.  A
-# check that maps over the shapes of n does so through ``pool_map``.
-VERIFY_CHECKS: dict[str, Callable[..., dict]] = {
+def _bounds_tasks(n: int) -> list[tuple[tuple[int, ...], str]]:
+    return [(parts, "all") for parts in sorted(_parts_of(n))]
+
+
+def _bounds_entry(n: int, rows: Iterator[dict]) -> dict:
+    return {"n": n, "suite": "bounds", "mismatches": bound_violations(rows)}
+
+
+# Suite name -> check(ns, pool_map=map), in report order.  Each check yields,
+# for each n of ns in order, the entry ``modmaj verify`` reports and
+# checkpoints for that n; its "mismatches" list is empty when the law holds
+# at every shape of n.  A check that maps over the shapes of n does so
+# through ``pool_map`` and ``_map_ahead``, which issues the map of the next
+# n before it folds the results of this one.
+VERIFY_CHECKS: dict[str, Callable[..., Iterator[dict]]] = {
     "classification": _check_classification,
     "fdim-census": _check_census,
     "ramanujan": _check_ramanujan,

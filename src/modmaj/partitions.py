@@ -129,17 +129,26 @@ class RibbonStep(NamedTuple):
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest-first (descending lexicographic order).
+    """All partitions of n with parts at most max_part (any, when None), largest-first.
+
+    Largest-first is descending lexicographic order.
+    """
+    if n < 0:
+        raise ValueError(f"partitions_of requires n >= 0, got {n}")
+    for parts in _parts_of(n, max_part):
+        yield Partition(parts)
+
+
+def _parts_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The parts tuples of ``partitions_of(n, max_part)``, in the same order; n >= 0.
 
     Each shape is the successor of the one before: take one cell off the
     last part above 1 and deal it, with the trailing ones, into parts of
     that new size, which is the next shape down in lexicographic order.
     The first shape is the largest one whose parts are at most max_part.
     """
-    if n < 0:
-        raise ValueError(f"partitions_of requires n >= 0, got {n}")
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     cap = n if max_part is None else min(max_part, n)
     if cap < 1:
@@ -147,7 +156,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     top, rest = divmod(n, cap)
     parts = [cap] * top + ([rest] if rest else [])
     while True:
-        yield Partition(parts)
+        yield tuple(parts)
         ones = 0
         while parts and parts[-1] == 1:
             parts.pop()

@@ -18,6 +18,7 @@ depth limit, that carries the major index down as it places entries, so
 no tableau is rescanned for its descents.
 """
 
+from operator import ge
 from typing import Iterator
 
 from .partitions import Partition, conjugate, dimension
@@ -180,11 +181,22 @@ def _row_word_stream(parts: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
         r += 1
 
 
-def _tableau_from_row_word(parts: tuple[int, ...], word) -> StandardTableau:
-    rows: list[list[int]] = [[] for _ in parts]
+def _tableau_from_row_word(shape: Partition, word) -> StandardTableau:
+    """The tableau of shape with entry k+1 in row ``word[k]``, where word comes from a walk of shape.
+
+    Entries are appended to their rows in order, so they form a bijection
+    onto 1..n with every row increasing; of the checks ``StandardTableau``
+    makes, only column strictness is left to make here.
+    """
+    rows: list[list[int]] = [[] for _ in shape.parts]
     for k, r in enumerate(word, start=1):
         rows[r].append(k)
-    return StandardTableau(rows)
+    for r in range(1, len(rows)):
+        if any(map(ge, rows[r - 1], rows[r])):
+            raise ValueError(f"a column is not increasing upward at row {r + 1}: {rows}")
+    tab = object.__new__(StandardTableau)
+    tab.shape, tab.rows, tab.row_of = shape, tuple(map(tuple, rows)), tuple(word)
+    return tab
 
 
 def enumerate_syt(lam: Partition) -> Iterator[StandardTableau]:
@@ -192,7 +204,7 @@ def enumerate_syt(lam: Partition) -> Iterator[StandardTableau]:
     if lam.n < 1:
         raise ValueError("enumerate_syt requires a nonempty partition")
     for word, _ in _row_word_stream(lam.parts):
-        yield _tableau_from_row_word(lam.parts, word)
+        yield _tableau_from_row_word(lam, word)
 
 
 def descent_set(tab: StandardTableau) -> set[int]:

@@ -136,7 +136,7 @@ def test_criterion_5_character_routes_and_equivalences():
 
 
 def verify_mismatches(name: str, n_max: int, pool_map=map) -> list[dict]:
-    return [m for n in range(1, n_max + 1) for m in VERIFY_CHECKS[name](n, pool_map)["mismatches"]]
+    return [m for entry in VERIFY_CHECKS[name](range(1, n_max + 1), pool_map) for m in entry["mismatches"]]
 
 
 def test_criterion_6_bound_suites():

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -336,9 +338,10 @@ def check_calls(monkeypatch):
     calls = []
     for suite, check in list(modular.VERIFY_CHECKS.items()):
 
-        def counted(n, pool_map=map, _check=check):
-            calls.append(n)
-            return _check(n, pool_map)
+        def counted(ns, pool_map=map, _check=check):
+            ns = list(ns)
+            calls.extend(ns)
+            return _check(ns, pool_map)
 
         monkeypatch.setitem(modular.VERIFY_CHECKS, suite, counted)
 
@@ -348,6 +351,24 @@ def check_calls(monkeypatch):
 
     monkeypatch.setattr(cli, "_bounds_row", counted_row)
     return calls
+
+
+def test_resume_computes_only_the_missing_n(tmp_path, monkeypatch, check_calls, capsys):
+    # Real pools of 2 workers, so each check has the next n in flight.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["--n-max", "7", "--format", "json", "--jobs", "2", "--resume"]
+    for suite in ("classification", "bounds"):
+        fresh_ckpt, ckpt = tmp_path / f"{suite}-fresh.jsonl", tmp_path / f"{suite}.jsonl"
+        code, fresh, _ = run(["verify", "--suite", suite, *args, str(fresh_ckpt)], capsys)
+        assert code == 0
+        lines = fresh_ckpt.read_text().splitlines(keepends=True)
+        ckpt.write_text(lines[1] + lines[4])  # n = 2 and n = 5
+        check_calls.clear()
+        code, resumed, _ = run(["verify", "--suite", suite, *args, str(ckpt)], capsys)
+        assert code == 0 and resumed == fresh
+        assert check_calls == [1, 3, 4, 6, 7]
+        assert ckpt.read_text() == "".join(lines[i] for i in (1, 4, 0, 2, 3, 5, 6))
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

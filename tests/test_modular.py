@@ -241,7 +241,7 @@ def test_verify_main_theorem_opens_one_pool(pools_opened):
 
 def test_sweep_pool_without_parallel_work_opens_none(pools_opened):
     with sweep_pool(2) as pool_map:
-        assert VERIFY_CHECKS["ramanujan"](6, pool_map)["mismatches"] == []
+        assert [entry["mismatches"] for entry in VERIFY_CHECKS["ramanujan"]([6], pool_map)] == [[]]
         assert list(parallel_map(abs, [-1, -2], 1)) == [1, 2]
     assert pools_opened == []
 
@@ -271,6 +271,31 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
         assert multiprocessing.active_children() == []
 
 
+# The size n of one task of each check that maps over the shapes of n.
+MAPPED_TASK_SIZE = {"classification": sum, "bounds": lambda task: sum(task[0])}
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED_TASK_SIZE))
+def test_check_issues_the_next_map_before_it_yields(name):
+    events = []
+
+    def recording_map(fn, items):
+        items = list(items)
+        events.append(("map", MAPPED_TASK_SIZE[name](items[0])))
+        return map(fn, items)
+
+    for entry in VERIFY_CHECKS[name](range(1, 7), recording_map):
+        events.append(("entry", entry["n"]))
+    assert events[:2] == [("map", 1), ("map", 2)]
+    assert events[2:-2] == [event for n in range(1, 5) for event in (("entry", n), ("map", n + 2))]
+    assert events[-2:] == [("entry", 5), ("entry", 6)]
+
+
+def test_check_of_no_n_yields_nothing():
+    for check in VERIFY_CHECKS.values():
+        assert list(check([], map)) == []
+
+
 # One broken lookup in modmaj.modular per check that can report a mismatch
 # (fdim-census only counts), so the gate cannot pass vacuously.
 PLANTED_FAULTS = {
@@ -283,9 +308,9 @@ PLANTED_FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
 def test_verify_check_reports_planted_fault(name, monkeypatch):
-    assert not any(VERIFY_CHECKS[name](n)["mismatches"] for n in range(1, 7))
+    assert not any(entry["mismatches"] for n in range(1, 7) for entry in VERIFY_CHECKS[name]([n]))
     monkeypatch.setattr(modular, *PLANTED_FAULTS[name])
-    records = [m for n in range(1, 7) for m in VERIFY_CHECKS[name](n)["mismatches"]]
+    records = [m for n in range(1, 7) for entry in VERIFY_CHECKS[name]([n]) for m in entry["mismatches"]]
     assert records
     if name == "classification":
         # each record carries the q-hook count vector it was read from
@@ -338,6 +363,12 @@ def test_formula_and_classification_rows_compute_hooks_once(calls):
     assert (small, mismatch) == (False, None)
 
 
+def test_leaders_are_the_larger_shape_of_each_pair():
+    for n in range(1, 16):
+        leaders = [lam.parts for lam in partitions_of(n) if lam >= conjugate(lam)]
+        assert modular._pair_leaders(n) == leaders
+
+
 def test_classification_pair_computes_hooks_once(calls):
     # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook multiset and one quotient
     pair = modular._classification_pair((6, 4, 2))
@@ -356,7 +387,7 @@ def test_classification_pairs_cover_each_shape_once(monkeypatch):
     monkeypatch.setattr(modular, "_classification_row", counted)
     for n in range(1, 16):
         rows.clear()
-        entry = VERIFY_CHECKS["classification"](n)
+        [entry] = VERIFY_CHECKS["classification"]([n])
         assert sorted(rows) == sorted(lam.parts for lam in partitions_of(n))
         assert entry["shapes"] == len(rows)
 
@@ -364,7 +395,7 @@ def test_classification_pairs_cover_each_shape_once(monkeypatch):
 def test_classification_mismatches_keep_shape_order(monkeypatch):
     monkeypatch.setattr(modular, "zero_residues", lambda lam: frozenset({0}))
     for n in range(3, 10):
-        shapes = [record["shape"] for record in VERIFY_CHECKS["classification"](n)["mismatches"]]
+        shapes = [record["shape"] for entry in VERIFY_CHECKS["classification"]([n]) for record in entry["mismatches"]]
         expected = [list(lam.parts) for lam in partitions_of(n) if modular._classification_row(lam.parts)[1]]
         assert shapes == expected and len(shapes) > 1
 
@@ -389,7 +420,7 @@ def test_classification_census_matches_dimension_census():
     # the classification suite counts f from the q-hook totals, fdim-census
     # from dimension
     for n in range(1, 21):
-        assert VERIFY_CHECKS["classification"](n)["small_dimension"] == modular._small_dimension_count(n), n
+        assert [entry["small_dimension"] for entry in VERIFY_CHECKS["classification"]([n])] == [modular._small_dimension_count(n)], n
 
 
 def test_residue_zero_shapes():

@@ -47,6 +47,21 @@ def test_enumeration_matches_hook_count():
             assert len(seen) == dimension(lam), lam
 
 
+def test_walked_tableaux_equal_validated_ones():
+    # enumerate_syt checks only column strictness; the full validation
+    # must give the same shape, rows and row of each entry
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for tab in enumerate_syt(lam):
+                full = StandardTableau(tab.rows)
+                assert (full.shape, full.rows, full.row_of) == (tab.shape, tab.rows, tab.row_of), tab
+
+
+def test_walked_tableau_with_a_bad_column_is_refused():
+    with pytest.raises(ValueError, match="column"):
+        _tableau_from_row_word(P((2, 2)), [1, 1, 0, 0])
+
+
 def test_enumeration_has_no_depth_limit():
     assert len(list(enumerate_syt(P((1000,))))) == 1
 
@@ -55,7 +70,7 @@ def test_carried_maj_matches_maj_of_the_tableau():
     for n in range(1, 11):
         for lam in partitions_of(n):
             for word, major in _row_word_stream(lam.parts):
-                assert major == maj(_tableau_from_row_word(lam.parts, word)), (lam, word)
+                assert major == maj(_tableau_from_row_word(lam, word)), (lam, word)
 
 
 def reference_row_words(parts):
