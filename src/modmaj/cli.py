@@ -34,18 +34,20 @@ from .modular import (
     BOUND_SUITES,
     VERIFY_CHECKS,
     _bounds_row,
+    _bounds_tasks,
+    _map_ahead,
     amod_by_character_formula,
     bound_violations,
-    parallel_map,
     predicted_exceptions,
     sweep_pool,
     zero_residues,
 )
-from .partitions import Partition, dimension, ell_core, partitions_of
+from .partitions import Partition, dimension, ell_core
 from .qpoly import amod_by_qhook, maj_generating_polynomial
 from .tableaux import EnumerationBudgetExceeded, amod_by_enumeration
 
 VERIFY_SUITES = (*VERIFY_CHECKS, "all")
+CENSUS_SUITES = ("classification", "fdim-census")  # their entries carry small_dimension
 
 
 def _jobs(text: str) -> int:
@@ -279,7 +281,8 @@ def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
     A last line with no newline that does not parse is a write torn by a
     kill: it is cut from the file, so its n is computed again.  A malformed
     line anywhere else is a ValueError, and so is an entry whose ``n`` or
-    ``small_dimension`` (if present) is no int, bool included, or whose ``mismatches`` is no list.
+    ``small_dimension`` (required in ``CENSUS_SUITES``) is no int, bool
+    included, or whose ``mismatches`` is no list.
     """
     done = {}
     if not os.path.exists(path):
@@ -304,8 +307,9 @@ def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
                 raise ValueError("not a checkpoint entry")
             if not isinstance(entry.get("mismatches"), list):
                 raise ValueError('"mismatches" is not a list')
-            if type(entry.get("small_dimension", 0)) is not int:
-                raise ValueError('"small_dimension" is not a whole number')
+            census = entry.get("suite") in CENSUS_SUITES
+            if type(entry.get("small_dimension", None if census else 0)) is not int:
+                raise ValueError('"small_dimension" is missing or not a whole number')
         except ValueError as exc:
             raise ValueError(f"checkpoint {path}, line {number}: {exc}") from None
         if entry.get("suite") == suite:
@@ -335,7 +339,7 @@ def cmd_verify(args) -> int:
                 results.append(done[n])
                 total_mismatches += len(done[n]["mismatches"])
     summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
-    census_suite = next((s for s in ("classification", "fdim-census") if s in suites), None)
+    census_suite = next((s for s in CENSUS_SUITES if s in suites), None)
     if census_suite:
         summary["small_dimension_total"] = sum(
             e.get("small_dimension", 0) for e in results if e["suite"] == census_suite
@@ -403,24 +407,20 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     _check_out(args.out)
-    tasks = [
-        (lam.parts, args.suite)
-        for n in range(1, args.n_max + 1)
-        for lam in sorted(partitions_of(n))
-    ]
-    rows = list(parallel_map(_bounds_row, tasks, args.jobs))
-    violations = bound_violations(rows)
+    results = []
+    text = [f"bounds up to n={args.n_max}, suite={args.suite}"]
+    with sweep_pool(args.jobs) as pool_map:
+        per_n = _map_ahead(
+            range(1, args.n_max + 1), pool_map, _bounds_row,
+            lambda n: _bounds_tasks(n, args.suite), lambda n, rows: (n, list(rows)),
+        )
+        for n, rows in per_n:
+            results += rows
+            text.append(f"  n={n:>3} violations={len(bound_violations(rows))}")
+    violations = bound_violations(results)
     report = {
         "config": {"command": "bounds", "n_max": args.n_max, "suite": args.suite},
-        "results": [
-            {
-                "shape": list(r["shape"]),
-                "n": r["n"],
-                "dimension": r["dimension"],
-                "checks": dict(r["checks"]),
-            }
-            for r in rows
-        ],
+        "results": results,
         "summary": {"ok": not violations, "violations": violations},
     }
     csv_rows = [
@@ -430,14 +430,8 @@ def cmd_bounds(args) -> int:
             "dimension": r["dimension"],
             **{k: ("" if v is None else v) for k, v in r["checks"].items()},
         }
-        for r in rows
+        for r in results
     ]
-    text = [f"bounds up to n={args.n_max}, suite={args.suite}"]
-    by_n: dict[int, int] = {}
-    for r in rows:
-        by_n[r["n"]] = by_n.get(r["n"], 0) + sum(1 for v in r["checks"].values() if v is False)
-    for n, bad in sorted(by_n.items()):
-        text.append(f"  n={n:>3} violations={bad}")
     text.append("all bounds hold" if not violations else f"VIOLATIONS: {violations}")
     _emit(report, args.format, args.out, text, csv_rows)
     return 0 if not violations else 1

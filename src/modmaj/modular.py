@@ -41,14 +41,13 @@ map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
 takes it as its second argument, so one ``modmaj verify`` command or one
 ``verify_main_theorem`` call shares one pool of workers, forked by the
 map's first parallel call and shut down when the block ends.  The checks
-that map over shapes (classification and bounds) go through
+that map over shapes (classification, fiber laws and bounds) go through
 ``_map_ahead``: it issues the map of n + 1 before it folds the results of
 n, so the workers never wait at an n boundary, and at most two n are in
-flight.
-``parallel_map(fn, items, jobs)`` is one such block around one map; it is
-how ``modmaj bounds``, which maps once, gets its pool.  The workers are
-forked inside the sweep, so they run the code in place when the sweep
-started, patched functions included.
+flight.  ``modmaj bounds`` runs the same ``_map_ahead`` sweep over
+``_bounds_tasks`` in a block of its own.  The workers are forked inside
+the sweep, so they run the code in place when the sweep started, patched
+functions included.
 """
 
 import math
@@ -283,7 +282,7 @@ def sweep_pool(jobs: int) -> Iterator[Callable[[Callable, Iterable], Iterator]]:
 
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
-    """Ordered map over items on a ``sweep_pool(jobs)`` of its own, shut down when the map ends."""
+    """One ordered map on a ``sweep_pool(jobs)`` of its own; nothing in ``src`` calls it."""
     with sweep_pool(jobs) as pool_map:
         yield from pool_map(fn, items)
 
@@ -293,8 +292,8 @@ def _map_ahead(
     pool_map: Callable,
     fn: Callable,
     tasks: Callable[[int], list],
-    fold: Callable[[int, Iterator], dict],
-) -> Iterator[dict]:
+    fold: Callable[[int, Iterator], object],
+) -> Iterator:
     """``fold(n, pool_map(fn, tasks(n)))`` for each n of ns, in order, with the map of n + 1 issued first.
 
     A pool's ``imap`` submits its tasks when it is called, so the workers
@@ -526,32 +525,37 @@ def _check_fiber_laws(ns: Iterable[int], pool_map: Callable = map) -> Iterator[d
     hooks per residue in it; removing an ell-ribbon removes one hook per
     residue in each class, for every ell <= n.
     """
-    for n in ns:
-        yield {"n": n, "suite": "fiber-laws", "mismatches": _fiber_law_mismatches(n)}
+    return _map_ahead(ns, pool_map, _fiber_law_row, lambda n: sorted(_parts_of(n)), _fiber_law_entry)
 
 
-def _fiber_law_mismatches(n: int) -> list[dict]:
+def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
+    """The fiber-law mismatches of one shape."""
+    lam = Partition(parts)
+    n = lam.n
+    hooks = hook_lengths(lam)
     mismatches = []
-    for lam in sorted(partitions_of(n)):
-        hooks = hook_lengths(lam)
-        for ell in divisors(n):
-            if ell == 1 or ell_core(lam, ell):
-                continue
-            s = n // ell
-            for a, count in enumerate(_class_counts(hooks, ell)):
-                if count != s * _class_size(a, ell):
-                    mismatches.append({"shape": list(lam.parts), "ell": ell, "a": a})
-        for ell in range(1, n + 1):
-            steps = removable_ribbons(lam, ell)
-            big = _class_counts(hooks, ell) if steps else ()
-            for step in steps:
-                small = _class_counts(hook_lengths(step.shape), ell)
-                for a in range(ell):
-                    if big[a] - small[a] != _class_size(a, ell):
-                        mismatches.append(
-                            {"shape": list(lam.parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
-                        )
+    for ell in divisors(n):
+        if ell == 1 or ell_core(lam, ell):
+            continue
+        s = n // ell
+        for a, count in enumerate(_class_counts(hooks, ell)):
+            if count != s * _class_size(a, ell):
+                mismatches.append({"shape": list(parts), "ell": ell, "a": a})
+    for ell in range(1, n + 1):
+        steps = removable_ribbons(lam, ell)
+        big = _class_counts(hooks, ell) if steps else ()
+        for step in steps:
+            small = _class_counts(hook_lengths(step.shape), ell)
+            for a in range(ell):
+                if big[a] - small[a] != _class_size(a, ell):
+                    mismatches.append(
+                        {"shape": list(parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
+                    )
     return mismatches
+
+
+def _fiber_law_entry(n: int, rows: Iterator[list[dict]]) -> dict:
+    return {"n": n, "suite": "fiber-laws", "mismatches": [record for row in rows for record in row]}
 
 
 def _class_size(a: int, ell: int) -> int:
@@ -569,8 +573,9 @@ def _check_bounds(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]
     return _map_ahead(ns, pool_map, _bounds_row, _bounds_tasks, _bounds_entry)
 
 
-def _bounds_tasks(n: int) -> list[tuple[tuple[int, ...], str]]:
-    return [(parts, "all") for parts in sorted(_parts_of(n))]
+def _bounds_tasks(n: int, suite: str = "all") -> list[tuple[tuple[int, ...], str]]:
+    """One ``_bounds_row`` task per shape of n: every suite for ``verify``, one for ``modmaj bounds``."""
+    return [(parts, suite) for parts in sorted(_parts_of(n))]
 
 
 def _bounds_entry(n: int, rows: Iterator[dict]) -> dict:

@@ -5,9 +5,9 @@ logarithmic bound carries its stated 1e-9 slack).  Residue-count vectors
 for shapes up to size 25 are computed once via the q-hook route and shared
 by criteria 1, 3 and 4.  Criteria 6, 7 (its fiber and ribbon-step laws)
 and 8 run the checks of ``modmaj verify`` from ``VERIFY_CHECKS``, so the
-gate tests the code the command ships.  The two parallel criteria use one
-worker pool each: criterion 1 through ``verify_main_theorem``, criterion 6
-through ``sweep_pool``.
+gate tests the code the command ships.  The three parallel criteria use one
+worker pool each: criterion 1 through ``verify_main_theorem``, criteria 6
+and 7 (its fiber and ribbon-step laws) through ``sweep_pool``.
 """
 
 import math
@@ -167,7 +167,8 @@ def test_criterion_7_structural_laws():
                     DiagOrder.LESS_OR_EQUAL,
                     DiagOrder.EQUIVALENT,
                 )
-    ok &= not verify_mismatches("fiber-laws", 20)
+    with sweep_pool(2) as pool_map:
+        ok &= not verify_mismatches("fiber-laws", 20, pool_map)
     report(7, "hook-product and fiber-profile laws (n <= 25), diagonal order, hook-fiber and ribbon-step laws (n <= 20)", ok)
 
 

@@ -295,6 +295,7 @@ def test_resume_drops_torn_last_line(tmp_path, capsys):
         (2, '{"mismatches": 5, "n": 3, "suite": "classification"}'),
         (1, '{"mismatches": [], "n": 2, "small_dimension": "2", "suite": "classification"}'),
         (3, '{"mismatches": [], "n": 4, "small_dimension": true, "suite": "classification"}'),
+        (3, '{"mismatches": [], "n": 4, "suite": "classification"}'),
     ],
     ids=[
         "torn middle line",
@@ -304,6 +305,7 @@ def test_resume_drops_torn_last_line(tmp_path, capsys):
         "mismatches not a list",
         "small_dimension a string",
         "small_dimension a bool",
+        "census entry without small_dimension",
     ],
 )
 def test_resume_rejects_malformed_line(tmp_path, capsys, index, bad):

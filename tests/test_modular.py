@@ -239,6 +239,20 @@ def test_verify_main_theorem_opens_one_pool(pools_opened):
     assert pools_opened == [2]
 
 
+def test_bounds_command_maps_each_n_in_order(pools_opened, monkeypatch):
+    sizes = []
+
+    def imap(self, fn, items, chunksize):
+        sizes.append([sum(parts) for parts, _ in items])
+        return map(fn, items)
+
+    monkeypatch.setattr(modular.Pool, "imap", imap)
+    assert cli.main(["bounds", "--n-max", "7", "--format", "json", "--jobs", "2"]) == 0
+    assert pools_opened == [2]
+    # n = 1 has one shape, which the map runs in this process.
+    assert sizes == [[n] * len(list(partitions_of(n))) for n in range(2, 8)]
+
+
 def test_sweep_pool_without_parallel_work_opens_none(pools_opened):
     with sweep_pool(2) as pool_map:
         assert [entry["mismatches"] for entry in VERIFY_CHECKS["ramanujan"]([6], pool_map)] == [[]]
@@ -262,8 +276,13 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
 
         return wrapper
 
-    # the classification rows read zero_residues, the bounds rows rect_characters
-    planted = {"zero_residues": ["verify", "--n-max", "6"], "rect_characters": ["bounds", "--n-max", "6"]}
+    # the classification rows read zero_residues, the bounds rows rect_characters,
+    # the fiber-law rows hook_lengths
+    planted = {
+        "zero_residues": ["verify", "--n-max", "6"],
+        "rect_characters": ["bounds", "--n-max", "6"],
+        "hook_lengths": ["verify", "--suite", "fiber-laws", "--n-max", "6"],
+    }
     for name, argv in planted.items():
         monkeypatch.setattr(modular, name, faulty(getattr(modular, name)))
         assert cli.main(argv + ["--jobs", "2"]) == 3
@@ -272,7 +291,7 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
 
 
 # The size n of one task of each check that maps over the shapes of n.
-MAPPED_TASK_SIZE = {"classification": sum, "bounds": lambda task: sum(task[0])}
+MAPPED_TASK_SIZE = {"classification": sum, "fiber-laws": sum, "bounds": lambda task: sum(task[0])}
 
 
 @pytest.mark.parametrize("name", sorted(MAPPED_TASK_SIZE))
