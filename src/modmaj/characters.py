@@ -17,7 +17,8 @@ Two routes are provided and kept deliberately independent:
   slid beads fill positions 0..m-1, and because beads on one runner never
   pass each other, the sign is the parity of the inversions of the slid
   positions listed in the original bead order.  The magnitude is the
-  quotient of the multiples of ell in 1..n by the hooks divisible by ell.
+  quotient of the multiples of ell in 1..n (their product comes from the
+  per-n ``numtheory.multiples_table``) by the hooks divisible by ell.
   Agreement with ``mn_character`` is an acceptance gate.
 * ``rect_characters`` gives chi_ell for every ell | n from one hook
   multiset and one set of beta-numbers; its ell = 1 entry, n! over the
@@ -33,7 +34,7 @@ grows its own copy.
 from functools import lru_cache
 from math import prod
 
-from .numtheory import divisors
+from .numtheory import multiples_table
 from .partitions import (
     Partition,
     beta_numbers,
@@ -144,12 +145,11 @@ def _abacus_sign(betas: list[int], ell: int) -> int:
     return -1 if (m - cycles) % 2 else 1
 
 
-def _rect_value(lam: Partition, hooks: list[int], betas: list[int], ell: int) -> int:
-    """``rect_character(lam, ell)`` from lam's hook multiset and beta-numbers."""
-    sign = _abacus_sign(betas, ell)
+def _rect_value(lam: Partition, hooks: list[int], sign: int, ell: int) -> int:
+    """``rect_character(lam, ell)`` from lam's hook multiset and its ``_abacus_sign`` at ell."""
     if sign == 0:
         return 0
-    numerator = prod(range(ell, lam.n + 1, ell))
+    numerator = multiples_table(lam.n)[ell][0]
     denominator = prod(h for h in hooks if h % ell == 0)
     magnitude, remainder = divmod(numerator, denominator)
     if remainder:
@@ -168,13 +168,17 @@ def rect_character(lam: Partition, ell: int) -> int:
     n = lam.n
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    return _rect_value(lam, hook_lengths(lam), beta_numbers(lam), ell)
+    return _rect_value(lam, hook_lengths(lam), _abacus_sign(beta_numbers(lam), ell), ell)
 
 
 def rect_characters(lam: Partition) -> dict[int, int]:
     """``rect_character(lam, ell)`` for every ell | n in ``divisors`` order, from one hook multiset.
 
-    The entry for ell = 1 is f; lam must be nonempty.
+    The entry for ell = 1 is f; lam must be nonempty.  Its sign is +1
+    without an abacus pass, because every 1-core is empty.
     """
     hooks, betas = hook_lengths(lam), beta_numbers(lam)
-    return {ell: _rect_value(lam, hooks, betas, ell) for ell in divisors(lam.n)}
+    return {
+        ell: _rect_value(lam, hooks, 1 if ell == 1 else _abacus_sign(betas, ell), ell)
+        for ell in multiples_table(lam.n)
+    }

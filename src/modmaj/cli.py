@@ -19,12 +19,13 @@ Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
 2 usage error, 3 internal assertion failure.
 
 Reports are deterministic: keys sorted, shapes in lexicographic order of
-their part lists, no timestamps.  Same config, same bytes.
+their part lists, no timestamps.  Same config, same bytes.  A JSON report
+is exactly ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+written by ``report.json_text``; each command hands ``report.emit`` its
+CSV rows as a generator, drained only for ``--format csv``.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -44,6 +45,7 @@ from .modular import (
 )
 from .partitions import Partition, dimension, ell_core
 from .qpoly import amod_by_qhook, maj_generating_polynomial
+from .report import emit
 from .tableaux import EnumerationBudgetExceeded, amod_by_enumeration
 
 VERIFY_SUITES = (*VERIFY_CHECKS, "all")
@@ -126,20 +128,6 @@ def _parse_shape(text: str) -> Partition:
 # ---------------------------------------------------------------- reports
 
 
-def _emit(report: dict, fmt: str, out: str | None, text_lines: list[str], csv_rows=None) -> None:
-    if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        payload = _to_csv(csv_rows or [])
-    else:
-        payload = "\n".join(text_lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def _check_out(path: str | None) -> None:
     """Fail on an ``--out`` path that cannot be written before a sweep starts.
 
@@ -149,15 +137,6 @@ def _check_out(path: str | None) -> None:
     if path:
         with open(path, "a", encoding="utf-8"):
             pass
-
-
-def _to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- table
@@ -203,10 +182,10 @@ def cmd_table(args) -> int:
         "results": results,
         "summary": summary,
     }
-    csv_rows = [
+    csv_rows = (
         {"shape": str(lam), "n": n, "r": r, **{m: vectors[m][r] for m in sorted(vectors)}}
         for r in range(n)
-    ]
+    )
     text = [f"shape {lam}  n={n}  dimension={summary['dimension']}"]
     for m, v in sorted(vectors.items()):
         text.append(f"  {m:<9} {list(v)}")
@@ -214,7 +193,7 @@ def cmd_table(args) -> int:
         text.append(f"  maj polynomial: {summary['maj_polynomial']}")
     if args.method == "all":
         text.append(f"  agreement: {'OK' if agree else 'MISMATCH'}")
-    _emit(report, args.format, args.out, text, csv_rows)
+    emit(report, args.format, args.out, text, csv_rows)
     return 0 if agree else 1
 
 
@@ -268,7 +247,7 @@ def cmd_char(args) -> int:
     csv_rows = [
         {k: (",".join(map(str, v)) if isinstance(v, list) else v) for k, v in result.items()}
     ]
-    _emit(report, args.format, args.out, text, csv_rows)
+    emit(report, args.format, args.out, text, csv_rows)
     return 0
 
 
@@ -349,7 +328,7 @@ def cmd_verify(args) -> int:
         "results": results,
         "summary": summary,
     }
-    csv_rows = [
+    csv_rows = (
         {
             "suite": e["suite"],
             "n": e["n"],
@@ -357,7 +336,7 @@ def cmd_verify(args) -> int:
             "small_dimension": e.get("small_dimension", ""),
         }
         for e in results
-    ]
+    )
     text = [f"verify up to n={args.n_max}, suite={args.suite}"]
     for e in results:
         extra = f"  shapes-with-small-dimension={e['small_dimension']}" if "small_dimension" in e else ""
@@ -365,7 +344,7 @@ def cmd_verify(args) -> int:
     text.append(f"total mismatches: {total_mismatches}")
     if "small_dimension_total" in summary:
         text.append(f"shapes with dimension below n^3: {summary['small_dimension_total']}")
-    _emit(report, args.format, args.out, text, csv_rows)
+    emit(report, args.format, args.out, text, csv_rows)
     return 0 if total_mismatches == 0 else 1
 
 
@@ -385,11 +364,11 @@ def cmd_classify(args) -> int:
         "results": results,
         "summary": {"total_exceptional_shapes": sum(len(e["exceptions"]) for e in results)},
     }
-    csv_rows = [
+    csv_rows = (
         {"n": e["n"], "shape": ",".join(map(str, rec["shape"])), "residues": " ".join(map(str, rec["residues"]))}
         for e in results
         for rec in e["exceptions"]
-    ]
+    )
     text = []
     for e in results:
         text.append(f"n={e['n']}:")
@@ -398,7 +377,7 @@ def cmd_classify(args) -> int:
         for rec in e["exceptions"]:
             shape = ",".join(map(str, rec["shape"]))
             text.append(f"  ({shape}): {{{', '.join(map(str, rec['residues']))}}}")
-    _emit(report, args.format, args.out, text, csv_rows)
+    emit(report, args.format, args.out, text, csv_rows)
     return 0
 
 
@@ -423,7 +402,7 @@ def cmd_bounds(args) -> int:
         "results": results,
         "summary": {"ok": not violations, "violations": violations},
     }
-    csv_rows = [
+    csv_rows = (
         {
             "shape": ",".join(map(str, r["shape"])),
             "n": r["n"],
@@ -431,9 +410,9 @@ def cmd_bounds(args) -> int:
             **{k: ("" if v is None else v) for k, v in r["checks"].items()},
         }
         for r in results
-    ]
+    )
     text.append("all bounds hold" if not violations else f"VIOLATIONS: {violations}")
-    _emit(report, args.format, args.out, text, csv_rows)
+    emit(report, args.format, args.out, text, csv_rows)
     return 0 if not violations else 1
 
 

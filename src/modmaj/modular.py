@@ -26,7 +26,12 @@ powers so every comparison except the logarithmic one is exact; the
 logarithmic bound carries an explicit 1e-9 slack.  Each bound predicate
 takes the numbers it compares (n, f, the characters chi_ell and the
 residue counts a_r) rather than the shape; ``_bounds_row`` computes those
-once per shape and passes them to every predicate.
+once per shape and passes them to every predicate.  The three closeness
+bounds (equidistribution, dist, phi_d) each read one integer, the largest
+|n a_r - f| over r, which is max(n max(a) - f, f - n min(a)): each bound
+is monotone in |n a_r - f|, so it holds at every r exactly when it holds
+at the largest, and the comparison stays exact.  The Fomin-Lulov bound reads n!
+and (s!)^ell ell^(s ell) from the per-n ``multiples_table``.
 
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
@@ -61,6 +66,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .characters import mn_character, rect_characters
 from .numtheory import (
     divisors,
+    multiples_table,
     ramanujan_matrix_square,
     ramanujan_sum,
     ramanujan_sum_oracle,
@@ -339,11 +345,21 @@ def _small_dimension_count(n: int) -> int:
     return sum(1 for lam in partitions_of(n) if not n_cubed_criterion(n, dimension(lam)))
 
 
+def _deviation(f: int, amod: ModularClassVector) -> int:
+    """max over r of |n a_r - f|, the one integer each closeness bound reads.
+
+    n a_r - f grows with a_r, so its largest value is at the largest count
+    and its most negative at the smallest.
+    """
+    n = amod.n
+    return max(n * max(amod.counts) - f, f - n * min(amod.counts))
+
+
 def equidistribution_check(f: int, amod: ModularClassVector) -> bool:
     """Every residue count is within 2 n^1.5 / sqrt(f) of uniform, squared exact form."""
     n = amod.n
-    bound = 4 * n**5 * f * f
-    return all((n * a - f) ** 2 * f <= bound for a in amod)
+    dev = _deviation(f, amod)
+    return dev * dev * f <= 4 * n**5 * f * f
 
 
 def dist_check(f: int, amod: ModularClassVector) -> bool | None:
@@ -351,15 +367,19 @@ def dist_check(f: int, amod: ModularClassVector) -> bool | None:
     n = amod.n
     if f < n**5:
         return None
-    return all(abs(n * a - f) * n < f for a in amod)
+    return _deviation(f, amod) * n < f
 
 
 def fl_bound_check(n: int, ell: int, chi: int, f: int) -> bool:
-    """Character magnitude bound at the rectangular type, raised to the ell-th power."""
+    """Character magnitude bound at the rectangular type, raised to the ell-th power.
+
+    |chi|^ell n! <= (s!)^ell ell^(s ell) f with s = n / ell; both constants
+    come from the multiples table of n.
+    """
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    s = n // ell
-    return abs(chi) ** ell * math.factorial(n) <= math.factorial(s) ** ell * ell ** (s * ell) * f
+    table = multiples_table(n)
+    return abs(chi) ** ell * table[1][0] <= table[ell][1] * f
 
 
 def fl_log_bound(n: int, ell: int, f: int) -> float:
@@ -393,7 +413,7 @@ def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: in
     phis = totient_table(n)
     if any(abs(chi) * nd * phis[ell] > f for ell, chi in chis.items() if ell != 1):
         return None
-    return all(abs(n * a - f) * nd < n * f for a in amod)
+    return _deviation(f, amod) * nd < n * f
 
 
 def n_cubed_criterion(n: int, f: int) -> bool:

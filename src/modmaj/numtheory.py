@@ -2,13 +2,16 @@
 
 Everything here is plain integer arithmetic.  Inputs stay small (a few
 thousand at most), so factorization is trial division and no sieve is kept
-around.  Beside it, two tables per n are kept, each memoized for the 128
+around.  Beside it, three tables per n are kept, each memoized for the 128
 most recent n, so a sweep over the shapes of one n reads them instead of
-refactorizing for every term: ``ramanujan_table(n)`` holds c_ell(r) for
-every ell | n and 0 <= r < n, built once from ``ramanujan_sum``, and
+recomputing them for every shape: ``ramanujan_table(n)`` holds c_ell(r) for
+every ell | n and 0 <= r < n, built once from ``ramanujan_sum``,
 ``totient_table(n)`` maps each ell | n to phi(ell), built from one
-factorization of n.  The two Ramanujan-sum implementations are deliberately
-independent formulas so one can cross-check the other:
+factorization of n, and ``multiples_table(n)`` maps each ell | n to the
+product of the multiples of ell up to n and its ell-th power, the
+numerator of the rectangular character and the constant of its bound.
+The two Ramanujan-sum implementations are deliberately independent
+formulas so one can cross-check the other:
 
 * ``ramanujan_sum`` uses the closed form ``mu(j/g) * phi(j) / phi(j/g)``
   with ``g = gcd(j, s)``;
@@ -21,7 +24,7 @@ matrix itself is exposed so a failed comparison stays diagnosable.
 """
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Mapping
 
@@ -131,6 +134,21 @@ def totient_table(n: int) -> Mapping[int, int]:
             if ell % p == 0:
                 phi = phi // p * (p - 1)
         table[ell] = phi
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=128)
+def multiples_table(n: int) -> Mapping[int, tuple[int, int]]:
+    """(m, m ** ell) for every ell | n, where m is the product of the multiples of ell in 1..n.
+
+    m = ell^s * s! with s = n / ell: it is n! at ell = 1, and m ** ell is
+    (s!)^ell * ell^(s*ell).  Keys come in ``divisors`` order; the mapping
+    is read-only, so the memoized table cannot be changed by a caller.
+    """
+    table = {}
+    for ell in divisors(n):
+        m = prod(range(ell, n + 1, ell))
+        table[ell] = (m, m**ell)
     return MappingProxyType(table)
 
 

@@ -6,8 +6,10 @@ import multiprocessing
 import os
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from modmaj import cli, modular, qpoly
+from modmaj.report import json_text
 from modmaj.partitions import Partition
 
 
@@ -228,6 +230,73 @@ def test_golden_command_reports(name, fmt, capsys):
     code, out, _ = run([*GOLDEN_COMMANDS[name], "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_COMMAND_REPORTS[name, fmt]
+
+
+# SHA-256 of stdout of `bounds --n-max 10 --suite S --format F` for every
+# suite S, recorded before the bound checks came to read one integer per
+# bound and before reports were written by report.json_text.
+GOLDEN_BOUND_SUITES = {
+    ("fl", "json"): "e57fdbcd6e497fbc55640ac0c0e8c0be55f15473cc59ab246589bccec685c0ab",
+    ("fl", "csv"): "6b92dc35bc4f79eeb622fa01182190da15f4da870e7e232a3f1ee95364b223d5",
+    ("equidistribution", "json"): "9538dc2c3d08123fb01b3f09b084c9543fa438917e11d198bcc5c71f9301d421",
+    ("equidistribution", "csv"): "741a59e7b7ab80874cd2ab84a263f2680769fd24da49af0b81a70e9cc9204e68",
+    ("dist", "json"): "a2a4e936a18b0157b41e892e1199e76b49fde3464a974b780f68b5b7f361e453",
+    ("dist", "csv"): "36f7c9118f8e96d5fbda709b68d720953153eaaf560012ee19d5d8c216c49b69",
+    ("fl-log", "json"): "16845daf2adb8de117553e5584a109275c897b33bcf706f2d76efd8d90cda922",
+    ("fl-log", "csv"): "b7b5e65194cce7f6354877592617a220bf9e79226edf378ffc9f0fd282527155",
+    ("phi-d", "json"): "6e4ad23b92ef81351a2c8e4af7c12603b638a9f3ec650a5af65202e57b7cc024",
+    ("phi-d", "csv"): "bef47152c45af4ae8404c9aeaf4ee923f77699e4bc9e2691eda01d6cf55fbba1",
+    ("n-cubed", "json"): "3bfed87f415a086b2aa48beda68ec51abead316f85313689d1eaff96b10edc85",
+    ("n-cubed", "csv"): "13134fda597cb1884e8637b3f4c55a3f6a70901e9ede6910fa05860390058610",
+    ("binom", "json"): "60b8e9de7b830db2b0a01d77b6f96535b72cc162a42a59b7156998b002656473",
+    ("binom", "csv"): "7d43902ec4ea8d992e8abb24fea01fda19584d5a837511448eb495cb5a2a9c59",
+    ("all", "json"): "8c1341f8607058cbf80ef53ee6ff45ffd4da62c03b4ac5be031af417f8ba283f",
+    ("all", "csv"): "26754b38fd7116d1c1354cf27f69df4e2bf9ea4458c701c96b4a975c320543e8",
+}
+
+
+def test_bound_suite_goldens_cover_every_suite():
+    assert {suite for suite, _ in GOLDEN_BOUND_SUITES} == set(modular.BOUND_SUITES)
+
+
+@pytest.mark.parametrize("suite,fmt", sorted(GOLDEN_BOUND_SUITES))
+def test_golden_bound_suite_reports(suite, fmt, capsys):
+    code, out, _ = run(["bounds", "--suite", suite, "--n-max", "10", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_SUITES[suite, fmt]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2603\U0001f600/')),
+    st.floats(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example([[], {}, ()])
+@example({"b": [2**64 + 1, -3, True, None], "a": {"\u00e9\"\x01": False}})
+@example({10: "x", 2: [1.5, float("nan"), float("inf"), -float("inf")]})
+@example([{1: {"k": [1]}}])
+def test_json_writer_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_csv_report(capsys):

@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modmaj import characters, cli, modular, numtheory, partitions, qpoly, tableaux
 from modmaj.modular import (
@@ -29,9 +30,10 @@ from modmaj.modular import (
     zero_residues,
 )
 from modmaj.characters import rect_character
-from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle
+from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from modmaj.partitions import Partition, conjugate, dimension, hook_lengths, partitions_of
 from modmaj.qpoly import amod_by_qhook
+from modmaj.tableaux import ModularClassVector
 
 P = Partition
 
@@ -570,6 +572,69 @@ def test_phi_d_hypothesis_fails_somewhere():
         for lam in partitions_of(8)
     }
     assert None in values
+
+
+# The per-residue forms of the closeness bounds, as they read before each
+# bound came to read max over r of |n a_r - f| alone, and the Fomin-Lulov
+# bound with its factorials computed in place: the oracles of the forms
+# that read one integer and the multiples table of n.
+def equidistribution_per_residue(f, amod):
+    n = amod.n
+    bound = 4 * n**5 * f * f
+    return all((n * a - f) ** 2 * f <= bound for a in amod)
+
+
+def dist_per_residue(f, amod):
+    n = amod.n
+    if f < n**5:
+        return None
+    return all(abs(n * a - f) * n < f for a in amod)
+
+
+def phi_d_per_residue(f, chis, amod, d):
+    n = amod.n
+    nd = n**d
+    if any(abs(chi) * nd * totient(ell) > f for ell, chi in chis.items() if ell != 1):
+        return None
+    return all(abs(n * a - f) * nd < n * f for a in amod)
+
+
+def fl_bound_from_factorials(n, ell, chi, f):
+    s = n // ell
+    return abs(chi) ** ell * math.factorial(n) <= math.factorial(s) ** ell * ell ** (s * ell) * f
+
+
+def assert_bounds_match_per_residue(f, chis, amod):
+    for ell, chi in chis.items():
+        assert fl_bound_check(amod.n, ell, chi, f) is fl_bound_from_factorials(amod.n, ell, chi, f)
+    assert equidistribution_check(f, amod) is equidistribution_per_residue(f, amod)
+    assert dist_check(f, amod) is dist_per_residue(f, amod)
+    for d in (1, 2):
+        assert phi_d_check(f, chis, amod, d) is phi_d_per_residue(f, chis, amod, d)
+
+
+def test_bound_checks_match_per_residue_forms_on_shapes(formula_vectors):
+    for lam, vec in formula_vectors.items():
+        if lam.n <= 14:
+            assert_bounds_match_per_residue(dimension(lam), chis_of(lam), vec)
+
+
+@st.composite
+def bound_inputs(draw):
+    """n, f, chi_ell for each ell | n, and counts: near f / n or anywhere, summing to f or not."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    f = draw(st.one_of(st.integers(min_value=-10, max_value=10**4), st.integers(min_value=0, max_value=10**30)))
+    near = st.integers(min_value=-3, max_value=3).map(lambda e: f // n + e)
+    counts = draw(st.lists(st.one_of(near, st.integers(min_value=-(10**20), max_value=10**20)), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        counts[0] += f - sum(counts)
+    chis = {ell: draw(st.integers(min_value=-(10**4), max_value=10**4)) for ell in divisors(n)}
+    return f, chis, ModularClassVector(n, counts)
+
+
+@given(bound_inputs())
+def test_bound_checks_match_per_residue_forms_on_drawn_counts(inputs):
+    assert_bounds_match_per_residue(*inputs)
 
 
 def test_n_cubed_criterion(formula_vectors):

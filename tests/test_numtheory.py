@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from modmaj.numtheory import (
     divisors,
     moebius,
+    multiples_table,
     ramanujan_matrix,
     ramanujan_matrix_square,
     ramanujan_sum,
@@ -88,6 +89,20 @@ def test_totient_table_matches_totient():
         assert totient_table(n) is table
         with pytest.raises(TypeError):
             table[1] = 0
+
+
+def test_multiples_table_matches_factorials():
+    for n in range(1, 61):
+        table = multiples_table(n)
+        assert list(table) == divisors(n)
+        assert table[1] == (math.factorial(n), math.factorial(n))
+        for ell, (m, power) in table.items():
+            s = n // ell
+            assert m == math.prod(ell * k for k in range(1, s + 1)) == ell**s * math.factorial(s), (n, ell)
+            assert power == math.factorial(s) ** ell * ell ** (s * ell), (n, ell)
+        assert multiples_table(n) is table
+        with pytest.raises(TypeError):
+            table[1] = (0, 0)
 
 
 def test_depends_only_on_gcd():
