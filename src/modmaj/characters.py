@@ -8,7 +8,8 @@ Two routes are provided and kept deliberately independent:
   many shapes at the same rectangular type share work.  Its steps come
   from ``partitions.ribbon_moves``, which works on the parts tuples the
   memo is keyed on and builds no ``Partition``, through a small bounded
-  cache (``_moves``).
+  cache (``_moves``).  It refuses a cycle type of more than
+  ``MAX_CYCLE_PARTS`` parts, as it recurses once per cycle.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
   multiset.  One abacus pass gives core
@@ -43,6 +44,11 @@ from .partitions import (
     ribbon_moves,
 )
 
+# The most cycles ``mn_character`` takes: it recurses about two interpreter
+# levels per cycle, and Python's default limit of 1000 levels gives out
+# near 500 cycles.
+MAX_CYCLE_PARTS = 400
+
 
 @lru_cache(maxsize=None)
 def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
@@ -71,6 +77,10 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     """Character of the shape-lam irreducible at a permutation of cycle type mu."""
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
+    if len(mu.parts) > MAX_CYCLE_PARTS:
+        raise ValueError(
+            f"cycle type has {len(mu.parts)} parts, more than MAX_CYCLE_PARTS = {MAX_CYCLE_PARTS}"
+        )
     return _mn(lam.parts, tuple(sorted(mu.parts, reverse=True)))
 
 

@@ -21,8 +21,11 @@ Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
 Reports are deterministic: keys sorted, shapes in lexicographic order of
 their part lists, no timestamps.  Same config, same bytes.  A JSON report
 is exactly ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
-written by ``report.json_text``; each command hands ``report.emit`` its
-CSV rows as a generator, drained only for ``--format csv``.
+written by ``report.json_text``.  Each ``cmd_*`` only computes: it returns
+``(code, config, results, summary, text_lines, csv_rows)`` (CSV rows drained
+only for ``--format csv``) and raises ValueError on a usage error.  ``main``
+alone opens ``--out`` before any work, builds the report, hands it to
+``report.emit`` and maps errors to exit codes.
 """
 
 import argparse
@@ -125,24 +128,10 @@ def _parse_shape(text: str) -> Partition:
     return lam
 
 
-# ---------------------------------------------------------------- reports
-
-
-def _check_out(path: str | None) -> None:
-    """Fail on an ``--out`` path that cannot be written before a sweep starts.
-
-    Opening it for appending creates a missing file and truncates none, so
-    an earlier report stays as it is until the new one replaces it.
-    """
-    if path:
-        with open(path, "a", encoding="utf-8"):
-            pass
-
-
 # ---------------------------------------------------------------- table
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     lam = _parse_shape(args.shape)
     n = lam.n
     methods = ["enumerate", "qhook", "formula"] if args.method == "all" else [args.method]
@@ -153,8 +142,7 @@ def cmd_table(args) -> int:
             try:
                 vectors[method] = amod_by_enumeration(lam, budget=args.budget)
             except EnumerationBudgetExceeded as exc:
-                print(f"modmaj table: {exc}; use --method qhook or formula", file=sys.stderr)
-                return 2
+                raise ValueError(f"{exc}; use --method qhook or formula") from None
         elif method == "qhook":
             # One q-hook division gives both the polynomial and the counts.
             from .qpoly import _packed_quotient
@@ -177,11 +165,7 @@ def cmd_table(args) -> int:
     }
     if poly is not None:
         summary["maj_polynomial"] = poly.to_text()
-    report = {
-        "config": {"command": "table", "shape": list(lam.parts), "method": args.method},
-        "results": results,
-        "summary": summary,
-    }
+    config = {"shape": list(lam.parts), "method": args.method}
     csv_rows = (
         {"shape": str(lam), "n": n, "r": r, **{m: vectors[m][r] for m in sorted(vectors)}}
         for r in range(n)
@@ -193,29 +177,29 @@ def cmd_table(args) -> int:
         text.append(f"  maj polynomial: {summary['maj_polynomial']}")
     if args.method == "all":
         text.append(f"  agreement: {'OK' if agree else 'MISMATCH'}")
-    emit(report, args.format, args.out, text, csv_rows)
-    return 0 if agree else 1
+    return 0 if agree else 1, config, results, summary, text, csv_rows
 
 
 # ---------------------------------------------------------------- char
 
 
-def cmd_char(args) -> int:
+def cmd_char(args):
     lam = _parse_shape(args.shape)
     n = lam.n
+    config = {"shape": list(lam.parts)}
     if args.mu is not None:
         mu = _parse_shape(args.mu)
         if mu.n != n:
-            print(f"modmaj char: cycle type {mu} does not have size {n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cycle type {mu} does not have size {n}")
+        config["mu"] = list(mu.parts)
         value = mn_character(lam, mu)
         result = {"shape": list(lam.parts), "cycle_type": list(mu.parts), "value": value}
         text = [f"chi({lam}) at cycle type {mu} = {value}"]
     else:
         ell = args.ell
         if ell is None or ell < 1 or n % ell != 0:
-            print(f"modmaj char: --ell must divide n={n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--ell must divide n={n}")
+        config["ell"] = ell
         core = ell_core(lam, ell)
         value = rect_character(lam, ell)
         magnitude = abs(value)
@@ -234,21 +218,7 @@ def cmd_char(args) -> int:
             f"  [sign {sign:+d}, magnitude {magnitude}]",
             f"  {ell}-core: {core if core else 'empty'}",
         ]
-    config = {"command": "char", "shape": list(lam.parts)}
-    if args.mu is not None:
-        config["mu"] = list(mu.parts)
-    else:
-        config["ell"] = args.ell
-    report = {
-        "config": config,
-        "results": [result],
-        "summary": {"value": result["value"]},
-    }
-    csv_rows = [
-        {k: (",".join(map(str, v)) if isinstance(v, list) else v) for k, v in result.items()}
-    ]
-    emit(report, args.format, args.out, text, csv_rows)
-    return 0
+    return 0, config, [result], {"value": value}, text, [result]
 
 
 # ---------------------------------------------------------------- verify
@@ -302,11 +272,9 @@ def _checkpoint_append(path: str | None, entry: dict) -> None:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def cmd_verify(args) -> int:
-    _check_out(args.out)
+def cmd_verify(args):
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
-    total_mismatches = 0
     with sweep_pool(args.jobs) as pool_map:
         for suite in suites:
             done = _checkpoint_read(args.resume, suite) if args.resume else {}
@@ -314,26 +282,20 @@ def cmd_verify(args) -> int:
             for entry in VERIFY_CHECKS[suite]([n for n in ns if n not in done], pool_map):
                 _checkpoint_append(args.resume, entry)
                 done[entry["n"]] = entry
-            for n in ns:
-                results.append(done[n])
-                total_mismatches += len(done[n]["mismatches"])
+            results += [done[n] for n in ns]
+    total_mismatches = sum(len(e["mismatches"]) for e in results)
     summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
     census_suite = next((s for s in CENSUS_SUITES if s in suites), None)
     if census_suite:
         summary["small_dimension_total"] = sum(
             e.get("small_dimension", 0) for e in results if e["suite"] == census_suite
         )
-    report = {
-        "config": {"command": "verify", "n_max": args.n_max, "suite": args.suite},
-        "results": results,
-        "summary": summary,
-    }
     csv_rows = (
         {
             "suite": e["suite"],
             "n": e["n"],
             "mismatches": len(e["mismatches"]),
-            "small_dimension": e.get("small_dimension", ""),
+            "small_dimension": e.get("small_dimension"),
         }
         for e in results
     )
@@ -344,14 +306,14 @@ def cmd_verify(args) -> int:
     text.append(f"total mismatches: {total_mismatches}")
     if "small_dimension_total" in summary:
         text.append(f"shapes with dimension below n^3: {summary['small_dimension_total']}")
-    emit(report, args.format, args.out, text, csv_rows)
-    return 0 if total_mismatches == 0 else 1
+    config = {"n_max": args.n_max, "suite": args.suite}
+    return 0 if total_mismatches == 0 else 1, config, results, summary, text, csv_rows
 
 
 # ---------------------------------------------------------------- classify
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     results = []
     for n in range(1, args.n_max + 1):
         records = [
@@ -359,13 +321,9 @@ def cmd_classify(args) -> int:
             for rec in predicted_exceptions(n)
         ]
         results.append({"n": n, "exceptions": records})
-    report = {
-        "config": {"command": "classify", "n_max": args.n_max},
-        "results": results,
-        "summary": {"total_exceptional_shapes": sum(len(e["exceptions"]) for e in results)},
-    }
+    summary = {"total_exceptional_shapes": sum(len(e["exceptions"]) for e in results)}
     csv_rows = (
-        {"n": e["n"], "shape": ",".join(map(str, rec["shape"])), "residues": " ".join(map(str, rec["residues"]))}
+        {"n": e["n"], "shape": rec["shape"], "residues": " ".join(map(str, rec["residues"]))}
         for e in results
         for rec in e["exceptions"]
     )
@@ -377,15 +335,13 @@ def cmd_classify(args) -> int:
         for rec in e["exceptions"]:
             shape = ",".join(map(str, rec["shape"]))
             text.append(f"  ({shape}): {{{', '.join(map(str, rec['residues']))}}}")
-    emit(report, args.format, args.out, text, csv_rows)
-    return 0
+    return 0, {"n_max": args.n_max}, results, summary, text, csv_rows
 
 
 # ---------------------------------------------------------------- bounds
 
 
-def cmd_bounds(args) -> int:
-    _check_out(args.out)
+def cmd_bounds(args):
     results = []
     text = [f"bounds up to n={args.n_max}, suite={args.suite}"]
     with sweep_pool(args.jobs) as pool_map:
@@ -397,26 +353,28 @@ def cmd_bounds(args) -> int:
             results += rows
             text.append(f"  n={n:>3} violations={len(bound_violations(rows))}")
     violations = bound_violations(results)
-    report = {
-        "config": {"command": "bounds", "n_max": args.n_max, "suite": args.suite},
-        "results": results,
-        "summary": {"ok": not violations, "violations": violations},
-    }
     csv_rows = (
-        {
-            "shape": ",".join(map(str, r["shape"])),
-            "n": r["n"],
-            "dimension": r["dimension"],
-            **{k: ("" if v is None else v) for k, v in r["checks"].items()},
-        }
+        {"shape": r["shape"], "n": r["n"], "dimension": r["dimension"], **r["checks"]}
         for r in results
     )
     text.append("all bounds hold" if not violations else f"VIOLATIONS: {violations}")
-    emit(report, args.format, args.out, text, csv_rows)
-    return 0 if not violations else 1
+    config = {"n_max": args.n_max, "suite": args.suite}
+    summary = {"ok": not violations, "violations": violations}
+    return 0 if not violations else 1, config, results, summary, text, csv_rows
 
 
 # ---------------------------------------------------------------- entry
+
+
+def _check_out(path: str | None) -> None:
+    """Fail on an ``--out`` path that cannot be written before a command starts.
+
+    Opening it for appending creates a missing file and truncates none, so
+    an earlier report stays as it is until the new one replaces it.
+    """
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
 
 
 def main(argv=None) -> int:
@@ -430,7 +388,11 @@ def main(argv=None) -> int:
         "bounds": cmd_bounds,
     }
     try:
-        return handlers[args.command](args)
+        _check_out(args.out)
+        code, config, results, summary, text, csv_rows = handlers[args.command](args)
+        report = {"config": {"command": args.command, **config}, "results": results, "summary": summary}
+        emit(report, args.format, args.out, text, csv_rows)
+        return code
     except (ValueError, OSError) as exc:
         print(f"modmaj: {exc}", file=sys.stderr)
         return 2

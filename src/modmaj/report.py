@@ -67,9 +67,13 @@ def json_text(obj, pad: str = "") -> str:
 
 
 def _to_csv(rows: list[dict]) -> str:
+    """CSV with the first row's keys as header; a list or tuple cell is joined with ","."""
     buf = io.StringIO()
     if rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(
+            {k: ",".join(map(str, v)) if type(v) in (list, tuple) else v for k, v in row.items()}
+            for row in rows
+        )
     return buf.getvalue()

@@ -49,6 +49,15 @@ def test_mn_sign_representation():
             assert mn_character(column, mu) == sign, mu
 
 
+def test_mn_takes_cycle_types_up_to_the_limit():
+    limit = characters.MAX_CYCLE_PARTS
+    lam = P((limit - 2, 2))
+    assert mn_character(lam, P((1,) * limit)) == dimension(lam)
+    assert mn_character(P((1,) * (2 * limit)), P((2,) * limit)) == 1
+    with pytest.raises(ValueError, match="MAX_CYCLE_PARTS"):
+        mn_character(P((limit + 1,)), P((1,) * (limit + 1)))
+
+
 def test_rect_magnitude_examples():
     assert abs(rect_character(P((2, 2)), 2)) == 2
     assert abs(rect_character(P((3, 1, 1, 1)), 2)) == 2

@@ -48,7 +48,7 @@ def test_table_budget_exhaustion_is_usage_error(capsys):
         ["table", "--shape", "5,4,3", "--method", "enumerate", "--budget", "10"], capsys
     )
     assert code == 2
-    assert "budget" in err
+    assert err.startswith("modmaj: ") and "budget" in err
 
 
 @pytest.mark.parametrize(
@@ -125,12 +125,22 @@ def test_char_cycle_type(capsys):
 def test_char_bad_ell(capsys):
     code, _, err = run(["char", "--shape", "2,2", "--ell", "3"], capsys)
     assert code == 2
-    assert "divide" in err
+    assert err.startswith("modmaj: ") and "divide" in err
 
 
 def test_char_size_mismatch(capsys):
     code, _, err = run(["char", "--shape", "2,2", "--mu", "3"], capsys)
     assert code == 2
+    assert err.startswith("modmaj: ") and "does not have size 4" in err
+
+
+@pytest.mark.parametrize("shape,mu", [("1000", "2^500"), ("498", "1^498")])
+def test_char_too_many_cycles_is_usage_error(shape, mu, capsys):
+    # The rim-hook recursion goes one level per cycle; past its limit the
+    # command reports it instead of running out of interpreter stack.
+    code, out, err = run(["char", "--shape", shape, "--mu", mu], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("modmaj: ") and "MAX_CYCLE_PARTS" in err
 
 
 def test_verify_classification(capsys):
@@ -403,9 +413,21 @@ def test_unopenable_path_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("modmaj: ") and argv[-1] in err
 
 
+# The counting, character and classification functions that table, char
+# and classify call through modmaj.cli.
+CLI_WORK = (
+    "amod_by_enumeration",
+    "amod_by_qhook",
+    "amod_by_character_formula",
+    "mn_character",
+    "rect_character",
+    "predicted_exceptions",
+)
+
+
 @pytest.fixture
 def check_calls(monkeypatch):
-    """Every verify check and bounds row the CLI runs, counted."""
+    """Every verify check, bounds row and ``CLI_WORK`` call the CLI runs, counted."""
     calls = []
     for suite, check in list(modular.VERIFY_CHECKS.items()):
 
@@ -421,6 +443,13 @@ def check_calls(monkeypatch):
         return modular._bounds_row(task)
 
     monkeypatch.setattr(cli, "_bounds_row", counted_row)
+    for name in CLI_WORK:
+
+        def counted_work(*args, _name=name, _work=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _work(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted_work)
     return calls
 
 
@@ -444,7 +473,15 @@ def test_resume_computes_only_the_missing_n(tmp_path, monkeypatch, check_calls, 
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--n-max", "22"], ["verify", "--n-max", "4", "--suite", "all"], ["bounds", "--n-max", "12"]],
+    [
+        ["verify", "--n-max", "22"],
+        ["verify", "--n-max", "4", "--suite", "all"],
+        ["bounds", "--n-max", "12"],
+        ["table", "--shape", "4,2,1", "--method", "all"],
+        ["char", "--shape", "4,2", "--ell", "2"],
+        ["char", "--shape", "4,2", "--mu", "3,3"],
+        ["classify", "--n-max", "6"],
+    ],
 )
 def test_unopenable_out_fails_before_any_check(argv, tmp_path, check_calls, capsys):
     assert run(argv + ["--out", str(tmp_path / "report.json")], capsys)[0] == 0
@@ -455,6 +492,19 @@ def test_unopenable_out_fails_before_any_check(argv, tmp_path, check_calls, caps
         assert code == 2 and stdout == ""
         assert err.startswith("modmaj: ") and str(out) in err
         assert check_calls == []
+
+
+def test_unopenable_out_is_reported_before_the_budget(tmp_path, check_calls, capsys):
+    argv = ["table", "--shape", "5,4,3", "--method", "enumerate", "--budget", "10", "--out"]
+    code, _, err = run(argv + [str(tmp_path / "report.json")], capsys)
+    assert code == 2 and "budget" in err
+    assert check_calls == ["amod_by_enumeration"]
+    check_calls.clear()
+    out = tmp_path / "missing_dir" / "x.json"
+    code, stdout, err = run(argv + [str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("modmaj: ") and str(out) in err and "budget" not in err
+    assert check_calls == []
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks.
 
-Every import is used, and every module-level private function in
-``src/modmaj`` is referenced from somewhere in ``src`` besides its own body.
+Every import is used, every module-level private function in
+``src/modmaj`` is referenced from somewhere in ``src`` besides its own body,
+and ``modmaj.cli`` writes reports and usage errors only from ``main``.
 """
 
 import ast
@@ -84,3 +85,46 @@ def test_dead_private_function_is_found():
     a = ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n")
     b = ast.parse("from a import _used\n_used()\n")
     assert dead_private_functions({"a.py": a, "b.py": b}) == ["a.py:4: _dead"]
+
+
+def report_path_faults(tree: ast.Module) -> list[str]:
+    """Breaks of the CLI's one report path in a module's top-level functions.
+
+    Only ``main`` may call ``emit`` or ``_check_out``, and no ``cmd_*``
+    function may call ``print`` or name ``stderr``: a command returns its
+    report and raises ValueError on a usage error.
+    """
+    faults = []
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.FunctionDef):
+            continue
+        command = stmt.name.startswith("cmd_")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("emit", "_check_out") and stmt.name != "main":
+                    faults.append(f"{stmt.name} calls {name}")
+                elif name == "print" and command:
+                    faults.append(f"{stmt.name} calls print")
+            elif command and isinstance(node, ast.Attribute) and node.attr == "stderr":
+                faults.append(f"{stmt.name} writes to sys.stderr")
+    return faults
+
+
+def test_cli_has_one_report_path():
+    tree = ast.parse((ROOT / "src" / "modmaj" / "cli.py").read_text(encoding="utf-8"))
+    assert report_path_faults(tree) == []
+
+
+def test_report_path_fault_is_found():
+    tree = ast.parse(
+        "def cmd_a(args):\n    print('x', file=sys.stderr)\n    report.emit(1)\n\n"
+        "def helper():\n    _check_out(None)\n\ndef main():\n    emit(1)\n    print(2)\n"
+    )
+    assert sorted(report_path_faults(tree)) == [
+        "cmd_a calls emit",
+        "cmd_a calls print",
+        "cmd_a writes to sys.stderr",
+        "helper calls _check_out",
+    ]
