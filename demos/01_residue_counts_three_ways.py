@@ -18,8 +18,13 @@ from modmaj import (
     maj_generating_polynomial,
 )
 
-# %% Route 1: brute force.  Enumerate the tableaux, read off descents,
-# histogram the major index mod n.
+# %% Route 1: count the tableaux themselves.  A tableau is a chain of
+# shapes in Young's lattice, one cell per entry; entry k+1 adds k to the
+# major index when it lands in a higher row than entry k.  The library
+# counts these chains level by level, merging chains that reach the same
+# (subshape, row of the last entry), so it never lists the tableaux.  Below,
+# the brute-force walk lists them and reads off descents; its histogram of
+# the major index mod n is the oracle of that count.
 
 shape = Partition((3, 2))
 print(f"shape {shape}, {dimension(shape)} standard tableaux\n")

@@ -68,8 +68,8 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _n_max(text: str) -> int:
-    """An ``--n-max`` value, a whole number >= 1."""
+def _whole_number(text: str) -> int:
+    """An ``--n-max`` or ``--budget`` value, a whole number >= 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
     return int(text)
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         if shape:
             p.add_argument("--shape", required=True, help='partition, e.g. "4,2,1" or "2^3,1"')
         if nmax:
-            p.add_argument("--n-max", type=_n_max, required=True, dest="n_max")
+            p.add_argument("--n-max", type=_whole_number, required=True, dest="n_max")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if jobs:
             p.add_argument("--jobs", type=_jobs, default=os.environ.get("MODMAJ_JOBS", "1"))
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--method", choices=("enumerate", "qhook", "formula", "all"), default="qhook"
     )
-    p_table.add_argument("--budget", type=int, default=10**7, help="enumeration cap")
+    p_table.add_argument("--budget", type=_whole_number, default=10**7, help="enumeration cap")
 
     p_char = sub.add_parser("char", help="character value for one shape")
     common(p_char, shape=True)

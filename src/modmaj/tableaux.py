@@ -7,15 +7,16 @@ index is the sum of the descents.  This descent convention is pinned by a
 test comparing the enumeration histogram with the q-hook generating
 polynomial, which the opposite convention fails already at shape (2, 1).
 
-``amod_by_enumeration`` is the brute-force route to the residue counts
-(how many tableaux have each value of major index mod n).  It refuses
-shapes with more tableaux than its budget; callers are expected to switch
-to the generating-polynomial or character-formula routes there.
+``amod_by_enumeration`` gives the residue counts (how many tableaux have
+each value of major index mod n) by counting saturated chains in Young's
+lattice.  It reads only the shape, so it stays independent of the q-hook
+and character-formula routes.  It refuses shapes with more tableaux than
+its budget; callers are expected to switch to those routes there.
 
-``enumerate_syt`` and ``amod_by_enumeration`` read one walk,
-``_row_word_stream``: a depth-first search on an explicit stack, with no
-depth limit, that carries the major index down as it places entries, so
-no tableau is rescanned for its descents.
+``enumerate_syt`` reads one walk, ``_row_word_stream``: a depth-first
+search on an explicit stack, with no depth limit, that carries the major
+index down as it places entries, so no tableau is rescanned for its
+descents.  Its histogram is the brute-force oracle of the chain count.
 """
 
 from operator import ge
@@ -232,7 +233,16 @@ def transpose(tab: StandardTableau) -> StandardTableau:
 def amod_by_enumeration(
     lam: Partition, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> ModularClassVector:
-    """Histogram of major index mod n over all standard tableaux of the shape."""
+    """Histogram of major index mod n over all standard tableaux of the shape.
+
+    A tableau is a chain in Young's lattice from the empty shape, one cell
+    per entry.  Level k holds, for each state (the filled subshape, the row
+    of entry k), the chains reaching it counted by major index mod n.  Entry
+    k+1 adds k when it goes above entry k's row, the walk's descent rule.
+    A subshape is kept as (length, count) blocks of equal rows, bottom up;
+    only a block's lowest row or the first empty row takes the next entry,
+    so a state costs its blocks, not its rows, and ``1^1000`` stays cheap.
+    """
     n = lam.n
     if n < 1:
         raise ValueError("amod_by_enumeration requires a nonempty partition")
@@ -241,7 +251,26 @@ def amod_by_enumeration(
         raise EnumerationBudgetExceeded(
             f"{lam} has {count} tableaux, above the budget of {budget}"
         )
-    counts = [0] * n
-    for _, major in _row_word_stream(lam.parts):
-        counts[major % n] += 1
-    return ModularClassVector(n, counts)
+    parts = lam.parts
+    level = {(): {-1: [1] + [0] * (n - 1)}}  # blocks -> {row of entry k, -1 for none: counts}
+    for k in range(n):
+        grown_level = {}
+        for blocks, by_last in level.items():
+            r = 0  # the lowest row of block i; past the last block, the first empty row
+            for i in range(len(blocks) + 1):
+                length, size = blocks[i] if i < len(blocks) else (0, 0)
+                if r < len(parts) and length < parts[r]:
+                    # Entry k+1 goes to row r: chains with entry k below r shift by k.
+                    vecs = [vec[-k:] + vec[:-k] if r > last else vec for last, vec in by_last.items()]
+                    head = blocks[:i]
+                    if head and head[-1][0] == length + 1:  # row r joins the block below
+                        head = head[:-1] + ((length + 1, head[-1][1] + 1),)
+                    else:
+                        head += ((length + 1, 1),)
+                    grown = head + ((length, size - 1),) * (size > 1) + blocks[i + 1 :]
+                    vec = [*map(sum, zip(*vecs))] if len(vecs) > 1 else vecs[0]
+                    grown_level.setdefault(grown, {})[r] = vec
+                r += size
+        level = grown_level
+    (by_last,) = level.values()
+    return ModularClassVector(n, map(sum, zip(*by_last.values())))

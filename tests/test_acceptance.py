@@ -81,16 +81,17 @@ def test_criterion_2_small_dimension_census():
 
 def test_criterion_3_three_method_agreement(qhook_vectors):
     agree = True
-    for n in range(1, 13):
+    for n in range(1, 15):
         shift = math.comb(n, 2)
         for lam in partitions_of(n):
             vec = qhook_vectors[lam]
+            flipped = qhook_vectors[conjugate(lam)]
             agree &= amod_by_enumeration(lam) == vec
             agree &= amod_by_character_formula(lam) == vec
             for r in range(n):
                 agree &= vec[r] == vec[math.gcd(n, r) % n]
-                agree &= vec[r] == qhook_vectors[conjugate(lam)][(shift - r) % n]
-    report(3, "enumeration = q-hook = formula for n <= 12, with gcd and transpose laws", agree)
+                agree &= vec[r] == flipped[(shift - r) % n]
+    report(3, "enumeration = q-hook = formula for n <= 14, with gcd and transpose laws", agree)
 
 
 def test_criterion_4_residue_zero_case(qhook_vectors):

@@ -544,6 +544,15 @@ def test_n_max_below_one_is_usage_error(command, capsys):
     assert "--n-max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+def test_budget_below_one_is_usage_error(budget, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["table", "--shape", "3,2", "--method", "enumerate", "--budget", budget])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and "whole number >= 1" in err
+
+
 def test_unknown_internal_failure_maps_to_exit_3(monkeypatch, capsys):
     def boom(lam, poly=None):
         raise ArithmeticError("planted failure")

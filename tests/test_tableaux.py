@@ -168,6 +168,24 @@ def test_amod_examples():
     assert list(amod_by_enumeration(P((1,)))) == [1]
 
 
+def test_chain_count_matches_the_walk():
+    # the walk is the brute-force oracle of the chain count
+    for n in range(1, 12):
+        for lam in partitions_of(n):
+            counts = [0] * n
+            for _, major in _row_word_stream(lam.parts):
+                counts[major % n] += 1
+            assert list(amod_by_enumeration(lam)) == counts, lam
+
+
+def test_chain_count_of_shapes_deeper_than_the_recursion_limit():
+    # 1^1000 has maj binom(1000, 2) = 500 mod 1000; (2, 1^998) has
+    # binom(1000, 2) - j for j = 1..999, so every residue but 500
+    assert list(amod_by_enumeration(P((1000,)))) == [int(r == 0) for r in range(1000)]
+    assert list(amod_by_enumeration(P((1,) * 1000))) == [int(r == 500) for r in range(1000)]
+    assert list(amod_by_enumeration(P((2,) + (1,) * 998))) == [int(r != 500) for r in range(1000)]
+
+
 def test_amod_budget_guard():
     with pytest.raises(EnumerationBudgetExceeded):
         amod_by_enumeration(P((5, 4, 3)), budget=10)
