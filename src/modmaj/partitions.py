@@ -16,13 +16,14 @@ Rim-hook removal and cores run on beta-numbers (first-column hook
 lengths): removing a length-``ell`` ribbon is moving one beta value down
 by ``ell`` into an unoccupied slot, and the ribbon's height is the number
 of beta values jumped over.  ``ribbon_moves`` does this on bare parts
-tuples for the rim-hook recursion; ``removable_ribbons`` wraps its
-results as ``Partition`` shapes.  The greedy-removal equivalence is a
-test concern, not assumed here.
+tuples for ``removable_ribbons``, which wraps its results as ``Partition``
+shapes; the rim-hook recursion in ``characters`` steps on bead sets of its
+own.  The greedy-removal equivalence is a test concern, not assumed here.
 """
 
 from enum import Enum
 from functools import total_ordering
+from itertools import accumulate
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -252,8 +253,8 @@ def _partition_from_betas(betas: list[int], m: int) -> Partition:
 def ribbon_moves(parts: tuple[int, ...], ell: int) -> list[tuple[tuple[int, ...], int]]:
     """Every way to remove one length-ell rim hook, as (remaining parts, height).
 
-    Works on parts tuples, with no sort and no validation, for the
-    rim-hook recursion.  On the beta-numbers b_i = parts[i] + (m - 1 - i),
+    Works on parts tuples, with no sort and no validation, for
+    ``removable_ribbons``.  On the beta-numbers b_i = parts[i] + (m - 1 - i),
     moving bead x = b_i down to y = x - ell (free and nonnegative) jumps the
     beads b_{i+1} .. b_{j-1} that lie above y; the height is their number.
     Read back as parts, rows i+1 .. j-1 drop one row and lose one cell,
@@ -286,6 +287,18 @@ def removable_ribbons(lam: Partition, ell: int) -> list[RibbonStep]:
     if ell < 1:
         raise ValueError(f"ribbon length must be >= 1, got {ell}")
     return [RibbonStep(Partition(rest), height) for rest, height in ribbon_moves(lam.parts, ell)]
+
+
+def subshape_count(parts: tuple[int, ...]) -> int:
+    """The number of partitions inside the shape, the empty one and the shape included.
+
+    Rows from the top down: counts[v] counts the fillings of the rows so far
+    whose lowest row has v cells, and the next row's are its prefix sums.
+    """
+    counts = [1]
+    for p in reversed(parts):
+        counts = list(accumulate(counts + [0] * (p + 1 - len(counts))))
+    return sum(counts)
 
 
 def ell_core(lam: Partition, ell: int) -> Partition:

@@ -1,6 +1,7 @@
 """Character values: rim-hook recursion vs the rectangular fast path."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,15 @@ from modmaj.characters import (
     rect_characters,
 )
 from modmaj.numtheory import divisors, ramanujan_sum
-from modmaj.partitions import Partition, dimension, ell_core, hook_lengths, partitions_of
+from modmaj.partitions import (
+    Partition,
+    dimension,
+    ell_core,
+    hook_lengths,
+    partitions_of,
+    removable_ribbons,
+    subshape_count,
+)
 from modmaj.qpoly import amod_by_qhook
 from random_shapes import shapes
 
@@ -29,6 +38,7 @@ def test_mn_examples():
     assert mn_character(P((2, 2)), P((2, 2))) == 2
     for mu in partitions_of(5):
         assert mn_character(P((5,)), mu) == 1
+    assert mn_character(P(()), P(())) == 1
     with pytest.raises(ValueError):
         mn_character(P((2, 2)), P((3,)))
 
@@ -56,6 +66,76 @@ def test_mn_takes_cycle_types_up_to_the_limit():
     assert mn_character(P((1,) * (2 * limit)), P((2,) * limit)) == 1
     with pytest.raises(ValueError, match="MAX_CYCLE_PARTS"):
         mn_character(P((limit + 1,)), P((1,) * (limit + 1)))
+
+
+def plain_mn(lam, cycles):
+    """The rim-hook recursion with no memo, stepping with ``removable_ribbons``."""
+    if not cycles:
+        return 1
+    return sum(
+        (-1) ** step.height * plain_mn(step.shape, cycles[1:])
+        for step in removable_ribbons(lam, cycles[0])
+    )
+
+
+def test_mn_equals_plain_recursion():
+    # removable_ribbons is pinned against brute force in test_partitions.
+    # Any order of the cycles gives the character, so the plain recursion
+    # takes the smallest first where mn_character takes the largest.
+    for n in range(1, 10):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            for mu in shapes:
+                assert mn_character(lam, mu) == plain_mn(lam, mu.parts[::-1]), (lam, mu)
+
+
+def test_mn_row_orthogonality():
+    # sum over classes of (class size) chi^lam chi^nu is n! [lam = nu];
+    # the class of mu has n! / z_mu elements
+    for n in range(1, 11):
+        order = math.factorial(n)
+        shapes = list(partitions_of(n))
+        sizes = [
+            order // math.prod(part**m * math.factorial(m) for part, m in Counter(mu.parts).items())
+            for mu in shapes
+        ]
+        assert sum(sizes) == order
+        rows = {lam: [mn_character(lam, mu) for mu in shapes] for lam in shapes}
+        for lam in shapes:
+            for nu in shapes:
+                inner = sum(c * a * b for c, a, b in zip(sizes, rows[lam], rows[nu]))
+                assert inner == (order if lam == nu else 0), (lam, nu)
+
+
+def test_mn_memo_has_one_entry_per_pair():
+    # One entry per (sigma, nu) with |sigma| = |nu| <= 8, plus the empty
+    # pair: a key that kept the beads of rows of length 0 would give one
+    # shape several keys, and more entries with the same values.
+    characters._mn.cache_clear()
+    for n in range(1, 9):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            for mu in shapes:
+                mn_character(lam, mu)
+    counts = [sum(1 for _ in partitions_of(k)) for k in range(1, 9)]
+    assert characters._mn.cache_info().currsize == 1 + sum(c * c for c in counts) == 919
+    # one query fills at most one entry per subshape, and at the identity
+    # every subshape
+    characters._mn.cache_clear()
+    assert mn_character(P((4, 4, 4, 3)), P((1,) * 15)) == dimension(P((4, 4, 4, 3)))
+    assert characters._mn.cache_info().currsize == subshape_count((4, 4, 4, 3))
+
+
+def test_mn_refuses_shapes_above_the_subshape_cap(monkeypatch):
+    with pytest.raises(ValueError, match="MAX_SUBSHAPES"):
+        mn_character(P((20,) * 20), P((1,) * 400))
+    # (3,3,3) and (3,3,2) share the box bound C(6, 3) = 20, past a cap of
+    # 19, so both are counted: 20 subshapes and 19
+    monkeypatch.setattr(characters, "MAX_SUBSHAPES", 19)
+    characters._beads.cache_clear()
+    assert mn_character(P((3, 3, 2)), P((1,) * 8)) == dimension(P((3, 3, 2)))
+    with pytest.raises(ValueError, match="3,3,3 has 20 subshapes, more than MAX_SUBSHAPES = 19"):
+        mn_character(P((3, 3, 3)), P((1,) * 9))
 
 
 def test_rect_magnitude_examples():

@@ -143,6 +143,14 @@ def test_char_too_many_cycles_is_usage_error(shape, mu, capsys):
     assert err.startswith("modmaj: ") and "MAX_CYCLE_PARTS" in err
 
 
+def test_char_too_many_subshapes_is_usage_error(capsys):
+    # 20^20 has C(40, 20) subshapes, one memo entry each at 1^400: the
+    # command refuses it before any recursion
+    code, out, err = run(["char", "--shape", "20^20", "--mu", "1^400"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("modmaj: ") and "MAX_SUBSHAPES" in err
+
+
 def test_verify_classification(capsys):
     code, out, _ = run(["verify", "--n-max", "8", "--suite", "classification"], capsys)
     assert code == 0

@@ -31,6 +31,7 @@ from modmaj.partitions import (
     partitions_of,
     removable_ribbons,
     staircase_peak,
+    subshape_count,
 )
 
 P = Partition
@@ -259,6 +260,17 @@ def test_removable_ribbons_against_subshape_oracle():
                     (s.shape.parts, s.height) for s in removable_ribbons(lam, ell)
                 }
                 assert produced == brute_removable_ribbons(lam, ell), (lam, ell)
+
+
+def test_subshape_count_against_brute_force():
+    smaller = [mu for k in range(13) for mu in partitions_of(k)]
+    for n in range(13):
+        for lam in partitions_of(n):
+            brute = sum(1 for mu in smaller if lam.contains(mu))
+            assert subshape_count(lam.parts) == brute, lam
+    # a k^k box holds C(2k, k) shapes; a column or row of n holds n + 1
+    assert subshape_count((9,) * 9) == math.comb(18, 9) == 48620
+    assert subshape_count((1,) * 1000) == subshape_count((1000,)) == 1001
 
 
 def test_is_ribbon():
