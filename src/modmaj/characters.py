@@ -16,17 +16,22 @@ Two routes are provided and kept deliberately independent:
   subshapes, as one query adds up to one memo entry per subshape.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
-  multiset.  One abacus pass gives core
-  emptiness and the sign: the beads (beta-numbers) on each runner mod ell
-  slide down as far as they go; the ell-core is empty exactly when the
-  slid beads fill positions 0..m-1, and because beads on one runner never
-  pass each other, the sign is the parity of the inversions of the slid
-  positions listed in the original bead order.  The magnitude is the
-  quotient of the multiples of ell in 1..n (their product comes from the
-  per-n ``numtheory.multiples_table``) by the hooks divisible by ell.
-  Agreement with ``mn_character`` is an acceptance gate.
+  multiset, kept as a histogram of hook lengths.  The ell-weight, the
+  number of hooks divisible by ell, decides zero: it is n / ell exactly
+  when the ell-core is empty, and otherwise the character is 0 and no
+  abacus pass runs.  For an empty core one abacus pass gives the sign: the
+  beads (beta-numbers) on each runner mod ell slide down as far as they
+  go; the core is empty exactly when the slid beads fill positions
+  0..m-1, and because beads on one runner never pass each other, the sign
+  is the parity of the inversions of the slid positions listed in the
+  original bead order.  A pass that finds a nonempty core after all
+  contradicts the weight and raises.  The magnitude is the quotient of the
+  multiples of ell in 1..n (their product comes from the per-n
+  ``numtheory.multiples_table``) by the product of the hooks divisible by
+  ell, each length raised to its count.  Agreement with ``mn_character``
+  is an acceptance gate.
 * ``rect_characters`` gives chi_ell for every ell | n from one hook
-  multiset and one set of beta-numbers; its ell = 1 entry, n! over the
+  histogram and one set of beta-numbers; its ell = 1 entry, n! over the
   hook product, is f (the Fomin-Lulov hook formula at ell = 1).
 * ``rect_character_sign`` removes one ell-ribbon at a time greedily and
   adds up the heights.  It is the test oracle for the abacus sign, which
@@ -170,13 +175,33 @@ def _abacus_sign(betas: list[int], ell: int) -> int:
     return -1 if (m - cycles) % 2 else 1
 
 
-def _rect_value(lam: Partition, hooks: list[int], sign: int, ell: int) -> int:
-    """``rect_character(lam, ell)`` from lam's hook multiset and its ``_abacus_sign`` at ell."""
-    if sign == 0:
+def _hook_histogram(hooks: list[int]) -> list[int]:
+    """How many hooks have each length, indexed by length up to the largest hook."""
+    counts = [0] * (max(hooks, default=0) + 1)
+    for h in hooks:
+        counts[h] += 1
+    return counts
+
+
+def _rect_value(lam: Partition, counts: list[int], betas: list[int], ell: int) -> int:
+    """``rect_character(lam, ell)`` from lam's ``_hook_histogram`` and its beta-numbers.
+
+    The ell-weight, the number of hooks divisible by ell, is n / ell
+    exactly when the ell-core is empty; otherwise the character is 0 and
+    the abacus is not walked.  At ell = 1 the sign is +1 without a pass,
+    because every 1-core is empty.
+    """
+    multiples = counts[ell::ell]
+    if ell == 1:
+        sign = 1
+    elif sum(multiples) != lam.n // ell:
         return 0
-    numerator = multiples_table(lam.n)[ell][0]
-    denominator = prod(h for h in hooks if h % ell == 0)
-    magnitude, remainder = divmod(numerator, denominator)
+    else:
+        sign = _abacus_sign(betas, ell)
+        if not sign:
+            raise ArithmeticError(f"{lam} has {ell}-weight n / {ell} but a nonempty {ell}-core")
+    denominator = prod(map(pow, range(ell, len(counts), ell), multiples))
+    magnitude, remainder = divmod(multiples_table(lam.n)[ell][0], denominator)
     if remainder:
         raise ArithmeticError(f"hook quotient not exact for {lam}, ell={ell}")
     return sign * magnitude
@@ -185,25 +210,21 @@ def _rect_value(lam: Partition, hooks: list[int], sign: int, ell: int) -> int:
 def rect_character(lam: Partition, ell: int) -> int:
     """Character at the rectangular cycle type, sign times magnitude.
 
-    Contract: equals ``mn_character(lam, (ell, ..., ell))``; the abacus
-    sign and the hook quotient are the production path, the rim-hook
-    recursion the oracle.  The quotient is exact whenever the core is
-    empty; a remainder would mean a bug.
+    Contract: equals ``mn_character(lam, (ell, ..., ell))``; the ell-weight,
+    the abacus sign and the hook quotient are the production path, the
+    rim-hook recursion the oracle.  The quotient is exact whenever the core
+    is empty; a remainder would mean a bug.
     """
     n = lam.n
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    return _rect_value(lam, hook_lengths(lam), _abacus_sign(beta_numbers(lam), ell), ell)
+    return _rect_value(lam, _hook_histogram(hook_lengths(lam)), beta_numbers(lam), ell)
 
 
 def rect_characters(lam: Partition) -> dict[int, int]:
-    """``rect_character(lam, ell)`` for every ell | n in ``divisors`` order, from one hook multiset.
+    """``rect_character(lam, ell)`` for every ell | n in ``divisors`` order, from one hook histogram.
 
-    The entry for ell = 1 is f; lam must be nonempty.  Its sign is +1
-    without an abacus pass, because every 1-core is empty.
+    The entry for ell = 1 is f; lam must be nonempty.
     """
-    hooks, betas = hook_lengths(lam), beta_numbers(lam)
-    return {
-        ell: _rect_value(lam, hooks, 1 if ell == 1 else _abacus_sign(betas, ell), ell)
-        for ell in multiples_table(lam.n)
-    }
+    counts, betas = _hook_histogram(hook_lengths(lam)), beta_numbers(lam)
+    return {ell: _rect_value(lam, counts, betas, ell) for ell in multiples_table(lam.n)}

@@ -9,11 +9,11 @@ Subcommands::
     modmaj bounds   --n-max 14 [--suite fl|equidistribution|dist|fl-log|phi-d|n-cubed|binom|all]
 
 Common flags: --format json|csv|text, --out FILE (report).  ``table``
-takes --budget N (enumeration cap).  ``verify`` and ``bounds`` take --jobs
-N (worker processes, default from MODMAJ_JOBS; one pool serves the whole
-command), and ``verify`` takes --resume FILE (checkpoint for long sweeps:
-one JSON line per completed n, read back on restart so an interrupted run
-picks up where it left off).
+takes --budget N (enumeration cap, in subshapes).  ``verify`` and
+``bounds`` take --jobs N (worker processes, default from MODMAJ_JOBS; one
+pool serves the whole command), and ``verify`` takes --resume FILE
+(checkpoint for long sweeps: one JSON line per completed n, read back on
+restart so an interrupted run picks up where it left off).
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
 2 usage error, 3 internal assertion failure.
@@ -49,7 +49,7 @@ from .modular import (
 from .partitions import Partition, dimension, ell_core
 from .qpoly import amod_by_qhook, maj_generating_polynomial
 from .report import emit
-from .tableaux import EnumerationBudgetExceeded, amod_by_enumeration
+from .tableaux import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetExceeded, amod_by_enumeration
 
 VERIFY_SUITES = (*VERIFY_CHECKS, "all")
 CENSUS_SUITES = ("classification", "fdim-census")  # their entries carry small_dimension
@@ -98,7 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--method", choices=("enumerate", "qhook", "formula", "all"), default="qhook"
     )
-    p_table.add_argument("--budget", type=_whole_number, default=10**7, help="enumeration cap")
+    p_table.add_argument(
+        "--budget", type=_whole_number, default=DEFAULT_ENUMERATION_BUDGET,
+        help="enumeration budget, in subshapes",
+    )
 
     p_char = sub.add_parser("char", help="character value for one shape")
     common(p_char, shape=True)

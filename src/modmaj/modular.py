@@ -7,8 +7,12 @@ cycle type with cycles of length ell,
     n * a_r  =  f  +  sum over ell | n, ell != 1 of  chi_ell * c_ell(r)
 
 where ``c_ell(r)`` is a Ramanujan sum and ``a_r`` counts tableaux with
-major index congruent to r mod n.  Everything stays in integer arithmetic;
-divisibility by n is asserted, not assumed.
+major index congruent to r mod n.  Each c_ell(r), so each a_r, depends
+on r only through gcd(r, n): the sum is taken once per divisor d of n, at
+r = d mod n, and its tau(n) values are spread over the n residues.  Most
+chi_ell are 0, which ``rect_characters`` reads off the hook lengths with
+no abacus pass.  Everything stays in integer arithmetic; divisibility by n
+is asserted, not assumed.
 
 ``expected_zero`` transcribes the classification of the vanishing pairs
 (lam, r) as a literal case list, so the exhaustive verifier genuinely
@@ -31,7 +35,9 @@ bounds (equidistribution, dist, phi_d) each read one integer, the largest
 |n a_r - f| over r, which is max(n max(a) - f, f - n min(a)): each bound
 is monotone in |n a_r - f|, so it holds at every r exactly when it holds
 at the largest, and the comparison stays exact.  The Fomin-Lulov bound reads n!
-and (s!)^ell ell^(s ell) from the per-n ``multiples_table``.
+and (s!)^ell ell^(s ell) from the per-n ``multiples_table``; ``_bounds_row``
+checks it at the nonzero characters only, as a zero one always passes it.
+The binomial bound compares f once with a per-n table of thresholds.
 
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
@@ -60,7 +66,10 @@ import os
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from multiprocessing import Pool
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .characters import mn_character, rect_characters
@@ -98,27 +107,42 @@ def amod_by_character_formula(lam: Partition) -> ModularClassVector:
 
 
 def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularClassVector:
-    """n * a_r = f + sum over ell | n, ell != 1 of chi_ell * c_ell(r), for every r.
+    """n * a_r = f + sum over ell | n, ell != 1 of chi_ell * c_ell(r), once per gcd class.
 
+    Every c_ell(r) depends on r only through gcd(r, n), so a_r does too:
+    one class sum is taken per divisor d of n, at r = d mod n, and the
+    tau(n) counts are spread over the n residues by ``_class_table(n)``.
     ``chis`` maps each ell | n to chi_ell (an entry for ell = 1 is not
-    read); the Ramanujan sums come from the table of n.  Each class sum
-    must be divisible by n and the count nonnegative.
+    read).  Each class sum must be divisible by n and the count
+    nonnegative.
     """
-    totals = [f] * n
-    # Row 0 of the table is ell = 1, whose term is f itself.
-    for ell, row in zip(divisors(n)[1:], ramanujan_table(n)[1:]):
-        chi = chis[ell]
-        if chi:
-            totals = [t + chi * c for t, c in zip(totals, row)]
-    counts = []
-    for r, total in enumerate(totals):
-        term, remainder = divmod(total, n)
+    ells, columns, gcd_index = _class_table(n)
+    chi = [chis[ell] for ell in ells]
+    by_class = []
+    for r, column in columns:
+        term, remainder = divmod(f + sum(map(mul, chi, column)), n)
         if remainder:
             raise ArithmeticError(f"n does not divide the class sum for n={n}, f={f}, r={r}")
         if term < 0:
             raise ArithmeticError(f"negative count for n={n}, f={f}, r={r}")
-        counts.append(term)
-    return ModularClassVector(n, counts)
+        by_class.append(term)
+    return ModularClassVector(n, [by_class[i] for i in gcd_index])
+
+
+@lru_cache(maxsize=128)
+def _class_table(n: int) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
+    """What the class sums of n read, in ``divisors`` order.
+
+    The ell | n other than 1; for each d | n, the residue r = d mod n and
+    c_ell(r) at those ell, off ``ramanujan_table(n)`` without its row 0
+    (ell = 1, whose term is f itself); and for each 0 <= r < n, the index
+    of gcd(r, n) among the divisors.
+    """
+    divs = divisors(n)
+    rows = ramanujan_table(n)[1:]
+    columns = tuple((d % n, tuple(row[d % n] for row in rows)) for d in divs)
+    index = {d: i for i, d in enumerate(divs)}
+    return tuple(divs[1:]), columns, tuple(index[math.gcd(r, n)] for r in range(n))
 
 
 @dataclass(frozen=True)
@@ -422,10 +446,19 @@ def n_cubed_criterion(n: int, f: int) -> bool:
 
 
 def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
-    """f >= binom(n, M) / (M + 1) for every M up to the capped diagonal excess."""
-    n = lam.n
-    cap = capped_excess(lam)
-    return all((m + 1) * f >= math.comb(n, m) for m in range(cap + 1))
+    """f >= binom(n, M) / (M + 1) for every M up to the capped diagonal excess.
+
+    For an integer f that is f >= ceil(binom(n, M) / (M + 1)) at each such
+    M, so one comparison with the largest of these, read from the per-n
+    ``_binomial_thresholds``.
+    """
+    return f >= _binomial_thresholds(lam.n)[capped_excess(lam)]
+
+
+@lru_cache(maxsize=128)
+def _binomial_thresholds(n: int) -> tuple[int, ...]:
+    """Entry M is the largest ceil(binom(n, M') / (M' + 1)) over M' <= M, for 0 <= M <= n."""
+    return tuple(accumulate((-(-math.comb(n, m) // (m + 1)) for m in range(n + 1)), max))
 
 
 # ---------------------------------------------------------------- verify checks
@@ -455,7 +488,9 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
         return suite in ("all", name)
 
     if want("fl"):
-        checks["fl"] = all(fl_bound_check(n, ell, chi, f) for ell, chi in chis.items())
+        # A zero character passes its bound, so only the nonzero ones are
+        # checked; chi_1 = f is never zero.
+        checks["fl"] = all(fl_bound_check(n, ell, chi, f) for ell, chi in chis.items() if chi)
     if want("equidistribution"):
         checks["equidistribution"] = equidistribution_check(f, amod)
     if want("dist"):

@@ -40,7 +40,8 @@ def json_text(obj, pad: str = "") -> str:
     with other keys) goes to json.dumps and its lines are re-indented: a
     JSON text has no raw newline but between lines.  Each level joins its
     items once and formats them into one f-string, so a large report is
-    copied as few times as possible.
+    copied as few times as possible; a list of plain ints, such as a
+    shape, is joined with no call per item.
     """
     kind = type(obj)
     if kind is str:
@@ -53,7 +54,10 @@ def json_text(obj, pad: str = "") -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        body = (",\n" + inner).join([json_text(value, inner) for value in obj])
+        if all(type(value) is int for value in obj):
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join([json_text(value, inner) for value in obj])
         return f"[\n{inner}{body}\n{pad}]"
     if kind is dict and all(type(key) is str for key in obj):
         if not obj:

@@ -10,8 +10,10 @@ polynomial, which the opposite convention fails already at shape (2, 1).
 ``amod_by_enumeration`` gives the residue counts (how many tableaux have
 each value of major index mod n) by counting saturated chains in Young's
 lattice.  It reads only the shape, so it stays independent of the q-hook
-and character-formula routes.  It refuses shapes with more tableaux than
-its budget; callers are expected to switch to those routes there.
+and character-formula routes.  Its work and memory grow with the number of
+subshapes, the states of one level, so it refuses a shape with more
+subshapes than its budget, counted without reading a hook; callers are
+expected to switch to those routes there.
 
 ``enumerate_syt`` reads one walk, ``_row_word_stream``: a depth-first
 search on an explicit stack, with no depth limit, that carries the major
@@ -22,13 +24,16 @@ descents.  Its histogram is the brute-force oracle of the chain count.
 from operator import ge
 from typing import Iterator
 
-from .partitions import Partition, conjugate, dimension
+from .partitions import Partition, conjugate, subshape_count
 
-DEFAULT_ENUMERATION_BUDGET = 10**7
+# The most subshapes ``amod_by_enumeration`` takes.  On a 2-vCPU host
+# (Python 3.11), 8^8 (12,870 subshapes) takes about 1.2 s and 28 MB, and 9^9
+# (48,620) about 8 s and 90 MB.
+DEFAULT_ENUMERATION_BUDGET = 50_000
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Raised when a shape has too many tableaux to enumerate; use another method."""
+    """Raised when a shape has too many subshapes to count over; use another method."""
 
 
 class ModularClassVector:
@@ -246,10 +251,10 @@ def amod_by_enumeration(
     n = lam.n
     if n < 1:
         raise ValueError("amod_by_enumeration requires a nonempty partition")
-    count = dimension(lam)
+    count = subshape_count(lam.parts)
     if count > budget:
         raise EnumerationBudgetExceeded(
-            f"{lam} has {count} tableaux, above the budget of {budget}"
+            f"{lam} has {count} subshapes, above the budget of {budget}"
         )
     parts = lam.parts
     level = {(): {-1: [1] + [0] * (n - 1)}}  # blocks -> {row of entry k, -1 for none: counts}

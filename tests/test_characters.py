@@ -16,6 +16,7 @@ from modmaj.characters import (
 from modmaj.numtheory import divisors, ramanujan_sum
 from modmaj.partitions import (
     Partition,
+    beta_numbers,
     dimension,
     ell_core,
     hook_lengths,
@@ -219,12 +220,13 @@ def test_abacus_sign_matches_greedy_beyond_the_gate(lam):
 
 
 def test_nonvanishing_equivalences():
-    # the four conditions stand or fall together: nonzero character,
-    # empty ell-core, exactly n/ell hooks divisible by ell, and the
-    # balanced +-a hook residue counts
-    for n in range(1, 15):
+    # the five conditions stand or fall together: nonzero character,
+    # empty ell-core, exactly n/ell hooks divisible by ell (the ell-weight
+    # the fast path reads), a nonzero abacus sign, and the balanced +-a
+    # hook residue counts
+    for n in range(1, 17):
         for lam in partitions_of(n):
-            hooks = hook_lengths(lam)
+            hooks, betas = hook_lengths(lam), beta_numbers(lam)
             for ell in divisors(n):
                 if ell == 1:
                     continue
@@ -232,12 +234,42 @@ def test_nonvanishing_equivalences():
                 nonzero = rect_character(lam, ell) != 0
                 core_empty = not ell_core(lam, ell)
                 count_match = sum(1 for h in hooks if h % ell == 0) == s
+                signed = characters._abacus_sign(betas, ell) != 0
                 balanced = all(
                     sum(1 for h in hooks if h % ell in {a, (-a) % ell})
                     == s * len({a % ell, (-a) % ell})
                     for a in range(ell)
                 )
-                assert nonzero == core_empty == count_match == balanced, (lam, ell)
+                assert nonzero == core_empty == count_match == signed == balanced, (lam, ell)
+
+
+def test_abacus_runs_only_where_the_weight_is_full(monkeypatch):
+    # (6,4,2): of the ell | 12 other than 1, only 2 and 4 have 12 / ell hooks
+    # divisible by ell, so only they reach the abacus
+    lam = P((6, 4, 2))
+    hooks = hook_lengths(lam)
+    full = [ell for ell in divisors(12)[1:] if sum(1 for h in hooks if h % ell == 0) == 12 // ell]
+    assert full == [2, 4]
+    walked = []
+
+    def recording(betas, ell):
+        walked.append(ell)
+        return sign(betas, ell)
+
+    sign = characters._abacus_sign
+    monkeypatch.setattr(characters, "_abacus_sign", recording)
+    chis = rect_characters(lam)
+    assert walked == full
+    assert [ell for ell, chi in chis.items() if chi and ell != 1] == full
+
+
+def test_weight_and_abacus_disagreeing_is_caught(monkeypatch):
+    # a full ell-weight with an abacus that finds a nonempty core must raise
+    monkeypatch.setattr(characters, "_abacus_sign", lambda betas, ell: 0)
+    with pytest.raises(ArithmeticError, match="nonempty 2-core"):
+        rect_character(P((2, 2)), 2)
+    with pytest.raises(ArithmeticError, match="nonempty 2-core"):
+        rect_characters(P((2, 2)))
 
 
 def test_linear_relation_with_residue_counts():

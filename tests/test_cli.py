@@ -313,6 +313,9 @@ JSON_VALUES = st.recursive(
 @example({"b": [2**64 + 1, -3, True, None], "a": {"\u00e9\"\x01": False}})
 @example({10: "x", 2: [1.5, float("nan"), float("inf"), -float("inf")]})
 @example([{1: {"k": [1]}}])
+@example([3, -1, 2**70, 0])
+@example([1, True, 2])
+@example((4, 2, 1.0))
 def test_json_writer_matches_json_dumps(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 

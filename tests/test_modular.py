@@ -71,6 +71,44 @@ def test_formula_exactness_checks(n, f, chis, check):
         modular._counts_from_characters(n, f, chis)
 
 
+def counts_per_residue(n, f, chis):
+    """The class sums residue by residue, as the route took them before it took one per gcd class."""
+    counts = []
+    for r in range(n):
+        total = f + sum(chis[ell] * ramanujan_sum(ell, r) for ell in divisors(n) if ell != 1)
+        term, remainder = divmod(total, n)
+        if remainder or term < 0:
+            raise ArithmeticError(f"class sum {total} at n={n}, r={r}")
+        counts.append(term)
+    return ModularClassVector(n, counts)
+
+
+def test_counts_per_gcd_class_match_per_residue_sums():
+    for n in range(1, 21):
+        for lam in partitions_of(n):
+            chis = characters.rect_characters(lam)
+            f = chis[1]
+            assert modular._counts_from_characters(n, f, chis) == counts_per_residue(n, f, chis), lam
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=-50, max_value=10**6),
+        st.fixed_dictionaries({ell: st.integers(min_value=-60, max_value=60) for ell in divisors(n)}),
+    )
+))
+def test_counts_per_gcd_class_refuse_what_per_residue_sums_refuse(inputs):
+    # a class sum fails the same way at every residue of its class
+    try:
+        expected = counts_per_residue(*inputs)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            modular._counts_from_characters(*inputs)
+    else:
+        assert modular._counts_from_characters(*inputs) == expected
+
+
 def test_formula_vectors_are_consistent(formula_vectors):
     for lam, vec in formula_vectors.items():
         n = lam.n
@@ -374,6 +412,20 @@ def test_bounds_row_computes_each_value_once(calls):
     assert calls["factorize"] == 0
 
 
+def test_fl_row_skips_only_zero_characters(monkeypatch):
+    # a zero character passes its bound, so leaving it out changes no row
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            chis = characters.rect_characters(lam)
+            every = all(fl_bound_check(n, ell, chi, chis[1]) for ell, chi in chis.items())
+            assert modular._bounds_row((lam.parts, "fl"))["checks"]["fl"] is every, lam
+    # every nonzero character is checked, f at ell = 1 among them
+    checked = []
+    monkeypatch.setattr(modular, "fl_bound_check", lambda n, ell, chi, f: checked.append(ell) or True)
+    modular._bounds_row(((6, 4, 2), "fl"))
+    assert checked == [1, 2, 4]
+
+
 def test_formula_and_classification_rows_compute_hooks_once(calls):
     amod_by_character_formula(P((6, 4, 2)))
     assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
@@ -648,6 +700,25 @@ def test_n_cubed_criterion(formula_vectors):
 def test_binomial_lower_bound(formula_vectors):
     for lam in formula_vectors:
         assert binomial_lower_bound_check(lam, dimension(lam)), lam
+
+
+def binomial_bound_direct(lam, f):
+    return all((m + 1) * f >= math.comb(lam.n, m) for m in range(partitions.capped_excess(lam) + 1))
+
+
+def test_binomial_threshold_matches_direct_form():
+    for n in range(1, 31):
+        for lam in partitions_of(n):
+            f = dimension(lam)
+            assert binomial_lower_bound_check(lam, f) is binomial_bound_direct(lam, f), lam
+    # f around the threshold at every cap; the hook (n - c, 1^c) has excess c
+    for n in range(1, 31):
+        for cap in range((n - 1) // 2 + 1):
+            lam = P((n - cap,) + (1,) * cap)
+            assert partitions.capped_excess(lam) == cap
+            threshold = modular._binomial_thresholds(n)[cap]
+            for f in (-1, 0, 1, threshold - 1, threshold, threshold + 1):
+                assert binomial_lower_bound_check(lam, f) is binomial_bound_direct(lam, f), (n, cap, f)
 
 
 def test_residue_one_gap(formula_vectors):

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from modmaj.partitions import Partition, conjugate, dimension, partitions_of
+from modmaj.partitions import Partition, conjugate, dimension, partitions_of, subshape_count
+from modmaj.qpoly import amod_by_qhook
 from modmaj.tableaux import (
+    DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetExceeded,
     ModularClassVector,
     StandardTableau,
@@ -189,6 +191,19 @@ def test_chain_count_of_shapes_deeper_than_the_recursion_limit():
 def test_amod_budget_guard():
     with pytest.raises(EnumerationBudgetExceeded):
         amod_by_enumeration(P((5, 4, 3)), budget=10)
+
+
+def test_budget_counts_subshapes_not_tableaux():
+    # (5,4,3) has 48 subshapes and 2,112 tableaux: a budget of 48 is enough
+    lam = P((5, 4, 3))
+    assert subshape_count(lam.parts) == 48
+    assert amod_by_enumeration(lam, budget=48) == amod_by_qhook(lam)
+    with pytest.raises(EnumerationBudgetExceeded, match="48 subshapes, above the budget of 47"):
+        amod_by_enumeration(lam, budget=47)
+    # 341,429,088 tableaux, within the default budget of subshapes
+    big = P((7, 6, 5, 4))
+    assert subshape_count(big.parts) <= DEFAULT_ENUMERATION_BUDGET
+    assert amod_by_enumeration(big) == amod_by_qhook(big)
 
 
 def test_amod_totals_are_dimensions():
