@@ -16,7 +16,8 @@ Two routes are provided and kept deliberately independent:
   subshapes, as one query adds up to one memo entry per subshape.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
-  multiset, kept as a histogram of hook lengths.  The ell-weight, the
+  histogram (``partitions.hook_histogram``, the number of hooks of each
+  length, read off the bead set).  The ell-weight, the
   number of hooks divisible by ell, decides zero: it is n / ell exactly
   when the ell-core is empty, and otherwise the character is 0 and no
   abacus pass runs.  For an empty core one abacus pass gives the sign: the
@@ -45,7 +46,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .numtheory import multiples_table
-from .partitions import Partition, beta_numbers, ell_core, hook_lengths, subshape_count
+from .partitions import Partition, beta_numbers, ell_core, hook_histogram, subshape_count
 
 # The most cycles ``mn_character`` takes: it recurses about two interpreter
 # levels per cycle, and Python's default limit of 1000 levels gives out
@@ -175,16 +176,8 @@ def _abacus_sign(betas: list[int], ell: int) -> int:
     return -1 if (m - cycles) % 2 else 1
 
 
-def _hook_histogram(hooks: list[int]) -> list[int]:
-    """How many hooks have each length, indexed by length up to the largest hook."""
-    counts = [0] * (max(hooks, default=0) + 1)
-    for h in hooks:
-        counts[h] += 1
-    return counts
-
-
 def _rect_value(lam: Partition, counts: list[int], betas: list[int], ell: int) -> int:
-    """``rect_character(lam, ell)`` from lam's ``_hook_histogram`` and its beta-numbers.
+    """``rect_character(lam, ell)`` from lam's ``hook_histogram`` and its beta-numbers.
 
     The ell-weight, the number of hooks divisible by ell, is n / ell
     exactly when the ell-core is empty; otherwise the character is 0 and
@@ -218,7 +211,7 @@ def rect_character(lam: Partition, ell: int) -> int:
     n = lam.n
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    return _rect_value(lam, _hook_histogram(hook_lengths(lam)), beta_numbers(lam), ell)
+    return _rect_value(lam, hook_histogram(lam), beta_numbers(lam), ell)
 
 
 def rect_characters(lam: Partition) -> dict[int, int]:
@@ -226,5 +219,5 @@ def rect_characters(lam: Partition) -> dict[int, int]:
 
     The entry for ell = 1 is f; lam must be nonempty.
     """
-    counts, betas = _hook_histogram(hook_lengths(lam)), beta_numbers(lam)
+    counts, betas = hook_histogram(lam), beta_numbers(lam)
     return {ell: _rect_value(lam, counts, betas, ell) for ell in multiples_table(lam.n)}

@@ -43,9 +43,9 @@ The binomial bound compares f once with a per-n table of thresholds.
 check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
 order.  The command and the acceptance gate both run these, so the gate
 tests the code the command ships.  The classification check maps one task
-per conjugate pair: a shape and its conjugate share the q-hook quotient,
-so the sweep divides once per pair, and each shape's row folds that
-quotient with its own shift.
+per conjugate pair: a shape and its conjugate share the q-hook quotient
+and its fold mod q^n - 1, so the sweep does one division and one fold per
+pair, and each shape's row rotates the folded counts by its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
@@ -251,7 +251,7 @@ def _classification_row(parts: tuple[int, ...], quotient: Quotient | None = None
     """
     lam = Partition(parts)
     counts = amod_by_qhook(lam, quotient).counts
-    computed = [r for r, c in enumerate(counts) if not c]
+    computed = [r for r, c in enumerate(counts) if not c] if 0 in counts else []
     predicted = sorted(zero_residues(lam))
     # The q-hook slots are checked to sum to f, so the census reads f off them.
     small = not n_cubed_criterion(lam.n, sum(counts))
@@ -273,8 +273,9 @@ def _leads_pair(parts: tuple[int, ...]) -> bool:
 def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None]]:
     """The rows of the pair led by parts (one row when it is self-conjugate).
 
-    lam and lam' have the same hook multiset, so one q-hook quotient serves
-    both, and each row folds it with its own shift.
+    lam and lam' have the same hook multiset, so one q-hook quotient and
+    its fold serve both (``qpoly._residue_slots`` keeps the last fold), and
+    each row rotates the folded counts by its own shift.
     """
     quotient = _packed_quotient(Partition(parts))
     conj = tuple(_column_lengths(parts))

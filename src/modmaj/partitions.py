@@ -25,6 +25,7 @@ from enum import Enum
 from functools import total_ordering
 from itertools import accumulate
 from math import factorial, prod
+from operator import index
 from typing import Iterator, NamedTuple
 
 
@@ -45,7 +46,9 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts=()):
-        parts = tuple(map(int, parts))
+        # ``index`` takes ints (and bools) only: a float or a str is a
+        # TypeError, not a part truncated or parsed.
+        parts = tuple(map(index, parts))
         # A weakly decreasing tuple is its own descending sort, and then
         # its last part is its smallest; only a bad tuple is walked for its
         # first fault.
@@ -212,6 +215,27 @@ def hook_lengths(lam: Partition) -> list[int]:
     parts = lam.parts
     column_terms = [c - a for a, c in enumerate(_column_lengths(parts))]
     return [p - b - 1 + t for b, p in enumerate(parts) for t in column_terms[:p]]
+
+
+def hook_histogram(lam: Partition) -> list[int]:
+    """How many hooks have each length, indexed by length up to the largest hook.
+
+    Read off the bead set, with no list of hooks: bead x = lam_i + m - 1 - i
+    for row i of m, and a hook of length h is a bead x with a gap (no bead)
+    at x - h.  So the count of length h is the number of bits set in
+    beads & (gaps << h), where the gaps lie below the top bead, whose value
+    lam_1 + m - 1 is the largest hook.
+    """
+    parts = lam.parts
+    m = len(parts)
+    if not m:
+        return [0]
+    top = parts[0] + m - 1
+    beads = 0
+    for i, p in enumerate(parts):
+        beads |= 1 << (p + m - 1 - i)
+    gaps = ~beads & ((1 << top) - 1)
+    return [0] + [(beads & (gaps << h)).bit_count() for h in range(1, top + 1)]
 
 
 def opposite_hook_length_table(lam: Partition) -> list[list[int]]:

@@ -25,20 +25,25 @@ factors' products, so a hook product that does not divide n! fails first.
 
 The quotient before the shift by ``q^b`` depends only on the hook
 multiset, which ``lam`` shares with its conjugate ``lam'``, and so does
-its degree.  ``amod_by_qhook`` and ``maj_generating_polynomial`` take a
-quotient that a caller already holds, as ``_packed_quotient`` of ``lam``
-or of ``lam'``, and apply ``lam``'s own shift to it: the classification
-sweep divides once per conjugate pair, and ``modmaj table`` once for its
-polynomial and its counts.  A quotient whose degree is not ``lam``'s is
-refused with ValueError.
+its degree.  So does its fold: ``_residue_slots`` folds the unshifted
+quotient once, and the shift by ``q^b`` is then a rotation of the n slots
+by b mod n, because ``q^n`` is 1 mod ``q^n - 1``.  ``amod_by_qhook`` and
+``maj_generating_polynomial`` take a quotient that a caller already
+holds, as ``_packed_quotient`` of ``lam`` or of ``lam'``, and apply
+``lam``'s own shift to it: ``modmaj table`` divides once for its
+polynomial and its counts, and the classification sweep divides and
+folds once per conjugate pair and rotates per shape.  A quotient whose
+degree is not ``lam``'s is refused with ValueError.
 
 All arithmetic is exact on Python ints; at n = 60 the packed integers run
 to some hundred thousand bits.
 """
 
+from functools import lru_cache
 from math import prod
+from operator import mul
 
-from .partitions import Partition, hook_lengths
+from .partitions import Partition, hook_histogram
 from .tableaux import ModularClassVector
 
 
@@ -124,16 +129,15 @@ class IntPolynomial:
 
 def min_major_index(lam: Partition) -> int:
     """sum((i - 1) * lam_i): the smallest major index attained on the shape."""
-    return sum(i * p for i, p in enumerate(lam.parts))
+    return sum(map(mul, range(len(lam.parts)), lam.parts))
 
 
 def _degree(lam: Partition) -> int:
     """C(n,2) - b(lam) - b(lam'), the quotient's degree, which lam and lam' share.
 
-    Row i (0-based) adds i * lam_i to b(lam) and C(lam_i, 2) to b(lam').
+    b(lam') = sum C(lam_i, 2), so C(n,2) - b(lam') = (n^2 - sum lam_i^2) / 2.
     """
-    n = lam.n
-    return (n * (n - 1) - sum((2 * i + p - 1) * p for i, p in enumerate(lam.parts))) // 2
+    return (lam.n**2 - sum(map(mul, lam.parts, lam.parts))) // 2 - min_major_index(lam)
 
 
 def _packed_quotient(lam: Partition) -> Quotient:
@@ -145,14 +149,12 @@ def _packed_quotient(lam: Partition) -> Quotient:
     n = lam.n
     if n < 1:
         raise ValueError("the q-hook route requires a nonempty partition")
-    hooks = hook_lengths(lam)
-    # Multiplicity of each length among the hooks minus its multiplicity in
-    # {1..n}, indexed by the length (a hook above n only in a corrupted multiset).
-    excess = [0] + [-1] * n + [0] * (max(hooks) - n)
-    for h in hooks:
-        excess[h] += 1
-    num = [a for a in range(1, n + 1) if excess[a] < 0]
-    den = [h for h, e in enumerate(excess) if e > 0 for _ in range(e)]
+    counts = hook_histogram(lam)
+    # Multiplicity of each length 1, 2, ... among the hooks minus its
+    # multiplicity in {1..n} (a hook above n only in a corrupted histogram).
+    excess = [c - 1 for c in counts[1 : n + 1]] + [-1] * (n + 1 - len(counts)) + counts[n + 1 :]
+    num = [a for a, e in enumerate(excess, 1) if e < 0]
+    den = [h for h, e in enumerate(excess, 1) if e > 0 for _ in range(e)]
     f, rem = divmod(prod(num), prod(den))
     if rem:
         raise ExactDivisionError(f"hook product does not divide n! for {lam}")
@@ -189,6 +191,22 @@ def _slots(value: int, w: int, count: int, f: int) -> list[int]:
     return slots
 
 
+@lru_cache(maxsize=1)
+def _residue_slots(quotient: Quotient, n: int) -> tuple[int, ...]:
+    """The unshifted quotient folded mod q^n - 1: slot k sums its coefficients at q^j, j = k mod n.
+
+    X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit pieces folds
+    it.  The last fold is kept, so the second shape of a conjugate pair,
+    given the first one's quotient, reads the fold and does not redo it.
+    """
+    value, w, _, f = quotient
+    span = w * n
+    mask = (1 << span) - 1
+    while value > mask:
+        value = (value & mask) + (value >> span)
+    return tuple(_slots(value, w, n, f))
+
+
 def maj_generating_polynomial(lam: Partition, quotient: Quotient | None = None) -> IntPolynomial:
     """Coefficient of q^i counts the standard tableaux with major index i.
 
@@ -203,15 +221,11 @@ def amod_by_qhook(lam: Partition, quotient: Quotient | None = None) -> ModularCl
 
     ``quotient`` is ``_packed_quotient`` of lam or of its conjugate, which
     share it; a caller that holds one passes it, and the counts are then
-    folded from it with no second division.  The fold shifts by lam's own
-    b.  A quotient whose degree is not lam's is a ValueError.
+    folded from it with no second division.  The folded slots are rotated
+    by lam's own b: count r is slot (r - b) mod n.  A quotient whose degree
+    is not lam's is a ValueError.
     """
     n = lam.n
-    value, w, _, f = _own_quotient(lam, quotient)
-    # X^n is 1 modulo 2^(wn) - 1, so only b mod n of the shift by q^b matters.
-    value <<= w * (min_major_index(lam) % n)
-    span = w * n
-    mask = (1 << span) - 1
-    while value > mask:
-        value = (value & mask) + (value >> span)
-    return ModularClassVector(n, _slots(value, w, n, f))
+    slots = _residue_slots(_own_quotient(lam, quotient), n)
+    cut = n - min_major_index(lam) % n
+    return ModularClassVector(n, slots[cut:] + slots[:cut])

@@ -21,7 +21,7 @@ index down as it places entries, so no tableau is rescanned for its
 descents.  Its histogram is the brute-force oracle of the chain count.
 """
 
-from operator import ge
+from operator import ge, index
 from typing import Iterator
 
 from .partitions import Partition, conjugate, subshape_count
@@ -42,7 +42,8 @@ class ModularClassVector:
     __slots__ = ("n", "counts")
 
     def __init__(self, n: int, counts):
-        counts = tuple(map(int, counts))
+        # ``index`` refuses a float or a str with TypeError rather than truncating it.
+        counts = tuple(map(index, counts))
         if n < 1 or len(counts) != n:
             raise ValueError(f"need exactly n={n} counts, got {len(counts)}")
         self.n = n

@@ -160,7 +160,7 @@ def test_inexact_hook_quotient_is_caught(monkeypatch):
     # (2,2) at ell = 2: multiples 2 * 4 over hooks 2 * 2; a hook of 6 in
     # place of a 2 leaves a remainder, which must raise, not round, on
     # both entry points
-    monkeypatch.setattr(characters, "hook_lengths", lambda lam: [6, 2, 1, 1])
+    monkeypatch.setattr(characters, "hook_histogram", lambda lam: [0, 2, 1, 0, 0, 0, 1])
     with pytest.raises(ArithmeticError, match="hook quotient"):
         rect_character(P((2, 2)), 2)
     with pytest.raises(ArithmeticError, match="hook quotient"):

@@ -382,7 +382,9 @@ def test_verify_check_reports_planted_fault(name, monkeypatch):
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts of the per-shape layers, through every modmaj module that binds each name."""
-    counts = dict.fromkeys(("hook_lengths", "beta_numbers", "dimension", "ramanujan_sum", "factorize"), 0)
+    counts = dict.fromkeys(
+        ("hook_histogram", "hook_lengths", "beta_numbers", "dimension", "ramanujan_sum", "factorize"), 0
+    )
     for name in counts:
         for module in (partitions, characters, qpoly, numtheory, modular, tableaux):
             fn = getattr(module, name, None)
@@ -398,12 +400,14 @@ def calls(monkeypatch):
 
 
 def test_bounds_row_computes_each_value_once(calls):
-    # (6,4,2): one hook multiset and one set of beta-numbers give f and
-    # chi_ell for all 6 divisors of 12, with no separate dimension.  The
-    # residue counts are read off the Ramanujan table of n = 12, which a
-    # second shape of the same n uses without computing a Ramanujan sum.
+    # (6,4,2): one hook histogram and one set of beta-numbers give f and
+    # chi_ell for all 6 divisors of 12, with no separate dimension and no
+    # list of hooks.  The residue counts are read off the Ramanujan table of
+    # n = 12, which a second shape of the same n uses without computing a
+    # Ramanujan sum.
     modular._bounds_row(((6, 4, 2), "all"))
-    assert calls["hook_lengths"] == calls["beta_numbers"] == 1
+    assert calls["hook_histogram"] == calls["beta_numbers"] == 1
+    assert calls["hook_lengths"] == 0
     assert calls["dimension"] == 0
     calls["ramanujan_sum"] = calls["factorize"] = 0
     modular._bounds_row(((5, 4, 3), "all"))
@@ -428,11 +432,11 @@ def test_fl_row_skips_only_zero_characters(monkeypatch):
 
 def test_formula_and_classification_rows_compute_hooks_once(calls):
     amod_by_character_formula(P((6, 4, 2)))
-    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
     # the census reads f off the q-hook counts, whose slots are checked to sum to f
-    calls["hook_lengths"] = 0
+    calls["hook_histogram"] = 0
     small, mismatch = modular._classification_row((6, 4, 2))
-    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
     assert (small, mismatch) == (False, None)
 
 
@@ -443,11 +447,33 @@ def test_leaders_are_the_larger_shape_of_each_pair():
 
 
 def test_classification_pair_computes_hooks_once(calls):
-    # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook multiset and one quotient
+    # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook histogram, one
+    # quotient and one fold
+    qpoly._residue_slots.cache_clear()
     pair = modular._classification_pair((6, 4, 2))
-    assert calls["hook_lengths"] == 1 and calls["dimension"] == 0
+    assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
+    folds = qpoly._residue_slots.cache_info()
+    assert (folds.misses, folds.hits) == (1, 1)
     assert pair == [modular._classification_row((6, 4, 2)), modular._classification_row((3, 3, 2, 2, 1, 1))]
     assert modular._classification_pair((3, 2, 1)) == [modular._classification_row((3, 2, 1))]
+
+
+def test_pair_counts_match_the_character_formula(monkeypatch):
+    # the counts each row of the pair path reads, leader and conjugate
+    # alike, against the independent character-formula route
+    seen = {}
+
+    def recording(lam, quotient=None, _amod=amod_by_qhook):
+        seen[lam] = _amod(lam, quotient)
+        return seen[lam]
+
+    monkeypatch.setattr(modular, "amod_by_qhook", recording)
+    for n in range(1, 21):
+        list(VERIFY_CHECKS["classification"]([n]))
+        assert sorted(seen) == sorted(partitions_of(n)), n
+        for lam, counts in seen.items():
+            assert counts == amod_by_character_formula(lam), lam
+        seen.clear()
 
 
 def test_classification_pairs_cover_each_shape_once(monkeypatch):

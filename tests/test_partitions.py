@@ -24,6 +24,7 @@ from modmaj.partitions import (
     diagonal_fibers,
     dimension,
     ell_core,
+    hook_histogram,
     hook_length_table,
     hook_lengths,
     is_ribbon,
@@ -52,6 +53,13 @@ def test_validation():
     with pytest.raises(ValueError):
         P((2, 0))
     assert P(()).n == 0 and not P(())
+
+
+def test_non_integer_parts_are_refused():
+    # a float or a str is refused, not truncated to (2, 1) or parsed
+    for parts in ((2.9, 1), (2.0, 1), ("2", 1)):
+        with pytest.raises(TypeError):
+            P(parts)
 
 
 def test_parse():
@@ -161,6 +169,16 @@ def test_hooks_match_the_table_and_the_cell_count_oracle():
             hooks = hook_lengths(lam)
             assert hooks == [h for row in hook_length_table(lam) for h in row], lam
             assert sorted(hooks) == brute_hooks(lam), lam
+
+
+def test_hook_histogram_against_cell_count_oracle():
+    # counted off the bead set; sized by the largest hook, lam_1 + len(lam) - 1
+    assert hook_histogram(P(())) == [0]
+    assert hook_histogram(P((3, 1))) == [0, 2, 1, 0, 1]
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            hooks = brute_hooks(lam)
+            assert hook_histogram(lam) == [hooks.count(h) for h in range(hooks[-1] + 1)], lam
 
 
 @pytest.mark.parametrize(

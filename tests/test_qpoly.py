@@ -132,9 +132,11 @@ def test_quotient_of_another_degree_is_refused():
     ],
 )
 def test_corrupted_hooks_are_caught(monkeypatch, parts, hooks, check):
-    # each multiset trips one integrity check of the packed quotient; the
-    # digit-sum case divides exactly as integers but not as polynomials
-    monkeypatch.setattr(modmaj.qpoly, "hook_lengths", lambda lam: list(hooks))
+    # each multiset, given as its histogram, trips one integrity check of
+    # the packed quotient; the digit-sum case divides exactly as integers
+    # but not as polynomials
+    histogram = [hooks.count(h) for h in range(max(hooks) + 1)]
+    monkeypatch.setattr(modmaj.qpoly, "hook_histogram", lambda lam: list(histogram))
     with pytest.raises(ExactDivisionError, match=check):
         amod_by_qhook(P(parts))
     with pytest.raises(ExactDivisionError, match=check):

@@ -33,6 +33,13 @@ def test_tableau_validation():
         StandardTableau([[1, 2], [2, 3]])  # repeated entry
 
 
+def test_class_vector_refuses_non_integer_counts():
+    # a float or a str is refused, not truncated to (1, 0) or parsed
+    for counts in ((1.7, 0.2), (1.0, 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            ModularClassVector(2, counts)
+
+
 def test_enumeration_counts():
     assert len(list(enumerate_syt(P((2, 2))))) == 2
     assert len(list(enumerate_syt(P((6,))))) == 1
