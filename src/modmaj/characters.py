@@ -3,17 +3,22 @@
 Two routes are provided and kept deliberately independent:
 
 * ``mn_character`` is the classical signed rim-hook recursion, valid for
-  any cycle type.  It is the oracle; it is memoized on (bead set,
-  remaining cycle parts) with parts consumed largest-first, so sweeps over
-  many shapes at the same rectangular type share work.  A bead set is one
-  int, bit x set for each beta-number x, less the beads of rows of length
-  0, so that each shape has one key; a length-ell ribbon moves a bead to a
-  free place ell lower, and its height is the number of beads it jumps.
-  The recursion sums over every removal and reads nothing of the fast
-  path.  ``_beads`` builds each shape's bead set from its parts once, in a
-  small bounded cache.  It refuses more than ``MAX_CYCLE_PARTS`` cycles,
-  as it recurses once per cycle, and a shape of more than ``MAX_SUBSHAPES``
-  subshapes, as one query adds up to one memo entry per subshape.
+  any cycle type.  It is the oracle; below the top step it is memoized on
+  (bead set, remaining cycle parts) with parts consumed largest-first, so
+  sweeps over many shapes at the same rectangular type share work.  A bead
+  set is one int, bit x set for each beta-number x, less the beads of rows
+  of length 0, so that each shape has one key; a length-ell ribbon moves a
+  bead to a free place ell lower, and its height is the number of beads it
+  jumps.  ``_removals`` is that step, the one copy of it.  The recursion
+  sums over every removal and reads nothing of the fast path.
+  ``mn_characters`` takes a whole row of cycle types for one shape: it
+  finds the shape's ell-ribbons once per distinct first part ell and
+  memoizes only what they leave, not the top pair, which a row visits
+  once.  ``mn_character`` is its one-type case.  ``_beads`` builds each
+  shape's bead set from its parts once, in a small bounded cache.  It
+  refuses more than ``MAX_CYCLE_PARTS`` cycles, as it recurses once per
+  cycle, and a shape of more than ``MAX_SUBSHAPES`` subshapes, as one
+  query adds up to one memo entry per proper subshape.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
   histogram (``partitions.hook_histogram``, the number of hooks of each
@@ -54,27 +59,42 @@ from .partitions import Partition, beta_numbers, ell_core, hook_histogram, subsh
 MAX_CYCLE_PARTS = 400
 
 # The most subshapes a shape given to ``mn_character`` may have.  One query
-# adds at most one memo entry per subshape, as the suffixes of the cycle type
-# have distinct sizes.  On a 2-vCPU host (Python 3.11), 10^10 (184,756
+# adds at most one memo entry per proper subshape, as the suffixes of the
+# cycle type have distinct sizes.  On a 2-vCPU host (Python 3.11), 10^10 (184,756
 # subshapes) at 1^100 takes about 2 s and 110 MB, and 11^11 (705,432) would
 # take about 10 s and 435 MB.
 MAX_SUBSHAPES = 200_000
 
 
-@lru_cache(maxsize=None)
-def _mn(beads: int, cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
-    ell, rest = cycles[0], cycles[1:]
-    total = 0
+def _removals(beads: int, ell: int) -> list[tuple[int, int]]:
+    """Every ell-ribbon of the bead set as (sign, bead set left), the one copy of the ribbon step.
+
+    A bead with a free place ell lower moves there; the sign is (-1) to the
+    number of beads it jumps, and the beads of rows of length 0 are shifted
+    off the bottom so that each shape has one bead set.
+    """
+    out = []
     free = (beads & ~(beads << ell)) >> ell
     while free:
         low = free & -free
         free ^= low
         high = low << ell
         moved = beads ^ low ^ high
-        term = _mn(moved >> ((moved ^ (moved + 1)).bit_length() - 1), rest)
-        total += -term if (beads & (high - low)).bit_count() % 2 else term
+        sign = -1 if (beads & (high - low)).bit_count() % 2 else 1
+        out.append((sign, moved >> ((moved ^ (moved + 1)).bit_length() - 1)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mn(beads: int, cycles: tuple[int, ...]) -> int:
+    if not cycles:
+        return 1
+    rest = cycles[1:]
+    total = 0
+    # A loop, not a comprehension: under Python 3.11 a comprehension adds a
+    # frame per level, and the recursion would give out below MAX_CYCLE_PARTS.
+    for sign, left in _removals(beads, cycles[0]):
+        total += sign * _mn(left, rest)
     return total
 
 
@@ -94,15 +114,42 @@ def _beads(parts: tuple[int, ...]) -> int:
     return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
 
 
+def mn_characters(lam: Partition, cycle_types) -> list[int]:
+    """Character of the shape-lam irreducible at each cycle type, in order.
+
+    lam's bead set is built once, and its ell-ribbons are found once for
+    each distinct first part ell; each value sums the signed ``_mn`` of
+    what the ribbons leave at the rest of the cycle type.  The top pair
+    (lam, mu) is not memoized.
+    """
+    cycle_types = list(cycle_types)
+    for mu in cycle_types:
+        if lam.n != mu.n:
+            raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
+        if len(mu.parts) > MAX_CYCLE_PARTS:
+            raise ValueError(
+                f"cycle type has {len(mu.parts)} parts, more than MAX_CYCLE_PARTS = {MAX_CYCLE_PARTS}"
+            )
+    beads = _beads(lam.parts)
+    steps: dict[int, list[tuple[int, int]]] = {}
+    values = []
+    for mu in cycle_types:
+        if not mu.parts:
+            values.append(1)
+            continue
+        ell, rest = mu.parts[0], mu.parts[1:]
+        if ell not in steps:
+            steps[ell] = _removals(beads, ell)
+        total = 0
+        for sign, left in steps[ell]:
+            total += sign * _mn(left, rest)
+        values.append(total)
+    return values
+
+
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character of the shape-lam irreducible at a permutation of cycle type mu."""
-    if lam.n != mu.n:
-        raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
-    if len(mu.parts) > MAX_CYCLE_PARTS:
-        raise ValueError(
-            f"cycle type has {len(mu.parts)} parts, more than MAX_CYCLE_PARTS = {MAX_CYCLE_PARTS}"
-        )
-    return _mn(_beads(lam.parts), mu.parts)
+    return mn_characters(lam, (mu,))[0]
 
 
 def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:

@@ -72,7 +72,7 @@ from multiprocessing import Pool
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .characters import mn_character, rect_characters
+from .characters import mn_characters, rect_characters
 from .numtheory import (
     divisors,
     multiples_table,
@@ -164,9 +164,9 @@ def induced_multiplicity(weights: ClassWeightTable, lam: Partition) -> int:
     for mu in weights.weights:
         if mu.n != n:
             raise ValueError(f"cycle type {mu} does not have size {n}")
-    total = sum(
-        c * mn_character(lam, mu) for mu, c in weights.weights.items() if c != 0
-    )
+    cycle_types = [mu for mu, c in weights.weights.items() if c != 0]
+    chis = mn_characters(lam, cycle_types)
+    total = sum(weights.weights[mu] * chi for mu, chi in zip(cycle_types, chis))
     if total % weights.group_order != 0:
         raise ArithmeticError(f"group order does not divide the weighted sum for {lam}")
     value = total // weights.group_order

@@ -81,7 +81,7 @@ def test_criterion_2_small_dimension_census():
 
 def test_criterion_3_three_method_agreement(qhook_vectors):
     agree = True
-    for n in range(1, 15):
+    for n in range(1, 16):
         shift = math.comb(n, 2)
         for lam in partitions_of(n):
             vec = qhook_vectors[lam]
@@ -91,7 +91,7 @@ def test_criterion_3_three_method_agreement(qhook_vectors):
             for r in range(n):
                 agree &= vec[r] == vec[math.gcd(n, r) % n]
                 agree &= vec[r] == flipped[(shift - r) % n]
-    report(3, "enumeration = q-hook = formula for n <= 14, with gcd and transpose laws", agree)
+    report(3, "enumeration = q-hook = formula for n <= 15, with gcd and transpose laws", agree)
 
 
 def test_criterion_4_residue_zero_case(qhook_vectors):

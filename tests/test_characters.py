@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from modmaj import characters
 from modmaj.characters import (
     mn_character,
+    mn_characters,
     rect_character,
     rect_character_sign,
     rect_characters,
@@ -109,22 +110,60 @@ def test_mn_row_orthogonality():
 
 
 def test_mn_memo_has_one_entry_per_pair():
-    # One entry per (sigma, nu) with |sigma| = |nu| <= 8, plus the empty
-    # pair: a key that kept the beads of rows of length 0 would give one
-    # shape several keys, and more entries with the same values.
+    # The top pair (lam, mu) is not memoized; below it there is one entry
+    # per (sigma, nu) with sigma, nu |- k, where nu is what follows mu's
+    # first part: for |mu| <= 8 those nu are the partitions of k with
+    # nu_1 <= 8 - k, k < 8 (k = 0 is the empty pair).  A key that kept the
+    # beads of rows of length 0 would give one shape several keys, and more
+    # entries with the same values.
     characters._mn.cache_clear()
     for n in range(1, 9):
         shapes = list(partitions_of(n))
         for lam in shapes:
             for mu in shapes:
                 mn_character(lam, mu)
-    counts = [sum(1 for _ in partitions_of(k)) for k in range(1, 9)]
-    assert characters._mn.cache_info().currsize == 1 + sum(c * c for c in counts) == 919
+    expected = sum(
+        sum(1 for _ in partitions_of(k))
+        * sum(1 for nu in partitions_of(k) if not nu.parts or nu.parts[0] <= 8 - k)
+        for k in range(8)
+    )
+    assert characters._mn.cache_info().currsize == expected == 134
     # one query fills at most one entry per subshape, and at the identity
-    # every subshape
+    # every subshape but lam itself
     characters._mn.cache_clear()
     assert mn_character(P((4, 4, 4, 3)), P((1,) * 15)) == dimension(P((4, 4, 4, 3)))
-    assert characters._mn.cache_info().currsize == subshape_count((4, 4, 4, 3))
+    assert characters._mn.cache_info().currsize == subshape_count((4, 4, 4, 3)) - 1
+
+
+def test_mn_characters_equal_plain_recursion():
+    # The cycle types go down the first parts twice and repeat the first
+    # two, so a row both revisits a first part after others and repeats a
+    # type; each ribbon list is found once per first part.
+    for n in range(1, 9):
+        shapes = list(partitions_of(n))
+        order = shapes[::2] + shapes[1::2] + shapes[:2]
+        for lam in shapes:
+            expected = [plain_mn(lam, mu.parts) for mu in order]
+            assert mn_characters(lam, order) == expected, lam
+
+
+def test_mn_characters_checks_and_the_empty_shape():
+    assert mn_characters(P(()), [P(())]) == [1]
+    assert mn_characters(P((2, 1)), []) == []
+    # a bad cycle type anywhere in the row gives mn_character's message
+    limit = characters.MAX_CYCLE_PARTS
+    for lam, mu, message in (
+        (P((2, 2)), P((3,)), r"size mismatch: \|2,2\| = 4 but \|3\| = 3"),
+        (
+            P((limit + 1,)),
+            P((1,) * (limit + 1)),
+            f"cycle type has {limit + 1} parts, more than MAX_CYCLE_PARTS = {limit}",
+        ),
+    ):
+        with pytest.raises(ValueError, match=message):
+            mn_character(lam, mu)
+        with pytest.raises(ValueError, match=message):
+            mn_characters(lam, [P((lam.n,)), mu])
 
 
 def test_mn_refuses_shapes_above_the_subshape_cap(monkeypatch):

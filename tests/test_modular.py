@@ -169,6 +169,11 @@ def test_induced_multiplicity_rejects_bad_tables():
         induced_multiplicity(
             ClassWeightTable(group_order=2, weights={P((3,)): 1}), P((2, 2))
         )
+    # a weight-0 type is not evaluated, but its size is still checked
+    with pytest.raises(ValueError, match="cycle type 3 does not have size 2"):
+        induced_multiplicity(
+            ClassWeightTable(group_order=1, weights={P((2,)): 1, P((3,)): 0}), P((2,))
+        )
     with pytest.raises(ArithmeticError):
         # chi at the identity is 2, which the claimed group order 4 cannot divide
         induced_multiplicity(

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from modmaj import tableaux
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of, subshape_count
 from modmaj.qpoly import amod_by_qhook
 from modmaj.tableaux import (
@@ -193,6 +194,25 @@ def test_chain_count_of_shapes_deeper_than_the_recursion_limit():
     assert list(amod_by_enumeration(P((1000,)))) == [int(r == 0) for r in range(1000)]
     assert list(amod_by_enumeration(P((1,) * 1000))) == [int(r == 500) for r in range(1000)]
     assert list(amod_by_enumeration(P((2,) + (1,) * 998))) == [int(r != 500) for r in range(1000)]
+
+
+def test_slot_width_keeps_f_below_the_top_bit():
+    # No count of the lattice count exceeds f, so f below the top bit of a
+    # slot means no slot carries.  The test reads hooks; the route does not.
+    tall = [P((1,) * 1000), P((2,) + (1,) * 998), P((25,) + (1,) * 975)]
+    for lam in [*(lam for n in range(1, 21) for lam in partitions_of(n)), *tall]:
+        assert dimension(lam) < 1 << (tableaux._slot_width(lam) - 1), lam
+
+
+def test_slots_one_bit_too_narrow_raise(monkeypatch):
+    # A width one bit short of 1 + the bit length of the largest count
+    # leaves that count on the top bit of its slot, or carried past it.
+    for lam in (P((5,)), P((3, 2, 1)), P((5, 4, 3)), P((4, 4, 4, 3)), P((2,) + (1,) * 98)):
+        narrow = max(amod_by_enumeration(lam)).bit_length()
+        monkeypatch.setattr(tableaux, "_slot_width", lambda _: narrow)
+        with pytest.raises(ArithmeticError, match=f"does not fit its {narrow}-bit slot"):
+            amod_by_enumeration(lam)
+        monkeypatch.undo()
 
 
 def test_amod_budget_guard():
