@@ -26,12 +26,19 @@ written by ``report.json_text``.  Each ``cmd_*`` only computes: it returns
 only for ``--format csv``) and raises ValueError on a usage error.  ``main``
 alone opens ``--out`` before any work, builds the report, hands it to
 ``report.emit`` and maps errors to exit codes.
+
+``bounds`` returns its report unevaluated: its results, text lines and
+CSV rows are generators over one sweep, which runs as ``emit`` writes the
+chosen format, one n at a time; its summary is filled in and its exit code
+(a function) decided as the sweep ends.  So ``main`` reads the exit code
+only after the report is written.
 """
 
 import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 
 from .characters import mn_character, rect_character
 from .modular import (
@@ -345,25 +352,44 @@ def cmd_classify(args):
 
 
 def cmd_bounds(args):
-    results = []
-    text = [f"bounds up to n={args.n_max}, suite={args.suite}"]
-    with sweep_pool(args.jobs) as pool_map:
-        per_n = _map_ahead(
-            range(1, args.n_max + 1), pool_map, _bounds_row,
-            lambda n: _bounds_tasks(n, args.suite), lambda n, rows: (n, list(rows)),
-        )
-        for n, rows in per_n:
-            results += rows
-            text.append(f"  n={n:>3} violations={len(bound_violations(rows))}")
-    violations = bound_violations(results)
+    """A streamed report: one sweep, run by whichever output the format consumes.
+
+    Each n's rows are checked once, handed on and dropped, so memory is
+    bounded by one n, not by every shape up to ``--n-max``.  The summary
+    and the exit code are complete once the sweep is done.
+    """
+    violations = []
+    summary = {"violations": violations}
+
+    def fold(n, rows):
+        rows = list(rows)
+        found = bound_violations(rows)
+        violations.extend(found)
+        return n, rows, len(found)
+
+    def per_n():
+        with sweep_pool(args.jobs) as pool_map:
+            yield from _map_ahead(
+                range(1, args.n_max + 1), pool_map, _bounds_row,
+                lambda n: _bounds_tasks(n, args.suite), fold,
+            )
+        summary["ok"] = not violations
+
+    def text_lines():
+        yield f"bounds up to n={args.n_max}, suite={args.suite}"
+        for n, _, found in sweep:
+            yield f"  n={n:>3} violations={found}"
+        yield "all bounds hold" if not violations else f"VIOLATIONS: {violations}"
+
+    sweep = per_n()
     csv_rows = (
         {"shape": r["shape"], "n": r["n"], "dimension": r["dimension"], **r["checks"]}
-        for r in results
+        for _, rows, _ in sweep
+        for r in rows
     )
-    text.append("all bounds hold" if not violations else f"VIOLATIONS: {violations}")
     config = {"n_max": args.n_max, "suite": args.suite}
-    summary = {"ok": not violations, "violations": violations}
-    return 0 if not violations else 1, config, results, summary, text, csv_rows
+    results = map(itemgetter(1), sweep)  # unlike a generator expression, keeps no rows of its own
+    return (lambda: 0 if not violations else 1), config, results, summary, text_lines(), csv_rows
 
 
 # ---------------------------------------------------------------- entry
@@ -395,7 +421,7 @@ def main(argv=None) -> int:
         code, config, results, summary, text, csv_rows = handlers[args.command](args)
         report = {"config": {"command": args.command, **config}, "results": results, "summary": summary}
         emit(report, args.format, args.out, text, csv_rows)
-        return code
+        return code() if callable(code) else code
     except (ValueError, OSError) as exc:
         print(f"modmaj: {exc}", file=sys.stderr)
         return 2

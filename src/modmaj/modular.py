@@ -161,12 +161,14 @@ def induced_multiplicity(weights: ClassWeightTable, lam: Partition) -> int:
     otherwise the weight table is inconsistent.
     """
     n = lam.n
-    for mu in weights.weights:
+    cycle_types, counts = [], []
+    for mu, c in weights.weights.items():
         if mu.n != n:
             raise ValueError(f"cycle type {mu} does not have size {n}")
-    cycle_types = [mu for mu, c in weights.weights.items() if c != 0]
-    chis = mn_characters(lam, cycle_types)
-    total = sum(weights.weights[mu] * chi for mu, chi in zip(cycle_types, chis))
+        if c != 0:
+            cycle_types.append(mu)
+            counts.append(c)
+    total = sum(map(mul, counts, mn_characters(lam, cycle_types)))
     if total % weights.group_order != 0:
         raise ArithmeticError(f"group order does not divide the weighted sum for {lam}")
     value = total // weights.group_order

@@ -1,34 +1,86 @@
 """Report output of the ``modmaj`` command: JSON, CSV or text, to a file or stdout.
 
 A JSON report is exactly ``json.dumps(report, sort_keys=True, indent=2)``
-and a newline.  ``json_text`` writes it without json's pure-Python
-indenting encoder, which json.dumps runs whenever ``indent`` is set.
+and a newline.  ``json_text`` writes each value without json's
+pure-Python indenting encoder, which json.dumps runs whenever ``indent``
+is set.
+
+A report may be streamed, so that a long sweep never holds all its rows:
+a top-level value of the report that is an iterator is a list given in
+chunks (one list per n for ``modmaj bounds``), and the text lines and CSV
+rows may be iterators too.  Only the chosen format's output is consumed,
+chunk by chunk as it comes.  ``emit`` writes the report's keys in sorted
+order, so a value that the sweep completes as it runs, such as a summary
+after its results, is written once the sweep is done.
+
+The report goes first to an anonymous spool file, and only a complete
+report is copied to ``--out`` or stdout: a run that fails halfway writes
+nothing.  A spool rather than a sibling file renamed over ``--out``,
+because a rename over ``--out /dev/null`` would replace the device.  The
+spool is opened with ``newline=""``, so CSV's ``\\r\\n`` line ends are
+read back as they were written.
 """
 
 import csv
-import io
 import json
+import shutil
 import sys
+import tempfile
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
-def emit(report: dict, fmt: str, out: str | None, text_lines: list[str], csv_rows: Iterable[dict]) -> None:
+def emit(report: dict, fmt: str, out: str | None, text_lines: Iterable[str], csv_rows: Iterable[dict]) -> None:
     """Write the report in one format to the file out, or to stdout when out is None.
 
-    ``csv_rows`` may be a generator; it is drained only for csv.
+    ``csv_rows`` and ``text_lines`` may be generators; each is drained
+    only for its own format.
     """
-    if fmt == "json":
-        payload = json_text(report) + "\n"
-    elif fmt == "csv":
-        payload = _to_csv(list(csv_rows))
-    else:
-        payload = "\n".join(text_lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        if fmt == "json":
+            _write_json(spool, report)
+        elif fmt == "csv":
+            _write_csv(spool, csv_rows)
+        else:
+            spool.writelines(line + "\n" for line in text_lines)
+        spool.seek(0)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(spool, fh)
+        else:
+            shutil.copyfileobj(spool, sys.stdout)
+
+
+def _write_json(fh, report: dict) -> None:
+    """``json_text(report)`` and a newline, key by key; an iterator value is a list written chunk by chunk."""
+    sep = "{\n  "
+    for key in sorted(report):
+        value = report[key]
+        fh.write(f"{sep}{encode_basestring_ascii(key)}: ")
+        if isinstance(value, Iterator):
+            _write_chunked_list(fh, value, "  ")
+        else:
+            fh.write(json_text(value, "  "))
+        sep = ",\n  "
+    fh.write("\n}\n")
+
+
+def _write_chunked_list(fh, chunks: Iterator[list], pad: str) -> None:
+    """``json_text`` of the concatenated chunks, each chunk joined and written once.
+
+    A chunk is let go before the next is asked for, so that only one is
+    held while the sweep computes the next.
+    """
+    inner = pad + "  "
+    empty = True
+    for chunk in chunks:
+        if chunk:
+            fh.write(f"{'[' if empty else ','}\n{inner}")
+            fh.write((",\n" + inner).join([json_text(value, inner) for value in chunk]))
+            empty = False
+        del chunk
+    fh.write("[]" if empty else f"\n{pad}]")
 
 
 def json_text(obj, pad: str = "") -> str:
@@ -70,14 +122,15 @@ def json_text(obj, pad: str = "") -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _to_csv(rows: list[dict]) -> str:
-    """CSV with the first row's keys as header; a list or tuple cell is joined with ","."""
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(
-            {k: ",".join(map(str, v)) if type(v) in (list, tuple) else v for k, v in row.items()}
-            for row in rows
-        )
-    return buf.getvalue()
+def _write_csv(fh, rows: Iterable[dict]) -> None:
+    """CSV with the first row's keys as header, row by row; a list or tuple cell is joined with ","."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    writer = csv.DictWriter(fh, fieldnames=list(first.keys()))
+    writer.writeheader()
+    writer.writerows(
+        {k: ",".join(map(str, v)) if type(v) in (list, tuple) else v for k, v in row.items()}
+        for row in chain([first], rows)
+    )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -282,6 +283,63 @@ def test_golden_bound_suite_reports(suite, fmt, capsys):
     code, out, _ = run(["bounds", "--suite", suite, "--n-max", "10", "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_SUITES[suite, fmt]
+
+
+# SHA-256 of stdout of `bounds --n-max 6 --format F` with every
+# equidistribution check failing, recorded before the bounds report was
+# streamed: the summary, the per-n violation counts and exit 1 must still
+# cover every row.
+GOLDEN_BOUND_VIOLATIONS = {
+    "json": "1dc8861516b1d07d0f5d871e8dee4cba31e83aa20f288e28162b6da020a35b35",
+    "text": "7bcf9b5aa38f1eda5c054e82f0f0ceaa29e65d749ef34dc01c857d2bab64033f",
+    "csv": "c5ce05b3e8200fbafbf4b63bb3c2a9c385bcbedc71dcc8a247b85e13bb2f351b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_BOUND_VIOLATIONS))
+def test_golden_bound_violation_reports(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(modular, "equidistribution_check", lambda f, amod: False)
+    code, out, _ = run(["bounds", "--n-max", "6", "--format", fmt, "--jobs", "1"], capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_VIOLATIONS[fmt]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_bounds_run_leaves_no_partial_report(jobs, tmp_path, monkeypatch, capsys):
+    # The fault comes at n = 5, after the report of n <= 4 is written.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rect_characters = modular.rect_characters
+
+    def faulty(lam):
+        if lam.parts == (3, 2):
+            raise ArithmeticError("planted failure")
+        return rect_characters(lam)
+
+    monkeypatch.setattr(modular, "rect_characters", faulty)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\r\n")
+    argv = ["bounds", "--n-max", "6", "--format", "json", "--jobs", jobs]
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 3 and stdout == "" and "planted failure" in err
+    assert out.read_bytes() == b"earlier report\r\n"
+    code, stdout, err = run(argv, capsys)
+    assert code == 3 and stdout == "" and "planted failure" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_bounds_report_is_written_while_the_sweep_runs(tmp_path):
+    # A report held whole until the sweep ends (every row, then one string)
+    # peaks at more than four times its size; a streamed one holds one n.
+    out = tmp_path / "report.json"
+    argv = ["bounds", "--n-max", "20", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0  # fills the per-n tables and caches
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.stat().st_size
 
 
 JSON_SCALARS = st.one_of(
