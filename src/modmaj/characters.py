@@ -14,8 +14,8 @@ Two routes are provided and kept deliberately independent:
   ``mn_characters`` takes a whole row of cycle types for one shape: it
   finds the shape's ell-ribbons once per distinct first part ell and
   memoizes only what they leave, not the top pair, which a row visits
-  once.  ``mn_character`` is its one-type case.  ``_beads`` builds each
-  shape's bead set from its parts once, in a small bounded cache.  It
+  once.  ``mn_character`` is its one-type case.  ``_beads`` builds the
+  shape's bead set from its parts, once per ``mn_characters`` call.  It
   refuses more than ``MAX_CYCLE_PARTS`` cycles, as it recurses once per
   cycle, and a shape of more than ``MAX_SUBSHAPES`` subshapes, as one
   query adds up to one memo entry per proper subshape.
@@ -98,7 +98,6 @@ def _mn(beads: int, cycles: tuple[int, ...]) -> int:
     return total
 
 
-@lru_cache(maxsize=64)
 def _beads(parts: tuple[int, ...]) -> int:
     """The shape's bead set for ``_mn``, refused above ``MAX_SUBSHAPES`` subshapes.
 

@@ -12,8 +12,9 @@ Common flags: --format json|csv|text, --out FILE (report).  ``table``
 takes --budget N (enumeration cap, in subshapes).  ``verify`` and
 ``bounds`` take --jobs N (worker processes, default from MODMAJ_JOBS; one
 pool serves the whole command), and ``verify`` takes --resume FILE
-(checkpoint for long sweeps: one JSON line per completed n, read back on
-restart so an interrupted run picks up where it left off).
+(checkpoint for long sweeps, kept by ``modular._run_checks``: one JSON
+line per completed suite and n, read back on restart so an interrupted
+run picks up where it left off).
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
 2 usage error, 3 internal assertion failure.
@@ -35,18 +36,20 @@ only after the report is written.
 """
 
 import argparse
-import json
 import os
 import sys
 from operator import itemgetter
 
+from . import qpoly
 from .characters import mn_character, rect_character
 from .modular import (
     BOUND_SUITES,
+    CENSUS_SUITES,
     VERIFY_CHECKS,
     _bounds_row,
     _bounds_tasks,
     _map_ahead,
+    _run_checks,
     amod_by_character_formula,
     bound_violations,
     predicted_exceptions,
@@ -59,7 +62,6 @@ from .report import emit
 from .tableaux import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetExceeded, amod_by_enumeration
 
 VERIFY_SUITES = (*VERIFY_CHECKS, "all")
-CENSUS_SUITES = ("classification", "fdim-census")  # their entries carry small_dimension
 
 
 def _jobs(text: str) -> int:
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="exhaustive verification sweeps")
     common(p_verify, nmax=True, jobs=True)
     p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="classification")
-    p_verify.add_argument("--resume", help="checkpoint file, one JSON line per finished n")
+    p_verify.add_argument("--resume", help="checkpoint file, one JSON line per finished suite and n")
 
     p_classify = sub.add_parser("classify", help="predicted vanishing residues per n")
     common(p_classify, nmax=True)
@@ -155,9 +157,7 @@ def cmd_table(args):
                 raise ValueError(f"{exc}; use --method qhook or formula") from None
         elif method == "qhook":
             # One q-hook division gives both the polynomial and the counts.
-            from .qpoly import _packed_quotient
-
-            quotient = _packed_quotient(lam)
+            quotient = qpoly._packed_quotient(lam)
             poly = maj_generating_polynomial(lam, quotient)
             vectors[method] = amod_by_qhook(lam, quotient)
         else:
@@ -234,65 +234,9 @@ def cmd_char(args):
 # ---------------------------------------------------------------- verify
 
 
-def _checkpoint_read(path: str, suite: str) -> dict[int, dict]:
-    """Checkpoint entries of one suite, keyed by n.
-
-    A last line with no newline that does not parse is a write torn by a
-    kill: it is cut from the file, so its n is computed again.  A malformed
-    line anywhere else is a ValueError, and so is an entry whose ``n`` or
-    ``small_dimension`` (required in ``CENSUS_SUITES``) is no int, bool
-    included, or whose ``mismatches`` is no list.
-    """
-    done = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "r+b") as fh:
-        data = fh.read()
-        complete = data.rfind(b"\n") + 1
-        if data[complete:].strip():
-            try:
-                json.loads(data[complete:])
-            except ValueError:
-                fh.truncate(complete)
-                data = data[:complete]
-            else:
-                fh.write(b"\n")
-    for number, line in enumerate(data.decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            if not isinstance(entry, dict) or type(entry.get("n")) is not int:
-                raise ValueError("not a checkpoint entry")
-            if not isinstance(entry.get("mismatches"), list):
-                raise ValueError('"mismatches" is not a list')
-            census = entry.get("suite") in CENSUS_SUITES
-            if type(entry.get("small_dimension", None if census else 0)) is not int:
-                raise ValueError('"small_dimension" is missing or not a whole number')
-        except ValueError as exc:
-            raise ValueError(f"checkpoint {path}, line {number}: {exc}") from None
-        if entry.get("suite") == suite:
-            done[entry["n"]] = entry
-    return done
-
-
-def _checkpoint_append(path: str | None, entry: dict) -> None:
-    if path:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
 def cmd_verify(args):
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
-    results = []
-    with sweep_pool(args.jobs) as pool_map:
-        for suite in suites:
-            done = _checkpoint_read(args.resume, suite) if args.resume else {}
-            ns = range(1, args.n_max + 1)
-            for entry in VERIFY_CHECKS[suite]([n for n in ns if n not in done], pool_map):
-                _checkpoint_append(args.resume, entry)
-                done[entry["n"]] = entry
-            results += [done[n] for n in ns]
+    results = _run_checks(suites, args.n_max, args.jobs, args.resume)
     total_mismatches = sum(len(e["mismatches"]) for e in results)
     summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
     census_suite = next((s for s in CENSUS_SUITES if s in suites), None)

@@ -42,25 +42,30 @@ The binomial bound compares f once with a per-n table of thresholds.
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
 order.  The command and the acceptance gate both run these, so the gate
-tests the code the command ships.  The classification check maps one task
-per conjugate pair: a shape and its conjugate share the q-hook quotient
-and its fold mod q^n - 1, so the sweep does one division and one fold per
-pair, and each shape's row rotates the folded counts by its own shift.
+tests the code the command ships.  ``_run_checks``, beside the registry,
+is the one loop over it, for ``modmaj verify`` and ``verify_main_theorem``
+alike, and it owns the ``--resume`` checkpoint: one JSON line per finished
+(suite, n), read and validated once per run, so that only the missing
+entries are computed, each appended as its check yields it.  The
+classification check maps one task per conjugate pair: a shape and its
+conjugate share the q-hook quotient and its fold mod q^n - 1, so the sweep
+does one division and one fold per pair, and each shape's row rotates the
+folded counts by its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
-takes it as its second argument, so one ``modmaj verify`` command or one
-``verify_main_theorem`` call shares one pool of workers, forked by the
-map's first parallel call and shut down when the block ends.  The checks
-that map over shapes (classification, fiber laws and bounds) go through
-``_map_ahead``: it issues the map of n + 1 before it folds the results of
-n, so the workers never wait at an n boundary, and at most two n are in
-flight.  ``modmaj bounds`` runs the same ``_map_ahead`` sweep over
-``_bounds_tasks`` in a block of its own.  The workers are forked inside
-the sweep, so they run the code in place when the sweep started, patched
-functions included.
+takes it as its second argument, so the suites of one ``_run_checks`` call
+share one pool of workers, forked by the map's first parallel call and shut
+down when the block ends.  The checks that map over shapes (classification,
+fiber laws and bounds) go through ``_map_ahead``: it issues the map of
+n + 1 before it folds the results of n, so the workers never wait at an n
+boundary, and at most two n are in flight.  ``modmaj bounds`` runs the same
+``_map_ahead`` sweep over ``_bounds_tasks`` in a block of its own.  The
+workers are forked inside the sweep, so they run the code in place when the
+sweep started, patched functions included.
 """
 
+import json
 import math
 import os
 from collections import Counter
@@ -276,8 +281,8 @@ def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None
     """The rows of the pair led by parts (one row when it is self-conjugate).
 
     lam and lam' have the same hook multiset, so one q-hook quotient and
-    its fold serve both (``qpoly._residue_slots`` keeps the last fold), and
-    each row rotates the folded counts by its own shift.
+    the fold it carries serve both, and each row rotates the folded counts
+    by its own shift.
     """
     quotient = _packed_quotient(Partition(parts))
     conj = tuple(_column_lengths(parts))
@@ -353,8 +358,7 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     """
     if n_max < 1:
         raise ValueError(f"verify_main_theorem requires n_max >= 1, got {n_max}")
-    with sweep_pool(jobs) as pool_map:
-        entries = list(_check_classification(range(1, n_max + 1), pool_map))
+    entries = _run_checks(["classification"], n_max, jobs, None)
     return ClassificationReport(
         n_max,
         sum(entry["shapes"] for entry in entries),
@@ -653,3 +657,67 @@ VERIFY_CHECKS: dict[str, Callable[..., Iterator[dict]]] = {
     "fiber-laws": _check_fiber_laws,
     "bounds": _check_bounds,
 }
+
+
+CENSUS_SUITES = ("classification", "fdim-census")  # their entries carry small_dimension
+
+
+def _checkpoint_read(path: str, suites: list[str]) -> dict[tuple[str, int], dict]:
+    """Checkpoint entries of the given suites, keyed by (suite, n).
+
+    A last line with no newline that does not parse is a write torn by a
+    kill: it is cut from the file, so its n is computed again.  A malformed
+    line anywhere else is a ValueError, and so is an entry whose ``n`` or
+    ``small_dimension`` (required in ``CENSUS_SUITES``) is no int, bool
+    included, or whose ``mismatches`` is no list.
+    """
+    done = {}
+    if not os.path.exists(path):
+        return done
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if data[complete:].strip():
+            try:
+                json.loads(data[complete:])
+            except ValueError:
+                fh.truncate(complete)
+                data = data[:complete]
+            else:
+                fh.write(b"\n")
+    for number, line in enumerate(data.decode("utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            if not isinstance(entry, dict) or type(entry.get("n")) is not int:
+                raise ValueError("not a checkpoint entry")
+            if not isinstance(entry.get("mismatches"), list):
+                raise ValueError('"mismatches" is not a list')
+            census = entry.get("suite") in CENSUS_SUITES
+            if type(entry.get("small_dimension", None if census else 0)) is not int:
+                raise ValueError('"small_dimension" is missing or not a whole number')
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}, line {number}: {exc}") from None
+        if entry.get("suite") in suites:
+            done[entry["suite"], entry["n"]] = entry
+    return done
+
+
+def _run_checks(suites: list[str], n_max: int, jobs: int, checkpoint: str | None) -> list[dict]:
+    """The entries of each suite for n = 1..n_max, suite by suite, on one ``sweep_pool(jobs)``.
+
+    With a ``checkpoint`` path the file is read once, only the (suite, n)
+    it lacks are computed, and each computed entry is appended to it as
+    its check yields it, so a killed run resumes where it stopped.
+    """
+    done = _checkpoint_read(checkpoint, suites) if checkpoint else {}
+    ns = range(1, n_max + 1)
+    with sweep_pool(jobs) as pool_map:
+        for suite in suites:
+            for entry in VERIFY_CHECKS[suite]([n for n in ns if (suite, n) not in done], pool_map):
+                if checkpoint:
+                    with open(checkpoint, "a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                done[suite, entry["n"]] = entry
+    return [done[suite, n] for suite in suites for n in ns]

@@ -6,8 +6,8 @@ around.  Beside it, three tables per n are kept, each memoized for the 128
 most recent n, so a sweep over the shapes of one n reads them instead of
 recomputing them for every shape: ``ramanujan_table(n)`` holds c_ell(r) for
 every ell | n and 0 <= r < n, built once from ``ramanujan_sum``,
-``totient_table(n)`` maps each ell | n to phi(ell), built from one
-factorization of n, and ``multiples_table(n)`` maps each ell | n to the
+``totient_table(n)`` maps each ell | n to phi(ell), built from
+``totient``, and ``multiples_table(n)`` maps each ell | n to the
 product of the multiples of ell up to n and its ell-th power, the
 numerator of the rectangular character and the constant of its bound.
 The two Ramanujan-sum implementations are deliberately independent
@@ -119,22 +119,12 @@ def ramanujan_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=128)
 def totient_table(n: int) -> Mapping[int, int]:
-    """phi(ell) for every ell | n, from one factorization of n.
+    """phi(ell) for every ell | n.
 
-    phi(ell) = ell * prod over primes p | ell of (1 - 1/p), and the primes
-    of a divisor are among those of n.  Keys come in ``divisors`` order;
-    the mapping is read-only, so the memoized table cannot be changed by
-    a caller.
+    Keys come in ``divisors`` order; the mapping is read-only, so the
+    memoized table cannot be changed by a caller.
     """
-    primes = [p for p, _ in factorize(n)]
-    table = {}
-    for ell in divisors(n):
-        phi = ell
-        for p in primes:
-            if ell % p == 0:
-                phi = phi // p * (p - 1)
-        table[ell] = phi
-    return MappingProxyType(table)
+    return MappingProxyType({ell: totient(ell) for ell in divisors(n)})
 
 
 @lru_cache(maxsize=128)

@@ -25,21 +25,21 @@ factors' products, so a hook product that does not divide n! fails first.
 
 The quotient before the shift by ``q^b`` depends only on the hook
 multiset, which ``lam`` shares with its conjugate ``lam'``, and so does
-its degree.  So does its fold: ``_residue_slots`` folds the unshifted
-quotient once, and the shift by ``q^b`` is then a rotation of the n slots
-by b mod n, because ``q^n`` is 1 mod ``q^n - 1``.  ``amod_by_qhook`` and
-``maj_generating_polynomial`` take a quotient that a caller already
-holds, as ``_packed_quotient`` of ``lam`` or of ``lam'``, and apply
-``lam``'s own shift to it: ``modmaj table`` divides once for its
-polynomial and its counts, and the classification sweep divides and
-folds once per conjugate pair and rotates per shape.  A quotient whose
-degree is not ``lam``'s is refused with ValueError.
+its degree.  So does its fold: ``_packed_quotient`` folds the unshifted
+quotient once and carries the n slots with it, and the shift by ``q^b``
+is then a rotation of those slots by b mod n, because ``q^n`` is 1 mod
+``q^n - 1``.  ``amod_by_qhook`` and ``maj_generating_polynomial`` take a
+quotient that a caller already holds, as ``_packed_quotient`` of ``lam``
+or of ``lam'``, and apply ``lam``'s own shift to it: ``modmaj table``
+divides once for its polynomial and its counts, and the classification
+sweep divides and folds once per conjugate pair and rotates per shape.
+A quotient whose degree is not ``lam``'s, or whose fold is not mod
+``q^n - 1`` for ``lam``'s n, is refused with ValueError.
 
 All arithmetic is exact on Python ints; at n = 60 the packed integers run
 to some hundred thousand bits.
 """
 
-from functools import lru_cache
 from math import prod
 from operator import mul
 
@@ -51,8 +51,8 @@ class ExactDivisionError(ArithmeticError):
     """The q-hook quotient failed an exactness check: a logic bug."""
 
 
-# What ``_packed_quotient`` returns: (value, w, deg, f).
-Quotient = tuple[int, int, int, int]
+# What ``_packed_quotient`` returns: (value, w, deg, f, slots).
+Quotient = tuple[int, int, int, int, tuple[int, ...]]
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -141,10 +141,11 @@ def _degree(lam: Partition) -> int:
 
 
 def _packed_quotient(lam: Partition) -> Quotient:
-    """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
+    """The unshifted q-hook quotient at X = 2^w, with w, its degree, f and its fold.
 
-    Returns (value, w, deg, f); value's base-X digits are the coefficients.
-    It depends only on the hook multiset, so lam' has the same one.
+    Returns (value, w, deg, f, slots); value's base-X digits are the
+    coefficients, and slots is value folded mod q^n - 1.  It depends only
+    on the hook multiset, so lam' has the same one.
     """
     n = lam.n
     if n < 1:
@@ -170,15 +171,16 @@ def _packed_quotient(lam: Partition) -> Quotient:
     deg = _degree(lam)
     if value >> (w * (deg + 1)):
         raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
-    return value, w, deg, f
+    return value, w, deg, f, _residue_slots(value, w, n, f)
 
 
 def _own_quotient(lam: Partition, quotient: Quotient | None) -> Quotient:
-    """``quotient``, or lam's own when None; one of another degree is a ValueError."""
+    """``quotient``, or lam's own when None; one of another degree or fold length is a ValueError."""
     if quotient is None:
         return _packed_quotient(lam)
-    if quotient[2] != _degree(lam):
-        raise ValueError(f"a q-hook quotient of degree {quotient[2]} does not belong to {lam}")
+    deg, slots = quotient[2], quotient[4]
+    if deg != _degree(lam) or len(slots) != lam.n:
+        raise ValueError(f"a q-hook quotient of degree {deg} and {len(slots)} slots does not belong to {lam}")
     return quotient
 
 
@@ -191,15 +193,11 @@ def _slots(value: int, w: int, count: int, f: int) -> list[int]:
     return slots
 
 
-@lru_cache(maxsize=1)
-def _residue_slots(quotient: Quotient, n: int) -> tuple[int, ...]:
-    """The unshifted quotient folded mod q^n - 1: slot k sums its coefficients at q^j, j = k mod n.
+def _residue_slots(value: int, w: int, n: int, f: int) -> tuple[int, ...]:
+    """value folded mod q^n - 1: slot k sums its coefficients at q^j, j = k mod n.
 
-    X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit pieces folds
-    it.  The last fold is kept, so the second shape of a conjugate pair,
-    given the first one's quotient, reads the fold and does not redo it.
+    X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit pieces folds it.
     """
-    value, w, _, f = quotient
     span = w * n
     mask = (1 << span) - 1
     while value > mask:
@@ -212,7 +210,7 @@ def maj_generating_polynomial(lam: Partition, quotient: Quotient | None = None) 
 
     ``quotient`` is as for ``amod_by_qhook``.
     """
-    value, w, deg, f = _own_quotient(lam, quotient)
+    value, w, deg, f, _ = _own_quotient(lam, quotient)
     return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
 
 
@@ -220,12 +218,12 @@ def amod_by_qhook(lam: Partition, quotient: Quotient | None = None) -> ModularCl
     """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w.
 
     ``quotient`` is ``_packed_quotient`` of lam or of its conjugate, which
-    share it; a caller that holds one passes it, and the counts are then
-    folded from it with no second division.  The folded slots are rotated
-    by lam's own b: count r is slot (r - b) mod n.  A quotient whose degree
-    is not lam's is a ValueError.
+    share it with its fold; a caller that holds one passes it, and the
+    counts are then read from that fold with no second division.  The
+    folded slots are rotated by lam's own b: count r is slot (r - b) mod n.
+    A quotient whose degree or fold length is not lam's is a ValueError.
     """
     n = lam.n
-    slots = _residue_slots(_own_quotient(lam, quotient), n)
+    slots = _own_quotient(lam, quotient)[4]
     cut = n - min_major_index(lam) % n
     return ModularClassVector(n, slots[cut:] + slots[:cut])

@@ -172,7 +172,6 @@ def test_mn_refuses_shapes_above_the_subshape_cap(monkeypatch):
     # (3,3,3) and (3,3,2) share the box bound C(6, 3) = 20, past a cap of
     # 19, so both are counted: 20 subshapes and 19
     monkeypatch.setattr(characters, "MAX_SUBSHAPES", 19)
-    characters._beads.cache_clear()
     assert mn_character(P((3, 3, 2)), P((1,) * 8)) == dimension(P((3, 3, 2)))
     with pytest.raises(ValueError, match="3,3,3 has 20 subshapes, more than MAX_SUBSHAPES = 19"):
         mn_character(P((3, 3, 3)), P((1,) * 9))

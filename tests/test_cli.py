@@ -540,6 +540,39 @@ def test_resume_computes_only_the_missing_n(tmp_path, monkeypatch, check_calls, 
         assert multiprocessing.active_children() == []
 
 
+def test_resume_of_every_suite_from_one_file(tmp_path, monkeypatch, capsys):
+    # Real pools of 2 workers; one file holds the entries of all five suites.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    computed = []
+    for suite, check in list(modular.VERIFY_CHECKS.items()):
+
+        def counted(ns, pool_map=map, _suite=suite, _check=check):
+            ns = list(ns)
+            computed.extend((_suite, n) for n in ns)
+            return _check(ns, pool_map)
+
+        monkeypatch.setitem(modular.VERIFY_CHECKS, suite, counted)
+    args = ["verify", "--suite", "all", "--n-max", "6", "--format", "json", "--jobs", "2", "--resume"]
+    fresh_ckpt, ckpt = tmp_path / "fresh.jsonl", tmp_path / "progress.jsonl"
+    code, fresh, _ = run([*args, str(fresh_ckpt)], capsys)
+    assert code == 0
+    every = [(suite, n) for suite in modular.VERIFY_CHECKS for n in range(1, 7)]
+    assert computed == every
+    lines = fresh_ckpt.read_text().splitlines(keepends=True)
+    assert [(json.loads(line)["suite"], json.loads(line)["n"]) for line in lines] == every
+    # classification n = 2, fdim-census n = 3, ramanujan n = 3, fiber-laws
+    # n = 6 and bounds n = 5, written out of suite order
+    kept = (28, 8, 1, 23, 14)
+    ckpt.write_text("".join(lines[i] for i in kept))
+    computed.clear()
+    code, resumed, _ = run([*args, str(ckpt)], capsys)
+    assert code == 0 and resumed == fresh
+    missing = [i for i in range(len(every)) if i not in kept]
+    assert computed == [every[i] for i in missing]
+    assert ckpt.read_text() == "".join(lines[i] for i in (*kept, *missing))
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

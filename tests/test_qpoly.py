@@ -122,6 +122,16 @@ def test_quotient_of_another_degree_is_refused():
         maj_generating_polynomial(P((2, 2)), quotient)
 
 
+def test_quotient_of_another_size_is_refused():
+    # (4,) and (5,) both have degree 0, but the quotient of (4,) carries a
+    # fold mod q^4 - 1, which has no count for residue 4 mod 5.
+    quotient = modmaj.qpoly._packed_quotient(P((4,)))
+    with pytest.raises(ValueError, match="4 slots"):
+        amod_by_qhook(P((5,)), quotient)
+    with pytest.raises(ValueError, match="4 slots"):
+        maj_generating_polynomial(P((5,)), quotient)
+
+
 @pytest.mark.parametrize(
     "parts,hooks,check",
     [
