@@ -16,9 +16,15 @@ Two routes are provided and kept deliberately independent:
   memoizes only what they leave, not the top pair, which a row visits
   once.  ``mn_character`` is its one-type case.  ``_beads`` builds the
   shape's bead set from its parts, once per ``mn_characters`` call.  It
-  refuses more than ``MAX_CYCLE_PARTS`` cycles, as it recurses once per
-  cycle, and a shape of more than ``MAX_SUBSHAPES`` subshapes, as one
-  query adds up to one memo entry per proper subshape.
+  refuses more than ``MAX_CYCLE_PARTS`` cycles (``_check_cycles``), as it
+  recurses once per cycle, and a shape of more than ``MAX_SUBSHAPES``
+  subshapes, as one query adds up to one memo entry per proper subshape.
+  ``_class_sum`` is the weighted sum over many cycle types for
+  ``modular.induced_multiplicity``: by linearity in the first step, it is
+  one signed lookup per ribbon of a first-step sum S(left), the weights
+  times ``_mn(left, rest)`` over the types of that first part, which the
+  caller memoizes per weight table.  It uses only ``_removals`` and
+  ``_mn``.
 * ``rect_character`` handles rectangular cycle types (all cycles of one
   length ell dividing n) in O(n) integer operations after the hook
   histogram (``partitions.hook_histogram``, the number of hooks of each
@@ -113,6 +119,39 @@ def _beads(parts: tuple[int, ...]) -> int:
     return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
 
 
+def _check_cycles(mu: Partition) -> None:
+    """Refuse a cycle type of more than ``MAX_CYCLE_PARTS`` parts, as ``_mn`` recurses once per cycle."""
+    if len(mu.parts) > MAX_CYCLE_PARTS:
+        raise ValueError(
+            f"cycle type has {len(mu.parts)} parts, more than MAX_CYCLE_PARTS = {MAX_CYCLE_PARTS}"
+        )
+
+
+def _class_sum(beads: int, by_first, sums: dict[int, int]) -> int:
+    """Sum over cycle types mu of w_mu times the character at mu, for the shape of bead set ``beads``.
+
+    ``by_first`` maps each first part ell to the (rest of mu, w_mu) pairs
+    of the types that start with ell.  By linearity the sum is, over each
+    ell and each ell-ribbon of the shape, the ribbon's sign times
+    S(left) = sum over those pairs of w_mu * ``_mn(left, rest)``, where
+    left is what the ribbon leaves.  ``sums`` memoizes S by the bead set
+    of left; it is the caller's, kept for one weight table and one size
+    n, where left's size n - ell fixes ell.  The empty shape has no
+    ribbon, so its sum here is 0.
+    """
+    total = 0
+    for ell, types in by_first.items():
+        for sign, left in _removals(beads, ell):
+            s = sums.get(left)
+            if s is None:
+                s = 0
+                for rest, w in types:
+                    s += w * _mn(left, rest)
+                sums[left] = s
+            total += sign * s
+    return total
+
+
 def mn_characters(lam: Partition, cycle_types) -> list[int]:
     """Character of the shape-lam irreducible at each cycle type, in order.
 
@@ -125,10 +164,7 @@ def mn_characters(lam: Partition, cycle_types) -> list[int]:
     for mu in cycle_types:
         if lam.n != mu.n:
             raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
-        if len(mu.parts) > MAX_CYCLE_PARTS:
-            raise ValueError(
-                f"cycle type has {len(mu.parts)} parts, more than MAX_CYCLE_PARTS = {MAX_CYCLE_PARTS}"
-            )
+        _check_cycles(mu)
     beads = _beads(lam.parts)
     steps: dict[int, list[tuple[int, int]]] = {}
     values = []

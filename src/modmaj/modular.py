@@ -39,6 +39,15 @@ and (s!)^ell ell^(s ell) from the per-n ``multiples_table``; ``_bounds_row``
 checks it at the nonzero characters only, as a zero one always passes it.
 The binomial bound compares f once with a per-n table of thresholds.
 
+``induced_multiplicity`` is the representation-theoretic oracle: the
+multiplicity of the shape-lam irreducible in a module induced from a
+subgroup, given as a ``ClassWeightTable`` of integer weights per cycle
+type.  The weighted character sum is linear in the first rim-hook step, so
+the table groups its types by first part once and memoizes, per shape nu
+that a ribbon leaves, the sum S(nu) of the weights times the characters of
+nu at the rest of each type; a shape then costs one lookup per ribbon,
+through ``characters._class_sum``, not one per cycle type.
+
 ``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
 check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
 order.  The command and the acceptance gate both run these, so the gate
@@ -70,14 +79,15 @@ import math
 import os
 from collections import Counter
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from multiprocessing import Pool
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .characters import mn_characters, rect_characters
+from . import characters
+from .characters import _beads, _check_cycles, _class_sum, rect_characters
 from .numtheory import (
     divisors,
     multiples_table,
@@ -131,7 +141,7 @@ def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularC
         if term < 0:
             raise ArithmeticError(f"negative count for n={n}, f={f}, r={r}")
         by_class.append(term)
-    return ModularClassVector(n, [by_class[i] for i in gcd_index])
+    return ModularClassVector._of(tuple(map(by_class.__getitem__, gcd_index)))
 
 
 @lru_cache(maxsize=128)
@@ -152,10 +162,36 @@ def _class_table(n: int) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ClassWeightTable:
-    """Integer weight per cycle type plus the order of the inducing subgroup."""
+    """Integer weight per cycle type plus the order of the inducing subgroup.
+
+    ``weights`` is a copy of the mapping given, taken at construction:
+    changing that mapping afterwards changes nothing here, and the copy is
+    read, never changed.  The copy is grouped once by size and first part
+    for ``induced_multiplicity``, and the table keeps, per size n, the memo
+    of its first-step class sums S(nu) (see ``characters._class_sum``), one
+    entry per shape nu a ribbon leaves, filled as shapes are asked for.
+    """
 
     group_order: int
     weights: Mapping[Partition, int]
+    # size -> (its first cycle type, the most parts of a type of nonzero
+    # weight, first part -> [(rest of the type, weight), ...])
+    _sizes: dict = field(init=False, compare=False, repr=False)
+    # size -> {bead set of nu: S(nu)}
+    _sums: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        weights = dict(self.weights)
+        firsts, longest, groups = {}, Counter(), {}
+        for mu, c in weights.items():
+            firsts.setdefault(mu.n, mu)
+            if c and mu.parts:
+                longest[mu.n] = max(longest[mu.n], len(mu.parts))
+                groups.setdefault(mu.n, {}).setdefault(mu.parts[0], []).append((mu.parts[1:], c))
+        sizes = {n: (mu, longest[n], groups.get(n, {})) for n, mu in firsts.items()}
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_sums", {n: {} for n in sizes})
 
 
 def induced_multiplicity(weights: ClassWeightTable, lam: Partition) -> int:
@@ -163,17 +199,25 @@ def induced_multiplicity(weights: ClassWeightTable, lam: Partition) -> int:
 
     Computes (1/|H|) * sum of weight(mu) * character(lam at mu); the
     division by the group order must be exact and the result nonnegative,
-    otherwise the weight table is inconsistent.
+    otherwise the weight table is inconsistent.  The sum is one lookup of
+    the table's S per ribbon of lam (``characters._class_sum``); every
+    cycle type must have lam's size, weight 0 included.
     """
     n = lam.n
-    cycle_types, counts = [], []
-    for mu, c in weights.weights.items():
-        if mu.n != n:
+    for size, (mu, _, _) in weights._sizes.items():
+        if size != n:
             raise ValueError(f"cycle type {mu} does not have size {n}")
-        if c != 0:
-            cycle_types.append(mu)
-            counts.append(c)
-    total = sum(map(mul, counts, mn_characters(lam, cycle_types)))
+    _, longest, by_first = weights._sizes.get(n, (None, 0, {}))
+    if longest > characters.MAX_CYCLE_PARTS:
+        for mu, c in weights.weights.items():
+            if c:
+                _check_cycles(mu)
+    beads = _beads(lam.parts)
+    if n:
+        total = _class_sum(beads, by_first, weights._sums.get(n, {}))
+    else:
+        # the character of the empty shape is 1 at its one cycle type, ()
+        total = sum(weights.weights.values())
     if total % weights.group_order != 0:
         raise ArithmeticError(f"group order does not divide the weighted sum for {lam}")
     value = total // weights.group_order

@@ -226,4 +226,4 @@ def amod_by_qhook(lam: Partition, quotient: Quotient | None = None) -> ModularCl
     n = lam.n
     slots = _own_quotient(lam, quotient)[4]
     cut = n - min_major_index(lam) % n
-    return ModularClassVector(n, slots[cut:] + slots[:cut])
+    return ModularClassVector._of(slots[cut:] + slots[:cut])

@@ -57,6 +57,18 @@ class ModularClassVector:
         self.n = n
         self.counts = counts
 
+    @classmethod
+    def _of(cls, counts: tuple[int, ...]) -> "ModularClassVector":
+        """The vector of ``counts``, an exact tuple of ints of length n >= 1, taken as it is.
+
+        For the routes, which build that tuple themselves; the public
+        constructor validates.
+        """
+        vec = cls.__new__(cls)
+        vec.n = len(counts)
+        vec.counts = counts
+        return vec
+
     def __getitem__(self, r: int) -> int:
         return self.counts[r % self.n]
 
@@ -312,7 +324,7 @@ def amod_by_enumeration(
     (by_last,) = level.values()
     total = sum(by_last.values())
     low = (1 << w) - 1
-    counts = [(total >> w * r) & low for r in range(n)]
+    counts = tuple([(total >> w * r) & low for r in range(n)])
     if total > full or max(counts) >> (w - 1):
         raise ArithmeticError(f"a residue count of {lam} does not fit its {w}-bit slot")
-    return ModularClassVector(n, counts)
+    return ModularClassVector._of(counts)

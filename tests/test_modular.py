@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +30,7 @@ from modmaj.modular import (
     verify_main_theorem,
     zero_residues,
 )
-from modmaj.characters import rect_character
+from modmaj.characters import mn_character, rect_character
 from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
 from modmaj.partitions import Partition, conjugate, dimension, hook_lengths, partitions_of
 from modmaj.qpoly import amod_by_qhook
@@ -150,18 +151,108 @@ def test_trivial_character_induction(formula_vectors):
     assert induced_multiplicity(table, P((2, 2))) == formula_vectors[P((2, 2))][0] == 1
 
 
+def whole_group_table(n):
+    weights = {mu: math.factorial(n) // cycle_stabilizer_order(mu) for mu in partitions_of(n)}
+    return ClassWeightTable(group_order=math.factorial(n), weights=weights)
+
+
 def test_whole_group_induction():
     # inducing the trivial module of the full symmetric group changes
     # nothing: multiplicity 1 at the one-row shape, 0 elsewhere
-    for n in range(1, 7):
-        weights = {
-            mu: math.factorial(n) // cycle_stabilizer_order(mu)
-            for mu in partitions_of(n)
-        }
-        table = ClassWeightTable(group_order=math.factorial(n), weights=weights)
+    for n in range(1, 13):
+        table = whole_group_table(n)
         for lam in partitions_of(n):
             expected = 1 if lam == P((n,)) else 0
             assert induced_multiplicity(table, lam) == expected, lam
+
+
+def induction_mismatches(seed=2022, n_max=10):
+    """Shapes where ``induced_multiplicity`` disagrees with the per-type sum of ``mn_character``.
+
+    Two seeded tables per n of integer weights in -3..3 and group order 1,
+    asked in turn at every shape: the answer is the oracle's sum, or a
+    refusal when that sum is negative.
+    """
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, n_max + 1):
+        tables = [
+            ClassWeightTable(group_order=1, weights={mu: rng.randint(-3, 3) for mu in partitions_of(n)})
+            for _ in range(2)
+        ]
+        for lam in partitions_of(n):
+            for i, table in enumerate(tables):
+                oracle = sum(w * mn_character(lam, mu) for mu, w in table.weights.items())
+                try:
+                    got = induced_multiplicity(table, lam)
+                except ArithmeticError:
+                    got = None
+                if got != (oracle if oracle >= 0 else None):
+                    out.append((lam.parts, i, got, oracle))
+    return out
+
+
+def test_grouped_sum_matches_the_per_type_oracle():
+    assert induction_mismatches() == []
+
+
+def _shared_memo_sum():
+    shared = {}
+    return lambda beads, by_first, sums: characters._class_sum(beads, by_first, shared)
+
+
+def _unsigned_sum():
+    # the same code with its top ribbon step unsigned; _mn below it keeps its signs
+    def unsigned(beads, ell):
+        return [(1, left) for _, left in characters._removals(beads, ell)]
+
+    return types.FunctionType(characters._class_sum.__code__, {**vars(characters), "_removals": unsigned})
+
+
+@pytest.mark.parametrize("fault", [_shared_memo_sum, _unsigned_sum], ids=["shared-memo", "unsigned"])
+def test_grouped_sum_oracle_finds_planted_fault(fault, monkeypatch):
+    monkeypatch.setattr(modular, "_class_sum", fault())
+    assert induction_mismatches()
+
+
+def test_induction_memos_are_pinned():
+    # S at n holds one entry per shape of size below n, and _mn holds the
+    # 134 entries that test_mn_memo_has_one_entry_per_pair derives for
+    # every (lam, mu) with |mu| <= 8: the grouped sum asks _mn for the
+    # same (shape left, rest of cycle type) pairs
+    characters._mn.cache_clear()
+    for n in range(1, 9):
+        table = whole_group_table(n)
+        for lam in partitions_of(n):
+            assert induced_multiplicity(table, lam) == (lam.parts == (n,)), lam
+        assert len(table._sums[n]) == sum(len(list(partitions_of(k))) for k in range(n))
+    assert characters._mn.cache_info().currsize == 134
+
+
+def test_induced_multiplicity_error_paths(monkeypatch):
+    limit = characters.MAX_CYCLE_PARTS
+    long_type, row = P((1,) * (limit + 1)), P((limit + 1,))
+    with pytest.raises(ValueError, match=f"cycle type has {limit + 1} parts, more than MAX_CYCLE_PARTS = {limit}"):
+        induced_multiplicity(ClassWeightTable(group_order=1, weights={row: 1, long_type: 1}), row)
+    # a weight-0 type is size-checked but not evaluated, so not refused
+    assert induced_multiplicity(ClassWeightTable(group_order=1, weights={long_type: 0, row: 1}), row) == 1
+    monkeypatch.setattr(characters, "MAX_SUBSHAPES", 19)
+    assert induced_multiplicity(whole_group_table(8), P((3, 3, 2))) == 0
+    with pytest.raises(ValueError, match="3,3,3 has 20 subshapes, more than MAX_SUBSHAPES = 19"):
+        induced_multiplicity(whole_group_table(9), P((3, 3, 3)))
+    # the empty shape's character is 1 at its one cycle type
+    assert induced_multiplicity(ClassWeightTable(group_order=3, weights={P(()): 6}), P(())) == 2
+    assert induced_multiplicity(ClassWeightTable(group_order=3, weights={}), P(())) == 0
+
+
+def test_weight_table_is_a_snapshot():
+    weights = {mu: math.factorial(4) // cycle_stabilizer_order(mu) for mu in partitions_of(4)}
+    table = ClassWeightTable(group_order=24, weights=weights)
+    before = {lam: induced_multiplicity(table, lam) for lam in partitions_of(4)}
+    weights[P((4,))] = 7
+    weights[P((5,))] = 1
+    assert {lam: induced_multiplicity(table, lam) for lam in partitions_of(4)} == before
+    assert table.weights != weights and P((5,)) not in table.weights
 
 
 def test_induced_multiplicity_rejects_bad_tables():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from modmaj import tableaux
+from modmaj.modular import amod_by_character_formula
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of, subshape_count
 from modmaj.qpoly import amod_by_qhook
 from modmaj.tableaux import (
@@ -39,6 +40,21 @@ def test_class_vector_refuses_non_integer_counts():
     for counts in ((1.7, 0.2), (1.0, 0), ("1", 0)):
         with pytest.raises(TypeError):
             ModularClassVector(2, counts)
+    for counts in ((1,), (1, 0, 0), iter((1, 0, 0))):
+        with pytest.raises(ValueError, match="need exactly n=2 counts"):
+            ModularClassVector(2, counts)
+
+
+def test_route_vectors_are_what_the_public_constructor_builds():
+    # the routes build their vectors unvalidated: each must hold an exact
+    # tuple of n ints, equal and hash-equal to the validated vector
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for vec in (amod_by_enumeration(lam), amod_by_qhook(lam), amod_by_character_formula(lam)):
+                assert type(vec.counts) is tuple and len(vec.counts) == vec.n == n, lam
+                assert all(type(c) is int for c in vec.counts), lam
+                checked = ModularClassVector(n, vec.counts)
+                assert vec == checked and hash(vec) == hash(checked), lam
 
 
 def test_enumeration_counts():
