@@ -11,12 +11,10 @@ Two routes are provided and kept deliberately independent:
   bead to a free place ell lower, and its height is the number of beads it
   jumps.  ``_removals`` is that step, the one copy of it.  The recursion
   sums over every removal and reads nothing of the fast path.
-  ``mn_characters`` takes a whole row of cycle types for one shape: it
-  finds the shape's ell-ribbons once per distinct first part ell and
-  memoizes only what they leave, not the top pair, which a row visits
-  once.  ``mn_character`` is its one-type case.  ``_beads`` builds the
-  shape's bead set from its parts, once per ``mn_characters`` call.  It
-  refuses more than ``MAX_CYCLE_PARTS`` cycles (``_check_cycles``), as it
+  ``mn_character`` takes the top step through ``_mn``'s unmemoized body,
+  as a sweep asks for each top pair once, on the bead set that ``_beads``
+  builds from the shape's parts.  It refuses more than
+  ``MAX_CYCLE_PARTS`` cycles (``_check_cycles``), as it
   recurses once per cycle, and a shape of more than ``MAX_SUBSHAPES``
   subshapes, as one query adds up to one memo entry per proper subshape.
   ``_class_sum`` is the weighted sum over many cycle types for
@@ -152,39 +150,15 @@ def _class_sum(beads: int, by_first, sums: dict[int, int]) -> int:
     return total
 
 
-def mn_characters(lam: Partition, cycle_types) -> list[int]:
-    """Character of the shape-lam irreducible at each cycle type, in order.
-
-    lam's bead set is built once, and its ell-ribbons are found once for
-    each distinct first part ell; each value sums the signed ``_mn`` of
-    what the ribbons leave at the rest of the cycle type.  The top pair
-    (lam, mu) is not memoized.
-    """
-    cycle_types = list(cycle_types)
-    for mu in cycle_types:
-        if lam.n != mu.n:
-            raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
-        _check_cycles(mu)
-    beads = _beads(lam.parts)
-    steps: dict[int, list[tuple[int, int]]] = {}
-    values = []
-    for mu in cycle_types:
-        if not mu.parts:
-            values.append(1)
-            continue
-        ell, rest = mu.parts[0], mu.parts[1:]
-        if ell not in steps:
-            steps[ell] = _removals(beads, ell)
-        total = 0
-        for sign, left in steps[ell]:
-            total += sign * _mn(left, rest)
-        values.append(total)
-    return values
-
-
 def mn_character(lam: Partition, mu: Partition) -> int:
-    """Character of the shape-lam irreducible at a permutation of cycle type mu."""
-    return mn_characters(lam, (mu,))[0]
+    """Character of the shape-lam irreducible at a permutation of cycle type mu.
+
+    The top pair (lam, mu) is not memoized.
+    """
+    if lam.n != mu.n:
+        raise ValueError(f"size mismatch: |{lam}| = {lam.n} but |{mu}| = {mu.n}")
+    _check_cycles(mu)
+    return _mn.__wrapped__(_beads(lam.parts), mu.parts)
 
 
 def rect_character_sign(lam: Partition, ell: int, order: str = "first") -> int:

@@ -94,7 +94,6 @@ from .numtheory import (
     ramanujan_matrix_square,
     ramanujan_sum,
     ramanujan_sum_oracle,
-    ramanujan_table,
     totient_table,
 )
 from .partitions import (
@@ -148,16 +147,16 @@ def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularC
 def _class_table(n: int) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
     """What the class sums of n read, in ``divisors`` order.
 
-    The ell | n other than 1; for each d | n, the residue r = d mod n and
-    c_ell(r) at those ell, off ``ramanujan_table(n)`` without its row 0
-    (ell = 1, whose term is f itself); and for each 0 <= r < n, the index
-    of gcd(r, n) among the divisors.
+    The ell | n other than 1 (ell = 1, whose term is f itself); for each
+    d | n, the residue r = d mod n and ``ramanujan_sum(ell, d)`` = c_ell(r)
+    at those ell; and for each 0 <= r < n, the index of gcd(r, n) among
+    the divisors.
     """
     divs = divisors(n)
-    rows = ramanujan_table(n)[1:]
-    columns = tuple((d % n, tuple(row[d % n] for row in rows)) for d in divs)
+    ells = tuple(divs[1:])
+    columns = tuple((d % n, tuple(ramanujan_sum(ell, d) for ell in ells)) for d in divs)
     index = {d: i for i, d in enumerate(divs)}
-    return tuple(divs[1:]), columns, tuple(index[math.gcd(r, n)] for r in range(n))
+    return ells, columns, tuple(index[math.gcd(r, n)] for r in range(n))
 
 
 @dataclass(frozen=True)

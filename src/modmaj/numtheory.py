@@ -2,14 +2,13 @@
 
 Everything here is plain integer arithmetic.  Inputs stay small (a few
 thousand at most), so factorization is trial division and no sieve is kept
-around.  Beside it, three tables per n are kept, each memoized for the 128
+around.  Beside it, two tables per n are kept, each memoized for the 128
 most recent n, so a sweep over the shapes of one n reads them instead of
-recomputing them for every shape: ``ramanujan_table(n)`` holds c_ell(r) for
-every ell | n and 0 <= r < n, built once from ``ramanujan_sum``,
-``totient_table(n)`` maps each ell | n to phi(ell), built from
-``totient``, and ``multiples_table(n)`` maps each ell | n to the
-product of the multiples of ell up to n and its ell-th power, the
-numerator of the rectangular character and the constant of its bound.
+recomputing them for every shape: ``totient_table(n)`` maps each ell | n
+to phi(ell), built from ``totient``, and ``multiples_table(n)`` maps each
+ell | n to the product of the multiples of ell up to n and its ell-th
+power, the numerator of the rectangular character and the constant of its
+bound.
 The two Ramanujan-sum implementations are deliberately independent
 formulas so one can cross-check the other:
 
@@ -99,22 +98,6 @@ def ramanujan_sum(j: int, s: int) -> int:
     if phi_j % phi_quot != 0:
         raise ArithmeticError(f"totient quotient not exact for j={j}, s={s}")
     return moebius(j // g) * (phi_j // phi_quot)
-
-
-@lru_cache(maxsize=128)
-def ramanujan_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """c_ell(r) for every ell | n and 0 <= r < n, computed once per n.
-
-    Row i belongs to the i-th divisor of n in ascending order (as
-    ``divisors`` lists them), column r to the residue r.  c_ell(r) has
-    period ell in r, so each row is one period repeated.  Rows are tuples,
-    so the memoized table cannot be changed by a caller.
-    """
-    rows = []
-    for ell in divisors(n):
-        period = [ramanujan_sum(ell, r) for r in range(ell)]
-        rows.append(tuple(period * (n // ell)))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=128)

@@ -15,10 +15,10 @@ Conventions, fixed once here and relied on everywhere else:
 Rim-hook removal and cores run on beta-numbers (first-column hook
 lengths): removing a length-``ell`` ribbon is moving one beta value down
 by ``ell`` into an unoccupied slot, and the ribbon's height is the number
-of beta values jumped over.  ``ribbon_moves`` does this on bare parts
-tuples for ``removable_ribbons``, which wraps its results as ``Partition``
-shapes; the rim-hook recursion in ``characters`` steps on bead sets of its
-own.  The greedy-removal equivalence is a test concern, not assumed here.
+of beta values jumped over.  ``removable_ribbons`` does this on the
+shape's parts; the rim-hook recursion in ``characters`` steps on bead sets
+of its own.  The greedy-removal equivalence is a test concern, not assumed
+here.
 """
 
 from enum import Enum
@@ -274,21 +274,23 @@ def _partition_from_betas(betas: list[int], m: int) -> Partition:
     return Partition([p for p in parts if p > 0])
 
 
-def ribbon_moves(parts: tuple[int, ...], ell: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every way to remove one length-ell rim hook, as (remaining parts, height).
+def removable_ribbons(lam: Partition, ell: int) -> list[RibbonStep]:
+    """Every way to remove one length-ell rim hook, as (remaining shape, height).
 
-    Works on parts tuples, with no sort and no validation, for
-    ``removable_ribbons``.  On the beta-numbers b_i = parts[i] + (m - 1 - i),
-    moving bead x = b_i down to y = x - ell (free and nonnegative) jumps the
-    beads b_{i+1} .. b_{j-1} that lie above y; the height is their number.
-    Read back as parts, rows i+1 .. j-1 drop one row and lose one cell,
-    row j - 1 becomes y - (m - j), and the other rows stay; a bead moved to
-    0 leaves rows of length 0, which are cut.  Moves are listed by
+    On the beta-numbers b_i = parts[i] + (m - 1 - i), moving bead x = b_i
+    down to y = x - ell (free and nonnegative) jumps the beads
+    b_{i+1} .. b_{j-1} that lie above y; the height is their number.  Read
+    back as parts, rows i+1 .. j-1 drop one row and lose one cell, row
+    j - 1 becomes y - (m - j), and the other rows stay; a bead moved to 0
+    leaves rows of length 0, which are cut.  Steps are listed by
     decreasing x.
     """
+    if ell < 1:
+        raise ValueError(f"ribbon length must be >= 1, got {ell}")
+    parts = lam.parts
     m = len(parts)
     betas = [p + m - 1 - i for i, p in enumerate(parts)]
-    moves = []
+    steps = []
     for i, x in enumerate(betas):
         y = x - ell
         if y < 0:
@@ -302,15 +304,8 @@ def ribbon_moves(parts: tuple[int, ...], ell: int) -> list[tuple[tuple[int, ...]
             rest = parts[:i] + tuple([p - 1 for p in parts[i + 1:j]]) + (y - m + j,) + parts[j:]
         else:
             rest = parts[:i] + tuple([p - 1 for p in parts[i + 1:] if p > 1])
-        moves.append((rest, j - i - 1))
-    return moves
-
-
-def removable_ribbons(lam: Partition, ell: int) -> list[RibbonStep]:
-    """``ribbon_moves`` of the shape, each remaining shape as a ``Partition``."""
-    if ell < 1:
-        raise ValueError(f"ribbon length must be >= 1, got {ell}")
-    return [RibbonStep(Partition(rest), height) for rest, height in ribbon_moves(lam.parts, ell)]
+        steps.append(RibbonStep(Partition(rest), j - i - 1))
+    return steps
 
 
 def subshape_count(parts: tuple[int, ...]) -> int:

@@ -292,6 +292,7 @@ def amod_by_enumeration(
             f"{lam} has {count} subshapes, above the budget of {budget}"
         )
     parts = lam.parts
+    rows = len(parts)
     w = _slot_width(lam)
     full = (1 << w * n) - 1
     level = {(): {-1: 1}}  # blocks -> {row of entry k, -1 for none: packed counts}
@@ -300,9 +301,10 @@ def amod_by_enumeration(
         grown_level = {}
         for blocks, by_last in level.items():
             r = 0  # the lowest row of block i; past the last block, the first empty row
-            for i in range(len(blocks) + 1):
-                length, size = blocks[i] if i < len(blocks) else (0, 0)
-                if r < len(parts) and length < parts[r]:
+            nblocks = len(blocks)
+            for i in range(nblocks + 1):
+                length, size = blocks[i] if i < nblocks else (0, 0)
+                if r < rows and length < parts[r]:
                     # Entry k+1 goes to row r: the chains with entry k below r shift by k.
                     vec = below = 0
                     for last, v in by_last.items():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from modmaj import characters
 from modmaj.characters import (
     mn_character,
-    mn_characters,
     rect_character,
     rect_character_sign,
     rect_characters,
@@ -135,22 +134,8 @@ def test_mn_memo_has_one_entry_per_pair():
     assert characters._mn.cache_info().currsize == subshape_count((4, 4, 4, 3)) - 1
 
 
-def test_mn_characters_equal_plain_recursion():
-    # The cycle types go down the first parts twice and repeat the first
-    # two, so a row both revisits a first part after others and repeats a
-    # type; each ribbon list is found once per first part.
-    for n in range(1, 9):
-        shapes = list(partitions_of(n))
-        order = shapes[::2] + shapes[1::2] + shapes[:2]
-        for lam in shapes:
-            expected = [plain_mn(lam, mu.parts) for mu in order]
-            assert mn_characters(lam, order) == expected, lam
-
-
-def test_mn_characters_checks_and_the_empty_shape():
-    assert mn_characters(P(()), [P(())]) == [1]
-    assert mn_characters(P((2, 1)), []) == []
-    # a bad cycle type anywhere in the row gives mn_character's message
+def test_mn_character_checks_and_the_empty_shape():
+    assert mn_character(P(()), P(())) == 1
     limit = characters.MAX_CYCLE_PARTS
     for lam, mu, message in (
         (P((2, 2)), P((3,)), r"size mismatch: \|2,2\| = 4 but \|3\| = 3"),
@@ -162,8 +147,6 @@ def test_mn_characters_checks_and_the_empty_shape():
     ):
         with pytest.raises(ValueError, match=message):
             mn_character(lam, mu)
-        with pytest.raises(ValueError, match=message):
-            mn_characters(lam, [P((lam.n,)), mu])
 
 
 def test_mn_refuses_shapes_above_the_subshape_cap(monkeypatch):

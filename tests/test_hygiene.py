@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks.
 
-Every import is used, every module-level private function in
-``src/modmaj`` is referenced from somewhere in ``src`` besides its own body,
-and ``modmaj.cli`` writes reports and usage errors only from ``main``.
+Every import is used, the package ``__init__`` exports exactly the names
+it imports, every module-level private function in ``src/modmaj`` is
+referenced from somewhere in ``src`` besides its own body, and
+``modmaj.cli`` writes reports and usage errors only from ``main``.
 """
 
 import ast
@@ -43,6 +44,38 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nimport a.b\nfrom x import y as z, w\nprint(w, a.b)\n")
     assert unused_imports(tree) == ["line 1: os", "line 3: z"]
+
+
+def export_faults(tree: ast.Module) -> list[str]:
+    """Names a package ``__init__`` imports but leaves out of ``__all__``, or lists there but never imports.
+
+    A name listed twice in ``__all__`` is a fault too.
+    """
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+    )
+    faults = [f"not exported: {name}" for name in sorted(set(imported) - set(exported))]
+    faults += [f"not imported: {name}" for name in sorted(set(exported) - set(imported))]
+    faults += [f"exported twice: {name}" for name in sorted(set(exported)) if exported.count(name) > 1]
+    return faults
+
+
+def test_package_exports_what_it_imports():
+    tree = ast.parse((ROOT / "src" / "modmaj" / "__init__.py").read_text(encoding="utf-8"))
+    assert export_faults(tree) == []
+
+
+def test_export_fault_is_found():
+    tree = ast.parse("from .a import x, y\nfrom .b import z\n__all__ = ['x', 'w', 'x', 'z']\n")
+    assert export_faults(tree) == ["not exported: y", "not imported: w", "exported twice: x"]
 
 
 def dead_private_functions(modules: dict[str, ast.Module]) -> list[str]:

@@ -110,6 +110,19 @@ def test_counts_per_gcd_class_refuse_what_per_residue_sums_refuse(inputs):
         assert modular._counts_from_characters(*inputs) == expected
 
 
+def test_class_table_matches_oracle():
+    # the c_ell(r) the formula route reads, against the divisor-sum route
+    for n in range(1, 61):
+        ells, columns, gcd_index = modular._class_table(n)
+        divs = divisors(n)
+        assert ells == tuple(divs[1:])
+        assert [r for r, _ in columns] == [d % n for d in divs]
+        for r, column in columns:
+            assert column == tuple(ramanujan_sum_oracle(ell, r) for ell in ells), (n, r)
+        assert [divs[i] for i in gcd_index] == [math.gcd(r, n) for r in range(n)], n
+        assert modular._class_table(n) is modular._class_table(n)
+
+
 def test_formula_vectors_are_consistent(formula_vectors):
     for lam, vec in formula_vectors.items():
         n = lam.n
@@ -498,7 +511,7 @@ def calls(monkeypatch):
 def test_bounds_row_computes_each_value_once(calls):
     # (6,4,2): one hook histogram and one set of beta-numbers give f and
     # chi_ell for all 6 divisors of 12, with no separate dimension and no
-    # list of hooks.  The residue counts are read off the Ramanujan table of
+    # list of hooks.  The residue counts are read off the class table of
     # n = 12, which a second shape of the same n uses without computing a
     # Ramanujan sum.
     modular._bounds_row(((6, 4, 2), "all"))

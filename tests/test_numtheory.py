@@ -13,7 +13,6 @@ from modmaj.numtheory import (
     ramanujan_matrix_square,
     ramanujan_sum,
     ramanujan_sum_oracle,
-    ramanujan_table,
     totient,
     totient_table,
 )
@@ -69,16 +68,6 @@ def test_two_formulas_agree():
     for j in range(1, 61):
         for s in range(-2 * j, 2 * j + 1):
             assert ramanujan_sum(j, s) == ramanujan_sum_oracle(j, s), (j, s)
-
-
-def test_table_matches_oracle():
-    for n in range(1, 61):
-        table = ramanujan_table(n)
-        assert len(table) == len(divisors(n))
-        for ell, row in zip(divisors(n), table):
-            assert isinstance(row, tuple) and len(row) == n
-            assert list(row) == [ramanujan_sum_oracle(ell, r) for r in range(n)], (n, ell)
-        assert ramanujan_table(n) is table
 
 
 def test_totient_table_matches_totient():
