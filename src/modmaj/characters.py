@@ -207,29 +207,24 @@ def _abacus_sign(betas: list[int], ell: int) -> int:
     when they fill 0..m-1, that is when none is m or above.  Each rim-hook
     height counts the beads one move jumps over, and two beads of one
     runner never pass, so the sign is (-1) to the number of bead pairs
-    whose order the slide reverses: the inversions of the slid positions
-    in the original order, whose parity is that of the permutation
-    i -> m - 1 - slid[i].
+    whose order the slide reverses: each bead, taken in the original
+    order, counts the slid positions placed before it (the bits of
+    ``placed``) that lie below its own.
     """
     m = len(betas)
     on_runner = [0] * ell
     for x in betas:
         on_runner[x % ell] += 1
-    perm = []
+    placed = reversed_pairs = 0
     for x in betas:
         r = x % ell
         on_runner[r] -= 1
-        perm.append(m - 1 - r - ell * on_runner[r])
-    if min(perm, default=0) < 0:
-        return 0
-    cycles = 0
-    for start in range(m):
-        if perm[start] >= 0:
-            cycles += 1
-            i = start
-            while perm[i] >= 0:
-                perm[i], i = -1, perm[i]
-    return -1 if (m - cycles) % 2 else 1
+        slid = r + ell * on_runner[r]
+        if slid >= m:
+            return 0
+        reversed_pairs += (placed & ((1 << slid) - 1)).bit_count()
+        placed |= 1 << slid
+    return -1 if reversed_pairs % 2 else 1
 
 
 def _rect_value(lam: Partition, counts: list[int], betas: list[int], ell: int) -> int:

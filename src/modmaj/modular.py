@@ -91,6 +91,7 @@ from .characters import _beads, _check_cycles, _class_sum, rect_characters
 from .numtheory import (
     divisors,
     multiples_table,
+    ramanujan_matrix,
     ramanujan_matrix_square,
     ramanujan_sum,
     ramanujan_sum_oracle,
@@ -148,13 +149,14 @@ def _class_table(n: int) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
     """What the class sums of n read, in ``divisors`` order.
 
     The ell | n other than 1 (ell = 1, whose term is f itself); for each
-    d | n, the residue r = d mod n and ``ramanujan_sum(ell, d)`` = c_ell(r)
-    at those ell; and for each 0 <= r < n, the index of gcd(r, n) among
-    the divisors.
+    d | n, the residue r = d mod n and c_ell(r) at those ell, read off row
+    d of ``ramanujan_matrix(n)`` backwards (its r | n ascend, so ell = n / r
+    then ascends) less ell = 1; and for each 0 <= r < n, the index of
+    gcd(r, n) among the divisors.
     """
     divs = divisors(n)
     ells = tuple(divs[1:])
-    columns = tuple((d % n, tuple(ramanujan_sum(ell, d) for ell in ells)) for d in divs)
+    columns = tuple((d % n, tuple(row[::-1][1:])) for d, row in zip(divs, ramanujan_matrix(n)))
     index = {d: i for i, d in enumerate(divs)}
     return ells, columns, tuple(index[math.gcd(r, n)] for r in range(n))
 

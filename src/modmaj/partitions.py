@@ -65,8 +65,8 @@ class Partition:
     def parse(cls, text: str) -> "Partition":
         """Parse the one-token text format: "4,2,1", with "2^3,1" meaning (2,2,2,1).
 
-        A text whose size (or number of parts) exceeds MAX_PARSED_SIZE is
-        refused before its parts list is built.
+        A bad component is refused, quoting it and the text; a text whose size
+        or number of parts exceeds MAX_PARSED_SIZE, before its parts are built.
         """
         parts = []
         size = 0
@@ -74,13 +74,13 @@ class Partition:
             piece = piece.strip()
             if not piece:
                 raise ValueError(f"empty component in partition text {text!r}")
-            if "^" in piece:
-                base, _, count = piece.partition("^")
-                part, repeats = int(base), int(count)
-                if repeats < 1:
-                    raise ValueError(f"repeat count below 1 in partition text {text!r}")
-            else:
-                part, repeats = int(piece), 1
+            base, caret, count = piece.partition("^")
+            try:
+                part, repeats = int(base), (int(count) if caret else 1)
+            except ValueError:
+                raise ValueError(f"bad component {piece!r} in partition text {text!r}") from None
+            if repeats < 1:
+                raise ValueError(f"repeat count below 1 in partition text {text!r}")
             size += part * repeats
             if len(parts) + repeats > MAX_PARSED_SIZE or size > MAX_PARSED_SIZE:
                 raise ValueError(f"partition text {text!r} is larger than {MAX_PARSED_SIZE}")
@@ -132,33 +132,26 @@ class RibbonStep(NamedTuple):
     height: int
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts at most max_part (any, when None), largest-first.
-
-    Largest-first is descending lexicographic order.
-    """
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, largest-first: descending lexicographic order, from (n) to 1^n."""
     if n < 0:
         raise ValueError(f"partitions_of requires n >= 0, got {n}")
-    for parts in _parts_of(n, max_part):
+    for parts in _parts_of(n):
         yield Partition(parts)
 
 
-def _parts_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The parts tuples of ``partitions_of(n, max_part)``, in the same order; n >= 0.
+def _parts_of(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts tuples of ``partitions_of(n)``, in the same order; n >= 0.
 
-    Each shape is the successor of the one before: take one cell off the
-    last part above 1 and deal it, with the trailing ones, into parts of
-    that new size, which is the next shape down in lexicographic order.
-    The first shape is the largest one whose parts are at most max_part.
+    The walk starts at (n).  Each shape is the successor of the one before:
+    take one cell off the last part above 1 and deal it, with the trailing
+    ones, into parts of that new size, which is the next shape down in
+    lexicographic order.
     """
     if n == 0:
         yield ()
         return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    top, rest = divmod(n, cap)
-    parts = [cap] * top + ([rest] if rest else [])
+    parts = [n]
     while True:
         yield tuple(parts)
         ones = 0
@@ -238,17 +231,9 @@ def hook_histogram(lam: Partition) -> list[int]:
     return [0] + [(beads & (gaps << h)).bit_count() for h in range(1, top + 1)]
 
 
-def opposite_hook_length_table(lam: Partition) -> list[list[int]]:
-    """Opposite hook length a + b - 1 of every cell, as rows matching the shape."""
-    return [
-        [a + b + 1 for a in range(row_len)]
-        for b, row_len in enumerate(lam.parts)
-    ]
-
-
 def opposite_hook_lengths(lam: Partition) -> list[int]:
-    """The multiset of opposite hook lengths, flattened in cell order."""
-    return [h for row in opposite_hook_length_table(lam) for h in row]
+    """The multiset of opposite hook lengths a + b - 1, flattened in cell order."""
+    return [a + b + 1 for b, row_len in enumerate(lam.parts) for a in range(row_len)]
 
 
 def dimension(lam: Partition) -> int:
@@ -376,12 +361,16 @@ def max_opposite_hook(lam: Partition) -> int:
 
 
 def diagonal_fibers(lam: Partition) -> tuple[int, ...]:
-    """Counts of cells by opposite hook length, up to the last nonzero entry."""
-    fibers = [0] * max_opposite_hook(lam)
-    for row in opposite_hook_length_table(lam):
-        for h in row:
-            fibers[h - 1] += 1
-    return tuple(fibers)
+    """Counts of cells by opposite hook length, up to the last nonzero entry.
+
+    Row b (1-based) adds 1 to lengths b .. b + lam_b - 1: a step up where
+    that range starts and down past its end, summed as they run.
+    """
+    steps = [0] * (max_opposite_hook(lam) + 1)
+    for b, row_len in enumerate(lam.parts):
+        steps[b] += 1
+        steps[b + row_len] -= 1
+    return tuple(accumulate(steps[:-1]))
 
 
 def diagonal_excess(lam: Partition) -> int:
@@ -408,14 +397,12 @@ class DiagOrder(Enum):
 
 
 def _tail_counts(lam: Partition, top: int) -> list[int]:
-    fibers = diagonal_fibers(lam) if lam.n else ()
-    tails = [0] * (top + 1)
-    running = 0
-    for i in range(top, 0, -1):
-        if i <= len(fibers):
-            running += fibers[i - 1]
-        tails[i] = running
-    return tails
+    """Entry i >= 1 counts the cells of opposite hook length i to top, a suffix sum of the fibers; entry 0 is 0."""
+    fibers = list(diagonal_fibers(lam)[:top]) if lam.n else []
+    fibers += [0] * (top - len(fibers))
+    tails = list(accumulate(reversed(fibers)))
+    tails.reverse()
+    return [0] + tails
 
 
 def diag_compare(lam: Partition, mu: Partition) -> DiagOrder:

@@ -1,6 +1,8 @@
 """Character values: rim-hook recursion vs the rectangular fast path."""
 
+import inspect
 import math
+import textwrap
 from collections import Counter
 
 import pytest
@@ -238,6 +240,45 @@ def test_abacus_sign_matches_greedy_beyond_the_gate(lam):
     for ell in divisors(lam.n):
         assert_abacus_matches_greedy(lam, ell)
     assert_all_divisors_agree(lam)
+
+
+def sign_mismatches(abacus_sign):
+    # (shape, ell) for n <= 12 and ell | n, ell > 1, where abacus_sign
+    # misreads the core or disagrees with the greedy removal's sign
+    out = []
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            betas = beta_numbers(lam)
+            for ell in divisors(n)[1:]:
+                expected = 0 if ell_core(lam, ell) else rect_character_sign(lam, ell)
+                if abacus_sign(betas, ell) != expected:
+                    out.append((lam.parts, ell))
+    return out
+
+
+def test_abacus_sign_matches_the_greedy_oracle():
+    assert sign_mismatches(characters._abacus_sign) == []
+
+
+def mutated_abacus_sign(old, new):
+    # _abacus_sign's own source with one expression replaced
+    source = textwrap.dedent(inspect.getsource(characters._abacus_sign))
+    assert source.count(old) == 1
+    namespace = dict(vars(characters))
+    exec(source.replace(old, new), namespace)
+    return namespace["_abacus_sign"]
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("-1 if reversed_pairs % 2 else 1", "1 if reversed_pairs % 2 else -1"),
+        ("(placed & ((1 << slid) - 1))", "(placed >> slid)"),
+    ],
+    ids=["parity-flipped", "counts-beads-above"],
+)
+def test_abacus_sign_oracle_finds_planted_fault(old, new):
+    assert sign_mismatches(mutated_abacus_sign(old, new))
 
 
 def test_nonvanishing_equivalences():

@@ -87,6 +87,24 @@ def test_bad_shape_is_usage_error(capsys):
     assert "weakly decreasing" in err
 
 
+@pytest.mark.parametrize(
+    "args,piece,text",
+    [
+        (["table", "--shape", "3,a"], "a", "3,a"),
+        (["table", "--shape", "2^"], "2^", "2^"),
+        (["table", "--shape", "^3"], "^3", "^3"),
+        (["table", "--shape", "2^1.5"], "2^1.5", "2^1.5"),
+        (["char", "--shape", "2,2", "--mu", "2,x"], "x", "2,x"),
+    ],
+)
+def test_shape_component_that_is_not_a_number_is_usage_error(args, piece, text, capsys):
+    # the message quotes the bad component and the whole text, not int()'s own words
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("modmaj: ") and repr(piece) in err and repr(text) in err
+    assert "invalid literal" not in err
+
+
 def test_repeat_count_below_one_is_usage_error(capsys):
     code, _, err = run(["table", "--shape", "3,2^-1"], capsys)
     assert code == 2

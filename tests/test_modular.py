@@ -684,18 +684,18 @@ def test_dist_check_applicable_shapes(formula_vectors):
     assert applicable > 0  # n = 17..20 contain qualifying shapes
 
 
-def random_partition(rng, n, max_part):
+def random_partition(rng, n, side):
     while True:
         parts = []
         remaining = n
-        cap = rng.randint(2, max_part)
+        cap = rng.randint(2, side)
         while remaining:
             piece = rng.randint(1, min(cap, remaining))
             parts.append(piece)
             cap = piece
             remaining -= piece
         lam = P(sorted(parts, reverse=True))
-        if lam.parts[0] <= max_part and len(lam.parts) <= max_part:
+        if lam.parts[0] <= side and len(lam.parts) <= side:
             return lam
 
 

@@ -6,6 +6,7 @@ ribbon test, and cores recomputed by greedy removal.
 """
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,6 +16,7 @@ from modmaj.partitions import (
     MAX_PARSED_SIZE,
     DiagOrder,
     Partition,
+    _tail_counts,
     beta_numbers,
     capped_excess,
     cells,
@@ -96,7 +98,7 @@ def test_partition_counts():
         assert sum(1 for _ in partitions_of(n)) == count
 
 
-def recursive_partitions(n, max_part=None):
+def recursive_partitions(n):
     """The recursive generator partitions_of used to be: the order oracle."""
 
     def rec(remaining, cap):
@@ -110,14 +112,12 @@ def recursive_partitions(n, max_part=None):
     if n == 0:
         yield ()
         return
-    yield from rec(n, n if max_part is None else min(max_part, n))
+    yield from rec(n, n)
 
 
 def test_partitions_match_the_recursive_oracle():
     for n in range(31):
-        for max_part in {None, 0, 1, 2, 3, n // 2, n}:
-            expected = list(recursive_partitions(n, max_part))
-            assert [lam.parts for lam in partitions_of(n, max_part)] == expected, (n, max_part)
+        assert [lam.parts for lam in partitions_of(n)] == list(recursive_partitions(n)), n
 
 
 # ------------------------------------------------------------ conjugation
@@ -377,6 +377,21 @@ def test_diagonal_fibers_examples():
     assert diagonal_fibers(P((4, 4, 4, 4))) == (1, 2, 3, 4, 3, 2, 1)
     assert diagonal_fibers(P((1,))) == (1,)
     assert diagonal_fibers(P((5, 1, 1))) == (1, 2, 2, 1, 1)
+
+
+def test_diagonal_fibers_count_the_opposite_hook_lengths():
+    # the fibers, one range per row, against the per-cell opposite hook
+    # lengths; the tails, a suffix sum, against a count of those lengths
+    for n in range(1, 21):
+        for lam in partitions_of(n):
+            lengths = opposite_hook_lengths(lam)
+            by_length = Counter(lengths)
+            fibers = diagonal_fibers(lam)
+            assert fibers == tuple(by_length[h] for h in range(1, max(lengths) + 1)), lam
+            for top in range(len(fibers) + 3):
+                expected = [0] + [sum(1 for h in lengths if i <= h <= top) for i in range(1, top + 1)]
+                assert _tail_counts(lam, top) == expected, (lam, top)
+    assert _tail_counts(P(()), 3) == [0, 0, 0, 0]
 
 
 def test_diagonal_excess_examples():
