@@ -7,13 +7,14 @@ Two routes are provided and kept deliberately independent:
   (bead set, remaining cycle parts) with parts consumed largest-first, so
   sweeps over many shapes at the same rectangular type share work.  A bead
   set is one int, bit x set for each beta-number x, less the beads of rows
-  of length 0, so that each shape has one key; a length-ell ribbon moves a
-  bead to a free place ell lower, and its height is the number of beads it
-  jumps.  ``_removals`` is that step, the one copy of it.  The recursion
-  sums over every removal and reads nothing of the fast path.
+  of length 0, so that each shape has one key; ``partitions._removals``,
+  the one copy of the ribbon step, moves a bead to a free place ell lower
+  and gives the height, the number of beads it jumps, and the sign is
+  (-1)^height.  The recursion sums over every removal and reads nothing
+  of the fast path.
   ``mn_character`` takes the top step through ``_mn``'s unmemoized body,
   as a sweep asks for each top pair once, on the bead set that ``_beads``
-  builds from the shape's parts.  It refuses more than
+  takes from ``partitions._bead_set``.  It refuses more than
   ``MAX_CYCLE_PARTS`` cycles (``_check_cycles``), as it
   recurses once per cycle, and a shape of more than ``MAX_SUBSHAPES``
   subshapes, as one query adds up to one memo entry per proper subshape.
@@ -55,7 +56,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .numtheory import multiples_table
-from .partitions import Partition, beta_numbers, ell_core, hook_histogram, subshape_count
+from .partitions import Partition, _bead_set, _removals, beta_numbers, ell_core, hook_histogram, subshape_count
 
 # The most cycles ``mn_character`` takes: it recurses about two interpreter
 # levels per cycle, and Python's default limit of 1000 levels gives out
@@ -70,25 +71,6 @@ MAX_CYCLE_PARTS = 400
 MAX_SUBSHAPES = 200_000
 
 
-def _removals(beads: int, ell: int) -> list[tuple[int, int]]:
-    """Every ell-ribbon of the bead set as (sign, bead set left), the one copy of the ribbon step.
-
-    A bead with a free place ell lower moves there; the sign is (-1) to the
-    number of beads it jumps, and the beads of rows of length 0 are shifted
-    off the bottom so that each shape has one bead set.
-    """
-    out = []
-    free = (beads & ~(beads << ell)) >> ell
-    while free:
-        low = free & -free
-        free ^= low
-        high = low << ell
-        moved = beads ^ low ^ high
-        sign = -1 if (beads & (high - low)).bit_count() % 2 else 1
-        out.append((sign, moved >> ((moved ^ (moved + 1)).bit_length() - 1)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _mn(beads: int, cycles: tuple[int, ...]) -> int:
     if not cycles:
@@ -97,8 +79,8 @@ def _mn(beads: int, cycles: tuple[int, ...]) -> int:
     total = 0
     # A loop, not a comprehension: under Python 3.11 a comprehension adds a
     # frame per level, and the recursion would give out below MAX_CYCLE_PARTS.
-    for sign, left in _removals(beads, cycles[0]):
-        total += sign * _mn(left, rest)
+    for height, left in _removals(beads, cycles[0]):
+        total += _mn(left, rest) * (-1 if height % 2 else 1)
     return total
 
 
@@ -114,7 +96,7 @@ def _beads(parts: tuple[int, ...]) -> int:
             raise ValueError(
                 f"shape {Partition(parts)} has {count} subshapes, more than MAX_SUBSHAPES = {MAX_SUBSHAPES}"
             )
-    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+    return _bead_set(parts)
 
 
 def _check_cycles(mu: Partition) -> None:
@@ -130,7 +112,7 @@ def _class_sum(beads: int, by_first, sums: dict[int, int]) -> int:
 
     ``by_first`` maps each first part ell to the (rest of mu, w_mu) pairs
     of the types that start with ell.  By linearity the sum is, over each
-    ell and each ell-ribbon of the shape, the ribbon's sign times
+    ell and each ell-ribbon of the shape, (-1)^height of the ribbon times
     S(left) = sum over those pairs of w_mu * ``_mn(left, rest)``, where
     left is what the ribbon leaves.  ``sums`` memoizes S by the bead set
     of left; it is the caller's, kept for one weight table and one size
@@ -139,14 +121,14 @@ def _class_sum(beads: int, by_first, sums: dict[int, int]) -> int:
     """
     total = 0
     for ell, types in by_first.items():
-        for sign, left in _removals(beads, ell):
+        for height, left in _removals(beads, ell):
             s = sums.get(left)
             if s is None:
                 s = 0
                 for rest, w in types:
                     s += w * _mn(left, rest)
                 sums[left] = s
-            total += sign * s
+            total += -s if height % 2 else s
     return total
 
 

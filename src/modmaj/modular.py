@@ -630,7 +630,8 @@ def _check_fiber_laws(ns: Iterable[int], pool_map: Callable = map) -> Iterator[d
 
     With an empty ell-core, each class {a, -a} mod ell holds s = n / ell
     hooks per residue in it; removing an ell-ribbon removes one hook per
-    residue in each class, for every ell <= n.
+    residue in each class, for every ell <= n.  As ``_class_counts`` counts
+    a class once per residue in it, the laws compare with 2s and 2.
     """
     return _map_ahead(ns, pool_map, _fiber_law_row, lambda n: sorted(_parts_of(n)), _fiber_law_entry)
 
@@ -646,7 +647,7 @@ def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
             continue
         s = n // ell
         for a, count in enumerate(_class_counts(hooks, ell)):
-            if count != s * _class_size(a, ell):
+            if count != 2 * s:
                 mismatches.append({"shape": list(parts), "ell": ell, "a": a})
     for ell in range(1, n + 1):
         steps = removable_ribbons(lam, ell)
@@ -654,7 +655,7 @@ def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
         for step in steps:
             small = _class_counts(hook_lengths(step.shape), ell)
             for a in range(ell):
-                if big[a] - small[a] != _class_size(a, ell):
+                if big[a] - small[a] != 2:
                     mismatches.append(
                         {"shape": list(parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
                     )
@@ -665,15 +666,12 @@ def _fiber_law_entry(n: int, rows: Iterator[list[dict]]) -> dict:
     return {"n": n, "suite": "fiber-laws", "mismatches": [record for row in rows for record in row]}
 
 
-def _class_size(a: int, ell: int) -> int:
-    """Size of the residue class {a, -a} mod ell."""
-    return 1 if 2 * a % ell == 0 else 2
-
-
 def _class_counts(hooks: list[int], ell: int) -> list[int]:
-    """For each a mod ell, how many hooks lie in the class {a, -a} mod ell."""
-    residues = Counter(h % ell for h in hooks)
-    return [residues[a] + (residues[-a % ell] if 2 * a % ell else 0) for a in range(ell)]
+    """For each a mod ell, the hooks congruent to a plus those congruent to -a: a class {a} = {-a} counts twice."""
+    residues = [0] * ell
+    for h in hooks:
+        residues[h % ell] += 1
+    return [residues[a] + residues[-a] for a in range(ell)]
 
 
 def _check_bounds(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:

@@ -15,10 +15,10 @@ Conventions, fixed once here and relied on everywhere else:
 Rim-hook removal and cores run on beta-numbers (first-column hook
 lengths): removing a length-``ell`` ribbon is moving one beta value down
 by ``ell`` into an unoccupied slot, and the ribbon's height is the number
-of beta values jumped over.  ``removable_ribbons`` does this on the
-shape's parts; the rim-hook recursion in ``characters`` steps on bead sets
-of its own.  The greedy-removal equivalence is a test concern, not assumed
-here.
+of beta values jumped over.  ``_removals`` is the one copy of that step, on
+bead sets (``_bead_set``: one int, bit x set for each beta-number x), and
+both ``removable_ribbons`` and the recursion in ``characters`` step with
+it.  The greedy-removal equivalence is a test concern, not assumed here.
 """
 
 from enum import Enum
@@ -253,44 +253,48 @@ def beta_numbers(lam: Partition) -> list[int]:
     return [p + (m - 1 - i) for i, p in enumerate(lam.parts)]
 
 
-def _partition_from_betas(betas: list[int], m: int) -> Partition:
-    betas = sorted(betas, reverse=True)
-    parts = [b - (m - 1 - i) for i, b in enumerate(betas)]
-    return Partition([p for p in parts if p > 0])
+def _bead_set(parts: tuple[int, ...]) -> int:
+    """The shape's bead set as one int: row i of m sets bit parts[i] + m - 1 - i, its beta-number."""
+    m = len(parts)
+    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+
+
+def _parts_from_beads(beads: int) -> tuple[int, ...]:
+    """The inverse of ``_bead_set``: a bead at x with k beads below it is a part x - k, dropped if 0."""
+    beads >>= (beads ^ (beads + 1)).bit_length() - 1
+    parts = []
+    while beads:
+        low = beads & -beads
+        beads ^= low
+        parts.append(low.bit_length() - 1 - len(parts))
+    return tuple(reversed(parts))
+
+
+def _removals(beads: int, ell: int) -> list[tuple[int, int]]:
+    """Every ell-ribbon of the bead set as (height, bead set left), by increasing bead.
+
+    A bead with a free place ell lower moves there, jumping height beads;
+    the beads of rows of length 0 are shifted off, so a shape has one set.
+    """
+    out = []
+    free = (beads & ~(beads << ell)) >> ell
+    while free:
+        low = free & -free
+        free ^= low
+        high = low << ell
+        moved = beads ^ low ^ high
+        out.append(((beads & (high - low)).bit_count(), moved >> ((moved ^ (moved + 1)).bit_length() - 1)))
+    return out
 
 
 def removable_ribbons(lam: Partition, ell: int) -> list[RibbonStep]:
-    """Every way to remove one length-ell rim hook, as (remaining shape, height).
-
-    On the beta-numbers b_i = parts[i] + (m - 1 - i), moving bead x = b_i
-    down to y = x - ell (free and nonnegative) jumps the beads
-    b_{i+1} .. b_{j-1} that lie above y; the height is their number.  Read
-    back as parts, rows i+1 .. j-1 drop one row and lose one cell, row
-    j - 1 becomes y - (m - j), and the other rows stay; a bead moved to 0
-    leaves rows of length 0, which are cut.  Steps are listed by
-    decreasing x.
-    """
+    """Every length-ell rim hook removal, as (remaining shape, height): ``_removals`` by decreasing bead."""
     if ell < 1:
         raise ValueError(f"ribbon length must be >= 1, got {ell}")
-    parts = lam.parts
-    m = len(parts)
-    betas = [p + m - 1 - i for i, p in enumerate(parts)]
-    steps = []
-    for i, x in enumerate(betas):
-        y = x - ell
-        if y < 0:
-            break
-        j = i + 1
-        while j < m and betas[j] > y:
-            j += 1
-        if j < m and betas[j] == y:
-            continue
-        if y:
-            rest = parts[:i] + tuple([p - 1 for p in parts[i + 1:j]]) + (y - m + j,) + parts[j:]
-        else:
-            rest = parts[:i] + tuple([p - 1 for p in parts[i + 1:] if p > 1])
-        steps.append(RibbonStep(Partition(rest), j - i - 1))
-    return steps
+    return [
+        RibbonStep(Partition(_parts_from_beads(left)), height)
+        for height, left in reversed(_removals(_bead_set(lam.parts), ell))
+    ]
 
 
 def subshape_count(parts: tuple[int, ...]) -> int:
@@ -308,22 +312,20 @@ def subshape_count(parts: tuple[int, ...]) -> int:
 def ell_core(lam: Partition, ell: int) -> Partition:
     """What is left after removing length-ell rim hooks until none remain.
 
-    Computed on the abacus: within each beta residue class mod ell the
-    beads slide down as far as they go.  Order-independence against greedy
-    removal is exercised by the tests rather than assumed.
+    Computed on the abacus, not with ``_removals``: the beads on each
+    runner mod ell slide down as far as they go.  Order-independence
+    against greedy removal is exercised by the tests rather than assumed.
     """
     if ell < 1:
         raise ValueError(f"core length must be >= 1, got {ell}")
-    betas = beta_numbers(lam)
-    m = len(betas)
-    by_residue: dict[int, int] = {}
-    for x in betas:
-        r = x % ell
-        by_residue[r] = by_residue.get(r, 0) + 1
-    packed = []
-    for r, count in by_residue.items():
-        packed.extend(r + ell * k for k in range(count))
-    return _partition_from_betas(packed, m)
+    on_runner = [0] * ell
+    for x in beta_numbers(lam):
+        on_runner[x % ell] += 1
+    slid = 0
+    for r, count in enumerate(on_runner):
+        for k in range(count):
+            slid |= 1 << (r + ell * k)
+    return Partition(_parts_from_beads(slid))
 
 
 def is_ribbon(lam: Partition, mu: Partition) -> bool:

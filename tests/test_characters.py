@@ -82,7 +82,9 @@ def plain_mn(lam, cycles):
 
 
 def test_mn_equals_plain_recursion():
-    # removable_ribbons is pinned against brute force in test_partitions.
+    # plain_mn steps with removable_ribbons, that is with the _removals step
+    # _mn takes, which test_partitions pins against brute force; so this
+    # checks the memo and the signs.
     # Any order of the cycles gives the character, so the plain recursion
     # takes the smallest first where mn_character takes the largest.
     for n in range(1, 10):

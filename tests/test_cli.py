@@ -105,6 +105,13 @@ def test_shape_component_that_is_not_a_number_is_usage_error(args, piece, text, 
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("text", ["3,,1", ","])
+def test_empty_shape_component_is_usage_error(text, capsys):
+    code, out, err = run(["table", "--shape", text], capsys)
+    assert code == 2 and out == ""
+    assert err == f"modmaj: empty component in partition text {text!r}\n"
+
+
 def test_repeat_count_below_one_is_usage_error(capsys):
     code, _, err = run(["table", "--shape", "3,2^-1"], capsys)
     assert code == 2
@@ -430,6 +437,22 @@ def test_checkpoint_resume(tmp_path, capsys):
     code, out, _ = run(args, capsys)
     assert code == 1
     assert "total mismatches: 1" in out
+
+
+def test_resume_skips_blank_lines(tmp_path, capsys):
+    ckpt = tmp_path / "progress.jsonl"
+    args = ["verify", "--n-max", "4", "--suite", "classification", "--resume", str(ckpt),
+            "--format", "json"]
+    code, fresh, _ = run(args, capsys)
+    assert code == 0
+    lines = ckpt.read_text().splitlines()
+    lines[2:2] = ["", "  "]
+    ckpt.write_text("\n".join(lines) + "\n")
+    written = ckpt.read_text()
+    code, resumed, _ = run(args, capsys)
+    assert code == 0 and resumed == fresh
+    # every n was read back, so nothing was recomputed or appended
+    assert ckpt.read_text() == written
 
 
 def test_resume_drops_torn_last_line(tmp_path, capsys):

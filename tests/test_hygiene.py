@@ -2,11 +2,17 @@
 
 Every import is used, the package ``__init__`` exports exactly the names
 it imports, every module-level private function in ``src/modmaj`` is
-referenced from somewhere in ``src`` besides its own body, and
-``modmaj.cli`` writes reports and usage errors only from ``main``.
+referenced from somewhere in ``src`` besides its own body, every name a
+docstring or comment there quotes in double backticks is bound in that
+code, and ``modmaj.cli`` writes reports and usage errors only from
+``main``.
 """
 
 import ast
+import builtins
+import io
+import re
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -161,3 +167,78 @@ def test_report_path_fault_is_found():
         "cmd_a writes to sys.stderr",
         "helper calls _check_out",
     ]
+
+
+# Double-backticked words in src/modmaj docstrings and comments that are not
+# names in its code: the command names, a paper quantity, a report key, a
+# folder, a json.dumps keyword and a multiprocessing.Pool method.
+NON_CODE_WORDS = {"bounds", "verify", "a_r", "small_dimension", "src", "indent", "imap"}
+
+QUOTED_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def bound_names(tree: ast.AST) -> set[str]:
+    """Names the module binds: definitions, parameters, assignment targets and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).partition(".")[0])
+    return names
+
+
+def quoted_names(source: str) -> set[str]:
+    """The double-backticked identifiers, dotted or not, in the module's docstrings and comments."""
+    tree = ast.parse(source)
+    texts = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    texts += [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return {name for text in texts for name in QUOTED_NAME.findall(text)}
+
+
+def unbound_quoted_names(sources: dict[str, str], package: str) -> list[str]:
+    """Quoted names with a part that no module binds and that is no module, builtin or listed word.
+
+    ``sources`` maps each module's name to its text.
+    """
+    known = set(sources) | {package} | set(dir(builtins)) | NON_CODE_WORDS
+    for source in sources.values():
+        known |= bound_names(ast.parse(source))
+    return sorted(
+        f"{module}: {name}"
+        for module, source in sources.items()
+        for name in quoted_names(source)
+        if not set(name.split(".")) <= known
+    )
+
+
+def test_docstrings_name_bound_code():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "modmaj").glob("*.py"))
+    }
+    assert unbound_quoted_names(sources, "modmaj") == []
+
+
+def test_unbound_quoted_name_is_found():
+    a = (
+        '"""Uses ``b.helper``, ``pkg.a``, ``len`` and ``verify``, not ``_gone``."""\n'
+        "def f(x):\n"
+        '    """Returns ``x``; see ``b._also_gone``."""\n'
+        "    return x  # ``c.f`` and ``b.helper(x)`` unchecked\n"
+    )
+    b = "def helper():\n    pass\n"
+    assert unbound_quoted_names({"a": a, "b": b}, "pkg") == ["a: _gone", "a: b._also_gone", "a: c.f"]

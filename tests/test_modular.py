@@ -51,6 +51,22 @@ def formula_vectors():
 # ------------------------------------------------------------ formula route
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: fl_bound_check(6, 4, 1, 1), "need ell | n"),
+        (lambda: fl_log_bound(6, 1, 1), "ell >= 2"),
+        (lambda: verify_main_theorem(0), "n_max >= 1"),
+        (lambda: zero_residues(P(())), "nonempty partition"),
+        (lambda: amod_by_character_formula(P(())), "nonempty partition"),
+    ],
+    ids=["fl-bound-ell-not-dividing", "fl-log-ell-1", "n-max-0", "zero-residues-empty", "formula-empty"],
+)
+def test_arguments_out_of_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_formula_examples():
     assert list(amod_by_character_formula(P((2, 2)))) == [1, 0, 1, 0]
     assert amod_by_character_formula(P((3, 3))).zero_residues() == frozenset({2, 4})
@@ -217,7 +233,7 @@ def _shared_memo_sum():
 def _unsigned_sum():
     # the same code with its top ribbon step unsigned; _mn below it keeps its signs
     def unsigned(beads, ell):
-        return [(1, left) for _, left in characters._removals(beads, ell)]
+        return [(0, left) for _, left in characters._removals(beads, ell)]
 
     return types.FunctionType(characters._class_sum.__code__, {**vars(characters), "_removals": unsigned})
 

@@ -5,17 +5,23 @@ cell set, ribbon removals re-derived from subshape containment plus the
 ribbon test, and cores recomputed by greedy removal.
 """
 
+import inspect
 import math
+import textwrap
 from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
 
+from modmaj import partitions
 from modmaj.partitions import (
     MAX_PARSED_SIZE,
     DiagOrder,
     Partition,
+    _bead_set,
+    _parts_from_beads,
+    _removals,
     _tail_counts,
     beta_numbers,
     capped_excess,
@@ -278,6 +284,74 @@ def test_removable_ribbons_against_subshape_oracle():
                     (s.shape.parts, s.height) for s in removable_ribbons(lam, ell)
                 }
                 assert produced == brute_removable_ribbons(lam, ell), (lam, ell)
+
+
+@pytest.mark.parametrize("func", [removable_ribbons, ell_core], ids=["ribbons", "core"])
+def test_length_below_one_is_refused(func):
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        func(P((3, 1)), 0)
+
+
+def test_removable_ribbons_are_listed_by_decreasing_bead():
+    # the moved bead is the one of lam's m beads missing from the shape
+    # left, read with rows of length 0 up to m rows
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            m = len(lam.parts)
+            beads = _bead_set(lam.parts)
+            for ell in range(1, n + 1):
+                moved = [
+                    (beads & ~_bead_set(s.shape.parts + (0,) * (m - len(s.shape.parts)))).bit_length()
+                    for s in removable_ribbons(lam, ell)
+                ]
+                assert all(x > y for x, y in zip(moved, moved[1:])), (lam, ell)
+
+
+def test_bead_codec_round_trip():
+    # k rows of length 0 are k more beads, at 0 .. k - 1 under the shape's own
+    for n in range(21):
+        for lam in partitions_of(n):
+            beads = _bead_set(lam.parts)
+            for k in range(4):
+                assert _parts_from_beads((beads << k) | ((1 << k) - 1)) == lam.parts, (lam, k)
+
+
+def removal_mismatches(removals, n_max=8):
+    """The (shape, ell) where a bead-set ribbon step differs from the subshape oracle.
+
+    Each shape left must come back as its own bead set, with no beads for
+    rows of length 0, so that the rim-hook memo has one key per shape.
+    """
+    out = []
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            for ell in range(1, n + 1):
+                produced = sorted(removals(_bead_set(lam.parts), ell))
+                expected = sorted((h, _bead_set(mu)) for mu, h in brute_removable_ribbons(lam, ell))
+                if produced != expected:
+                    out.append((lam.parts, ell))
+    return out
+
+
+def test_removals_against_subshape_oracle():
+    assert removal_mismatches(_removals) == []
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("(beads & (high - low)).bit_count()", "(beads & (high - low)).bit_count() + 1"),
+        ("moved >> ((moved ^ (moved + 1)).bit_length() - 1)", "moved"),
+    ],
+    ids=["height-plus-one", "zero-rows-kept"],
+)
+def test_removals_oracle_finds_planted_fault(old, new):
+    # _removals's own source with one expression replaced
+    source = textwrap.dedent(inspect.getsource(partitions._removals))
+    assert source.count(old) == 1
+    namespace = dict(vars(partitions))
+    exec(source.replace(old, new), namespace)
+    assert removal_mismatches(namespace["_removals"])
 
 
 def test_subshape_count_against_brute_force():
