@@ -267,6 +267,11 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- classify
 
 
+# The CSV header of each command whose report can have no row (classify
+# --n-max 1 has none); the others take the header from their first row.
+CSV_HEADERS = {"classify": ("n", "shape", "residues")}
+
+
 def cmd_classify(args):
     results = []
     for n in range(1, args.n_max + 1):
@@ -364,7 +369,7 @@ def main(argv=None) -> int:
         _check_out(args.out)
         code, config, results, summary, text, csv_rows = handlers[args.command](args)
         report = {"config": {"command": args.command, **config}, "results": results, "summary": summary}
-        emit(report, args.format, args.out, text, csv_rows)
+        emit(report, args.format, args.out, text, csv_rows, CSV_HEADERS.get(args.command))
         return code() if callable(code) else code
     except (ValueError, OSError) as exc:
         print(f"modmaj: {exc}", file=sys.stderr)

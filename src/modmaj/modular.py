@@ -29,15 +29,24 @@ The inequality suite clears denominators and raises both sides to integer
 powers so every comparison except the logarithmic one is exact; the
 logarithmic bound carries an explicit 1e-9 slack.  Each bound predicate
 takes the numbers it compares (n, f, the characters chi_ell and the
-residue counts a_r) rather than the shape; ``_bounds_row`` computes those
-once per shape and passes them to every predicate.  The three closeness
-bounds (equidistribution, dist, phi_d) each read one integer, the largest
-|n a_r - f| over r, which is max(n max(a) - f, f - n min(a)): each bound
-is monotone in |n a_r - f|, so it holds at every r exactly when it holds
-at the largest, and the comparison stays exact.  The Fomin-Lulov bound reads n!
-and (s!)^ell ell^(s ell) from the per-n ``multiples_table``; ``_bounds_row``
-checks it at the nonzero characters only, as a zero one always passes it.
-The binomial bound compares f once with a per-n table of thresholds.
+residue counts a_r) rather than the shape.  Each inequality is written
+once, as a private comparison (``_equidistributed``, ``_dist_verdict``,
+``_fl_holds``, ``_fl_log_holds``, ``_phi_d_verdict``, ``_n_cubed``,
+``_binomial_holds``); a public predicate computes its numbers and calls
+it.  ``_bounds_row`` computes every number once per shape and calls the
+comparisons with them: f and the chi_ell from one ``rect_characters``
+call; one count per gcd class (``_class_terms``), and from those the least
+and largest count; the nonzero chi_ell with ell != 1, the only ones a
+bound can fail at; and n^3, n^5, the multiples and totient tables and the
+binomial thresholds of n from one cached ``_bound_constants`` lookup.  The
+three closeness bounds (equidistribution, dist, phi_d) each read one
+integer, the largest |n a_r - f| over r, which is
+max(n max(a) - f, f - n min(a)) (``_deviation``): each bound is monotone
+in |n a_r - f|, so it holds at every r exactly when it holds at the
+largest, and the comparison stays exact.  The phi_d hypothesis compares
+the largest |chi_ell| phi(ell) once with f / n^d.  The Fomin-Lulov bound
+reads n! and (s!)^ell ell^(s ell) from the per-n ``multiples_table``.  The
+binomial bound compares f once with a per-n table of thresholds.
 
 ``induced_multiplicity`` is the representation-theoretic oracle: the
 multiplicity of the shape-lam irreducible in a module induced from a
@@ -124,24 +133,33 @@ def amod_by_character_formula(lam: Partition) -> ModularClassVector:
 def _counts_from_characters(n: int, f: int, chis: Mapping[int, int]) -> ModularClassVector:
     """n * a_r = f + sum over ell | n, ell != 1 of chi_ell * c_ell(r), once per gcd class.
 
-    Every c_ell(r) depends on r only through gcd(r, n), so a_r does too:
-    one class sum is taken per divisor d of n, at r = d mod n, and the
-    tau(n) counts are spread over the n residues by ``_class_table(n)``.
-    ``chis`` maps each ell | n to chi_ell (an entry for ell = 1 is not
-    read).  Each class sum must be divisible by n and the count
-    nonnegative.
+    ``_class_terms`` takes one class sum per divisor d of n, and the tau(n)
+    counts are spread over the n residues by ``_class_table(n)``.
     """
-    ells, columns, gcd_index = _class_table(n)
+    terms = _class_terms(n, f, chis)
+    return ModularClassVector._of(tuple(map(terms.__getitem__, _class_table(n)[2])))
+
+
+def _class_terms(n: int, f: int, chis: Mapping[int, int]) -> list[int]:
+    """a_r at r = d mod n for each d | n, in ``divisors`` order: one count per gcd class.
+
+    Every c_ell(r) depends on r only through gcd(r, n), so a_r does too,
+    and each class holds at least one residue, so these are the values the
+    n counts take.  ``chis`` maps each ell | n to chi_ell (an entry for
+    ell = 1 is not read).  Each class sum must be divisible by n and the
+    count nonnegative.
+    """
+    ells, columns, _ = _class_table(n)
     chi = [chis[ell] for ell in ells]
-    by_class = []
+    terms = []
     for r, column in columns:
         term, remainder = divmod(f + sum(map(mul, chi, column)), n)
         if remainder:
             raise ArithmeticError(f"n does not divide the class sum for n={n}, f={f}, r={r}")
         if term < 0:
             raise ArithmeticError(f"negative count for n={n}, f={f}, r={r}")
-        by_class.append(term)
-    return ModularClassVector._of(tuple(map(by_class.__getitem__, gcd_index)))
+        terms.append(term)
+    return terms
 
 
 @lru_cache(maxsize=128)
@@ -421,29 +439,16 @@ def _small_dimension_count(n: int) -> int:
     return sum(1 for lam in partitions_of(n) if not n_cubed_criterion(n, dimension(lam)))
 
 
-def _deviation(f: int, amod: ModularClassVector) -> int:
-    """max over r of |n a_r - f|, the one integer each closeness bound reads.
-
-    n a_r - f grows with a_r, so its largest value is at the largest count
-    and its most negative at the smallest.
-    """
-    n = amod.n
-    return max(n * max(amod.counts) - f, f - n * min(amod.counts))
-
-
 def equidistribution_check(f: int, amod: ModularClassVector) -> bool:
     """Every residue count is within 2 n^1.5 / sqrt(f) of uniform, squared exact form."""
     n = amod.n
-    dev = _deviation(f, amod)
-    return dev * dev * f <= 4 * n**5 * f * f
+    return _equidistributed(f, _deviation(n, f, min(amod.counts), max(amod.counts)), n**5)
 
 
 def dist_check(f: int, amod: ModularClassVector) -> bool | None:
     """Strict 1/n^2 closeness to uniform; None when f is below n^5."""
     n = amod.n
-    if f < n**5:
-        return None
-    return _deviation(f, amod) * n < f
+    return _dist_verdict(f, _deviation(n, f, min(amod.counts), max(amod.counts)), n, n**5)
 
 
 def fl_bound_check(n: int, ell: int, chi: int, f: int) -> bool:
@@ -454,8 +459,7 @@ def fl_bound_check(n: int, ell: int, chi: int, f: int) -> bool:
     """
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
-    table = multiples_table(n)
-    return abs(chi) ** ell * table[1][0] <= table[ell][1] * f
+    return _fl_holds(f, ell, chi, multiples_table(n))
 
 
 def fl_log_bound(n: int, ell: int, f: int) -> float:
@@ -466,11 +470,7 @@ def fl_log_bound(n: int, ell: int, f: int) -> float:
     """
     if ell < 2 or n % ell != 0:
         raise ValueError(f"need ell | n and ell >= 2, got ell={ell}, n={n}")
-    return (
-        (1 - 1 / ell) * (0.5 * math.log(n) - math.log(f) + math.log(math.sqrt(2 * math.pi)))
-        + ell / (12 * n)
-        - 0.5 * math.log(ell)
-    )
+    return _fl_log_bound(n, ell, f)
 
 
 def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: int) -> bool | None:
@@ -485,16 +485,14 @@ def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: in
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
     n = amod.n
-    nd = n**d
     phis = totient_table(n)
-    if any(abs(chi) * nd * phis[ell] > f for ell, chi in chis.items() if ell != 1):
-        return None
-    return _deviation(f, amod) * nd < n * f
+    most = max((abs(chi) * phis[ell] for ell, chi in chis.items() if ell != 1), default=None)
+    return _phi_d_verdict(f, _deviation(n, f, min(amod.counts), max(amod.counts)), n, n**d, most)
 
 
 def n_cubed_criterion(n: int, f: int) -> bool:
     """Whether f >= n^3, the sufficient condition for no vanishing residue."""
-    return f >= n**3
+    return _n_cubed(f, n**3)
 
 
 def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
@@ -504,13 +502,85 @@ def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
     M, so one comparison with the largest of these, read from the per-n
     ``_binomial_thresholds``.
     """
-    return f >= _binomial_thresholds(lam.n)[capped_excess(lam)]
+    return _binomial_holds(f, _binomial_thresholds(lam.n)[capped_excess(lam)])
 
 
 @lru_cache(maxsize=128)
 def _binomial_thresholds(n: int) -> tuple[int, ...]:
     """Entry M is the largest ceil(binom(n, M') / (M' + 1)) over M' <= M, for 0 <= M <= n."""
     return tuple(accumulate((-(-math.comb(n, m) // (m + 1)) for m in range(n + 1)), max))
+
+
+# Each bound as one exact comparison of the numbers it reads, written once:
+# ``_bounds_row`` calls these with the values it computes once per shape,
+# and each public predicate above computes the same values and calls them.
+
+
+def _deviation(n: int, f: int, low: int, high: int) -> int:
+    """max over r of |n a_r - f| from the least and largest count, the one integer each closeness bound reads.
+
+    n a_r - f grows with a_r, so its largest value is at the largest count
+    and its most negative at the smallest.
+    """
+    return max(n * high - f, f - n * low)
+
+
+def _equidistributed(f: int, dev: int, n5: int) -> bool:
+    """dev <= 2 n^2.5 sqrt(f), squared and times f: dev^2 f <= 4 n^5 f^2."""
+    return dev * dev * f <= 4 * n5 * f * f
+
+
+def _dist_verdict(f: int, dev: int, n: int, n5: int) -> bool | None:
+    """None when f < n^5; otherwise dev < f / n, which is |a_r / f - 1/n| < 1/n^2 at every r."""
+    if f < n5:
+        return None
+    return dev * n < f
+
+
+def _fl_holds(f: int, ell: int, chi: int, table: Mapping[int, tuple[int, int]]) -> bool:
+    """|chi|^ell n! <= (s!)^ell ell^(s ell) f, both constants read from the multiples ``table`` of n."""
+    return abs(chi) ** ell * table[1][0] <= table[ell][1] * f
+
+
+def _fl_log_bound(n: int, ell: int, f: int) -> float:
+    """``fl_log_bound`` without its check of ell."""
+    return (
+        (1 - 1 / ell) * (0.5 * math.log(n) - math.log(f) + math.log(math.sqrt(2 * math.pi)))
+        + ell / (12 * n)
+        - 0.5 * math.log(ell)
+    )
+
+
+def _fl_log_holds(f: int, ell: int, chi: int, n: int) -> bool:
+    """ln(|chi| / f) <= ``fl_log_bound`` + 1e-9, the one comparison in floats."""
+    return math.log(abs(chi) / f) <= _fl_log_bound(n, ell, f) + 1e-9
+
+
+def _phi_d_verdict(f: int, dev: int, n: int, nd: int, most: int | None) -> bool | None:
+    """None when |chi_ell| phi(ell) n^d > f at some ell != 1; otherwise dev n^d < n f, which is 1/n^d closeness.
+
+    ``most`` is the largest |chi_ell| phi(ell) over ell != 1, and None
+    when there is no such ell (n = 1).  ``_bounds_row`` reads the nonzero
+    chi_ell alone, so its ``most`` is None also when all of them are 0,
+    which gives the same verdict at any f >= 0.
+    """
+    if most is not None and most * nd > f:
+        return None
+    return dev * nd < n * f
+
+
+def _n_cubed(f: int, n3: int) -> bool:
+    return f >= n3
+
+
+def _binomial_holds(f: int, threshold: int) -> bool:
+    return f >= threshold
+
+
+@lru_cache(maxsize=128)
+def _bound_constants(n: int) -> tuple:
+    """n^3, n^5, and the multiples, totient and binomial-threshold tables: all the bounds read of n."""
+    return n**3, n**5, multiples_table(n), totient_table(n), _binomial_thresholds(n)
 
 
 # ---------------------------------------------------------------- verify checks
@@ -524,42 +594,43 @@ BOUND_SUITES = ("fl", "equidistribution", "dist", "fl-log", "phi-d", "n-cubed", 
 def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     """Every bound of one suite ("all" for every suite) at one shape.
 
-    The values the bounds compare (f, chi_ell for each ell | n, the
-    residue counts) are computed here once and passed to each check.  A
-    check reads None where its hypothesis does not apply to the shape.
+    Each number the bounds compare is computed once: f and the chi_ell from
+    one ``rect_characters`` call; the class terms of the residue counts
+    (``_class_terms``), their least and largest, and the deviation from
+    those; the nonzero chi_ell with ell != 1; and the constants of n from
+    one ``_bound_constants`` lookup.  Each bound is then one call of its
+    comparison.  A check reads None where its hypothesis does not apply to
+    the shape.
     """
     parts, suite = task
     lam = Partition(parts)
     n = lam.n
     chis = rect_characters(lam)
     f = chis[1]
-    amod = _counts_from_characters(n, f, chis)
+    terms = _class_terms(n, f, chis)
+    low, high = min(terms), max(terms)
+    dev = _deviation(n, f, low, high)
+    # A zero character passes every bound that reads it; chi_1 = f is never zero.
+    others = [(ell, chi) for ell, chi in chis.items() if chi and ell != 1]
+    n3, n5, table, phis, thresholds = _bound_constants(n)
+    every = suite == "all"
     checks: dict[str, bool | None] = {}
-
-    def want(name):
-        return suite in ("all", name)
-
-    if want("fl"):
-        # A zero character passes its bound, so only the nonzero ones are
-        # checked; chi_1 = f is never zero.
-        checks["fl"] = all(fl_bound_check(n, ell, chi, f) for ell, chi in chis.items() if chi)
-    if want("equidistribution"):
-        checks["equidistribution"] = equidistribution_check(f, amod)
-    if want("dist"):
-        checks["dist"] = dist_check(f, amod)
-    if want("fl-log"):
-        ok = True
-        for ell, chi in chis.items():
-            if ell != 1 and chi:
-                ok = ok and math.log(abs(chi) / f) <= fl_log_bound(n, ell, f) + 1e-9
-        checks["fl-log"] = ok
-    if want("phi-d"):
-        checks["phi-d-1"] = phi_d_check(f, chis, amod, 1)
-        checks["phi-d-2"] = phi_d_check(f, chis, amod, 2)
-    if want("n-cubed"):
-        checks["n-cubed"] = (not n_cubed_criterion(n, f)) or not amod.zero_residues()
-    if want("binom"):
-        checks["binom"] = binomial_lower_bound_check(lam, f)
+    if every or suite == "fl":
+        checks["fl"] = _fl_holds(f, 1, f, table) and all(_fl_holds(f, ell, chi, table) for ell, chi in others)
+    if every or suite == "equidistribution":
+        checks["equidistribution"] = _equidistributed(f, dev, n5)
+    if every or suite == "dist":
+        checks["dist"] = _dist_verdict(f, dev, n, n5)
+    if every or suite == "fl-log":
+        checks["fl-log"] = all(_fl_log_holds(f, ell, chi, n) for ell, chi in others)
+    if every or suite == "phi-d":
+        most = max((abs(chi) * phis[ell] for ell, chi in others), default=None)
+        checks["phi-d-1"] = _phi_d_verdict(f, dev, n, n, most)
+        checks["phi-d-2"] = _phi_d_verdict(f, dev, n, n * n, most)
+    if every or suite == "n-cubed":
+        checks["n-cubed"] = not _n_cubed(f, n3) or low > 0
+    if every or suite == "binom":
+        checks["binom"] = _binomial_holds(f, thresholds[capped_excess(lam)])
     return {"shape": parts, "n": n, "dimension": f, "checks": checks}
 
 

@@ -28,20 +28,29 @@ import sys
 import tempfile
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
-def emit(report: dict, fmt: str, out: str | None, text_lines: Iterable[str], csv_rows: Iterable[dict]) -> None:
+def emit(
+    report: dict,
+    fmt: str,
+    out: str | None,
+    text_lines: Iterable[str],
+    csv_rows: Iterable[dict],
+    csv_header: Sequence[str] | None = None,
+) -> None:
     """Write the report in one format to the file out, or to stdout when out is None.
 
     ``csv_rows`` and ``text_lines`` may be generators; each is drained
-    only for its own format.
+    only for its own format.  ``csv_header`` is the CSV header, needed
+    where there may be no row; without it the first row's keys are the
+    header.
     """
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
         if fmt == "json":
             _write_json(spool, report)
         elif fmt == "csv":
-            _write_csv(spool, csv_rows)
+            _write_csv(spool, csv_rows, csv_header)
         else:
             spool.writelines(line + "\n" for line in text_lines)
         spool.seek(0)
@@ -122,15 +131,20 @@ def json_text(obj, pad: str = "") -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _write_csv(fh, rows: Iterable[dict]) -> None:
-    """CSV with the first row's keys as header, row by row; a list or tuple cell is joined with ","."""
+def _write_csv(fh, rows: Iterable[dict], header: Sequence[str] | None = None) -> None:
+    """CSV row by row under header (by default the first row's keys); a list or tuple cell is joined with ",".
+
+    With no header and no row nothing is written.
+    """
     rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    writer = csv.DictWriter(fh, fieldnames=list(first.keys()))
+    if header is None:
+        first = next(rows, None)
+        if first is None:
+            return
+        header = list(first)
+        rows = chain([first], rows)
+    writer = csv.DictWriter(fh, fieldnames=header)
     writer.writeheader()
     writer.writerows(
-        {k: ",".join(map(str, v)) if type(v) in (list, tuple) else v for k, v in row.items()}
-        for row in chain([first], rows)
+        {k: ",".join(map(str, v)) if type(v) in (list, tuple) else v for k, v in row.items()} for row in rows
     )

@@ -211,6 +211,17 @@ def test_classify_matches_case_list(capsys):
     assert "no vanishing residues" in out
 
 
+def test_csv_report_with_no_row_has_its_header(capsys):
+    # n = 1 has no vanishing residue, so the report is the header alone:
+    # not empty, as a failed write would leave it
+    code, out, _ = run(["classify", "--n-max", "1", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "n,shape,residues\r\n"
+    code, out, _ = run(["classify", "--n-max", "2", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["n,shape,residues", '2,"1,1",0', "2,2,1"]
+
+
 def test_bounds(capsys):
     code, out, _ = run(["bounds", "--n-max", "8"], capsys)
     assert code == 0
@@ -301,6 +312,7 @@ GOLDEN_BOUND_SUITES = {
 
 def test_bound_suite_goldens_cover_every_suite():
     assert {suite for suite, _ in GOLDEN_BOUND_SUITES} == set(modular.BOUND_SUITES)
+    assert set(GOLDEN_BOUND_SUITES_20) == set(modular.BOUND_SUITES)
 
 
 @pytest.mark.parametrize("suite,fmt", sorted(GOLDEN_BOUND_SUITES))
@@ -308,6 +320,29 @@ def test_golden_bound_suite_reports(suite, fmt, capsys):
     code, out, _ = run(["bounds", "--suite", suite, "--n-max", "10", "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_SUITES[suite, fmt]
+
+
+# SHA-256 of stdout of `bounds --n-max 20 --suite S --format csv` for every
+# suite S, recorded before the bounds row came to compute each compared
+# number once per shape.  Up to n = 10 no shape has f >= n^5, so only these
+# pin the dist verdicts.
+GOLDEN_BOUND_SUITES_20 = {
+    "fl": "6fb1875f44e3017b8a6a972607c0aa7fa82e5d8b5d4aff0e1c99970c84f29290",
+    "equidistribution": "b52c810c1fb903420a5a5f9bd68f596d5a0dd1c3a124c3464d924d053e48cfc8",
+    "dist": "5b4121fa26b93d2e6fd5092e0d96b16eb14c44968cc99da60d2a2a288c112ee9",
+    "fl-log": "10d89c45722eaa2497b88693f4829f21aee096c6b12d3cfecf1f9dcc2377bc1b",
+    "phi-d": "f72f6b5fdcebd5d174c8179f3a8ad07d003e049cd437678f5d8be20d7f1b9f8e",
+    "n-cubed": "8da54559fec1195fc756278e6e0029480292f95e6a0eef361a1191bf5a716b37",
+    "binom": "a0ebe496512d7a8f0263538b2b97b0e87c7d2701fd6e7959e317c10c390d8dc0",
+    "all": "4602fb368e98a3a8593bfbd3c83896921758d8b568e64c8f1c1c24dbec40a7fe",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_BOUND_SUITES_20))
+def test_golden_bound_suite_reports_to_20(suite, capsys):
+    code, out, _ = run(["bounds", "--suite", suite, "--n-max", "20", "--format", "csv"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_SUITES_20[suite]
 
 
 # SHA-256 of stdout of `bounds --n-max 6 --format F` with every
@@ -323,7 +358,7 @@ GOLDEN_BOUND_VIOLATIONS = {
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_BOUND_VIOLATIONS))
 def test_golden_bound_violation_reports(fmt, monkeypatch, capsys):
-    monkeypatch.setattr(modular, "equidistribution_check", lambda f, amod: False)
+    monkeypatch.setattr(modular, "_equidistributed", lambda f, dev, n5: False)
     code, out, _ = run(["bounds", "--n-max", "6", "--format", fmt, "--jobs", "1"], capsys)
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUND_VIOLATIONS[fmt]

@@ -5,9 +5,10 @@ import multiprocessing
 import os
 import random
 import types
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modmaj import characters, cli, modular, numtheory, partitions, qpoly, tableaux
 from modmaj.modular import (
@@ -486,7 +487,7 @@ PLANTED_FAULTS = {
     "classification": ("zero_residues", lambda lam: frozenset({0})),
     "ramanujan": ("ramanujan_sum_oracle", lambda j, s: ramanujan_sum_oracle(j, s) + 1),
     "fiber-laws": ("hook_lengths", lambda lam: hook_lengths(lam)[1:]),
-    "bounds": ("equidistribution_check", lambda f, amod: False),
+    "bounds": ("_equidistributed", lambda f, dev, n5: False),
 }
 
 
@@ -542,15 +543,12 @@ def test_bounds_row_computes_each_value_once(calls):
 
 
 def test_fl_row_skips_only_zero_characters(monkeypatch):
-    # a zero character passes its bound, so leaving it out changes no row
-    for n in range(1, 15):
-        for lam in partitions_of(n):
-            chis = characters.rect_characters(lam)
-            every = all(fl_bound_check(n, ell, chi, chis[1]) for ell, chi in chis.items())
-            assert modular._bounds_row((lam.parts, "fl"))["checks"]["fl"] is every, lam
-    # every nonzero character is checked, f at ell = 1 among them
+    # A zero character passes its bound, so leaving it out changes no row
+    # (test_bounds_row_matches_oracles_on_shapes checks the row against the
+    # bound at every character).  Every nonzero character is checked, f at
+    # ell = 1 among them.
     checked = []
-    monkeypatch.setattr(modular, "fl_bound_check", lambda n, ell, chi, f: checked.append(ell) or True)
+    monkeypatch.setattr(modular, "_fl_holds", lambda f, ell, chi, table: checked.append(ell) or True)
     modular._bounds_row(((6, 4, 2), "fl"))
     assert checked == [1, 2, 4]
 
@@ -844,6 +842,71 @@ def bound_inputs(draw):
 @given(bound_inputs())
 def test_bound_checks_match_per_residue_forms_on_drawn_counts(inputs):
     assert_bounds_match_per_residue(*inputs)
+
+
+def bound_checks_oracle(lam, f, chis, amod):
+    """Every check of a ``_bounds_row`` row, in row order, from the per-residue forms and the factorials."""
+    n = lam.n
+    return {
+        "fl": all(fl_bound_from_factorials(n, ell, chi, f) for ell, chi in chis.items()),
+        "equidistribution": equidistribution_per_residue(f, amod),
+        "dist": dist_per_residue(f, amod),
+        "fl-log": all(
+            math.log(abs(chi) / f) <= fl_log_bound(n, ell, f) + 1e-9 for ell, chi in chis.items() if ell != 1 and chi
+        ),
+        "phi-d-1": phi_d_per_residue(f, chis, amod, 1),
+        "phi-d-2": phi_d_per_residue(f, chis, amod, 2),
+        "n-cubed": f < n**3 or 0 not in amod,
+        "binom": binomial_bound_direct(lam, f),
+    }
+
+
+def assert_row_matches_oracle(parts, suite, expected):
+    """The row's checks of one suite are the oracle's, in the same order, each the same bool or None."""
+    checks = modular._bounds_row((parts, suite))["checks"]
+    names = list(expected) if suite == "all" else ["phi-d-1", "phi-d-2"] if suite == "phi-d" else [suite]
+    assert repr(list(checks.items())) == repr([(name, expected[name]) for name in names]), (parts, suite)
+
+
+def test_bounds_row_matches_oracles_on_shapes(formula_vectors):
+    for lam, vec in formula_vectors.items():
+        if lam.n <= 20:
+            expected = bound_checks_oracle(lam, dimension(lam), chis_of(lam), vec)
+            for suite in modular.BOUND_SUITES:
+                assert_row_matches_oracle(lam.parts, suite, expected)
+
+
+@st.composite
+def row_values(draw):
+    """A shape and a suite, with f, chi_ell and the class terms drawn in place of the shape's own."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    lam = draw(st.sampled_from(sorted(partitions_of(n))))
+    f = draw(st.one_of(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**30)))
+    # |chi_ell| about f / k for k up to 3 n^3, so phi(ell) n^d |chi_ell| falls on both sides of f
+    near_f = st.integers(min_value=1, max_value=3 * n**3).map(lambda k: f // k)
+    small = st.integers(min_value=-(10**4), max_value=10**4)
+    chis = {1: f}
+    for ell in divisors(n)[1:]:
+        chis[ell] = draw(st.one_of(st.just(0), small, near_f, near_f.map(int.__neg__)))
+    near = st.integers(min_value=-3, max_value=3).map(lambda e: max(0, f // n + e))
+    terms = st.one_of(near, st.just(0), st.integers(min_value=0, max_value=10**20))
+    terms = draw(st.lists(terms, min_size=len(chis), max_size=len(chis)))
+    return lam, f, chis, terms, draw(st.sampled_from(modular.BOUND_SUITES))
+
+
+@given(row_values())
+# the least count decides n-cubed, and the least side the deviation
+@example((P((2, 1)), 27, {1: 27, 3: 0}, [0, 9], "n-cubed"))
+@example((P((2,)), 10**6, {1: 10**6, 2: 0}, [0, 10**6 // 2], "equidistribution"))
+def test_bounds_row_matches_oracles_on_drawn_values(values):
+    # Real shapes pass every bound, so a row that misreads its numbers can
+    # still agree there; drawn characters and counts fail some bounds.
+    lam, f, chis, terms, suite = values
+    divs = divisors(lam.n)
+    amod = ModularClassVector(lam.n, [terms[divs.index(math.gcd(r, lam.n))] for r in range(lam.n)])
+    with mock.patch.object(modular, "rect_characters", lambda _: chis):
+        with mock.patch.object(modular, "_class_terms", lambda n, f, chis: terms):
+            assert_row_matches_oracle(lam.parts, suite, bound_checks_oracle(lam, f, chis, amod))
 
 
 def test_n_cubed_criterion(formula_vectors):
