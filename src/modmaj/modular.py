@@ -31,9 +31,10 @@ logarithmic bound carries an explicit 1e-9 slack.  Each bound predicate
 takes the numbers it compares (n, f, the characters chi_ell and the
 residue counts a_r) rather than the shape.  Each inequality is written
 once, as a private comparison (``_equidistributed``, ``_dist_verdict``,
-``_fl_holds``, ``_fl_log_holds``, ``_phi_d_verdict``, ``_n_cubed``,
-``_binomial_holds``); a public predicate computes its numbers and calls
-it.  ``_bounds_row`` computes every number once per shape and calls the
+``_fl_holds``, ``_fl_log_holds``, ``_phi_d_verdict``); a public
+predicate computes its numbers and calls it.  The n^3 criterion and the
+binomial bound are one ``>=`` of f each, written where they are read.
+``_bounds_row`` computes every number once per shape and calls the
 comparisons with them: f and the chi_ell from one ``rect_characters``
 call; one count per gcd class (``_class_terms``), and from those the least
 and largest count; the nonzero chi_ell with ell != 1, the only ones a
@@ -288,12 +289,13 @@ class ExceptionRecord:
 
 
 def predicted_exceptions(n: int) -> list[ExceptionRecord]:
-    """Every shape of n with a nonempty predicted zero set, in report order."""
-    records = []
-    for lam in sorted(partitions_of(n)):
-        residues = zero_residues(lam)
-        if residues:
-            records.append(ExceptionRecord(lam, residues))
+    """Every shape of n with a nonempty predicted zero set, in report order.
+
+    The shapes are walked one at a time and only the few records are
+    sorted, so the memory does not grow with the number of shapes.
+    """
+    records = [ExceptionRecord(lam, zeros) for lam in partitions_of(n) if (zeros := zero_residues(lam))]
+    records.sort(key=lambda rec: rec.shape)
     return records
 
 
@@ -492,7 +494,7 @@ def phi_d_check(f: int, chis: Mapping[int, int], amod: ModularClassVector, d: in
 
 def n_cubed_criterion(n: int, f: int) -> bool:
     """Whether f >= n^3, the sufficient condition for no vanishing residue."""
-    return _n_cubed(f, n**3)
+    return f >= n**3
 
 
 def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
@@ -502,7 +504,7 @@ def binomial_lower_bound_check(lam: Partition, f: int) -> bool:
     M, so one comparison with the largest of these, read from the per-n
     ``_binomial_thresholds``.
     """
-    return _binomial_holds(f, _binomial_thresholds(lam.n)[capped_excess(lam)])
+    return f >= _binomial_thresholds(lam.n)[capped_excess(lam)]
 
 
 @lru_cache(maxsize=128)
@@ -569,14 +571,6 @@ def _phi_d_verdict(f: int, dev: int, n: int, nd: int, most: int | None) -> bool 
     return dev * nd < n * f
 
 
-def _n_cubed(f: int, n3: int) -> bool:
-    return f >= n3
-
-
-def _binomial_holds(f: int, threshold: int) -> bool:
-    return f >= threshold
-
-
 @lru_cache(maxsize=128)
 def _bound_constants(n: int) -> tuple:
     """n^3, n^5, and the multiples, totient and binomial-threshold tables: all the bounds read of n."""
@@ -599,8 +593,8 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
     (``_class_terms``), their least and largest, and the deviation from
     those; the nonzero chi_ell with ell != 1; and the constants of n from
     one ``_bound_constants`` lookup.  Each bound is then one call of its
-    comparison.  A check reads None where its hypothesis does not apply to
-    the shape.
+    comparison, or one ``>=`` of f.  A check reads None where its
+    hypothesis does not apply to the shape.
     """
     parts, suite = task
     lam = Partition(parts)
@@ -628,9 +622,9 @@ def _bounds_row(task: tuple[tuple[int, ...], str]) -> dict:
         checks["phi-d-1"] = _phi_d_verdict(f, dev, n, n, most)
         checks["phi-d-2"] = _phi_d_verdict(f, dev, n, n * n, most)
     if every or suite == "n-cubed":
-        checks["n-cubed"] = not _n_cubed(f, n3) or low > 0
+        checks["n-cubed"] = f < n3 or low > 0
     if every or suite == "binom":
-        checks["binom"] = _binomial_holds(f, thresholds[capped_excess(lam)])
+        checks["binom"] = f >= thresholds[capped_excess(lam)]
     return {"shape": parts, "n": n, "dimension": f, "checks": checks}
 
 

@@ -213,20 +213,17 @@ def hook_lengths(lam: Partition) -> list[int]:
 def hook_histogram(lam: Partition) -> list[int]:
     """How many hooks have each length, indexed by length up to the largest hook.
 
-    Read off the bead set, with no list of hooks: bead x = lam_i + m - 1 - i
-    for row i of m, and a hook of length h is a bead x with a gap (no bead)
-    at x - h.  So the count of length h is the number of bits set in
+    Read off the bead set (``_bead_set``), with no list of hooks: bead
+    x = lam_i + m - 1 - i for row i of m, and a hook of length h is a bead
+    x with a gap (no bead) at x - h.  So the count of length h is the number of bits set in
     beads & (gaps << h), where the gaps lie below the top bead, whose value
     lam_1 + m - 1 is the largest hook.
     """
     parts = lam.parts
-    m = len(parts)
-    if not m:
+    if not parts:
         return [0]
-    top = parts[0] + m - 1
-    beads = 0
-    for i, p in enumerate(parts):
-        beads |= 1 << (p + m - 1 - i)
+    top = parts[0] + len(parts) - 1
+    beads = _bead_set(parts)
     gaps = ~beads & ((1 << top) - 1)
     return [0] + [(beads & (gaps << h)).bit_count() for h in range(1, top + 1)]
 
@@ -256,7 +253,10 @@ def beta_numbers(lam: Partition) -> list[int]:
 def _bead_set(parts: tuple[int, ...]) -> int:
     """The shape's bead set as one int: row i of m sets bit parts[i] + m - 1 - i, its beta-number."""
     m = len(parts)
-    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
+    beads = 0
+    for i, p in enumerate(parts):
+        beads |= 1 << (p + m - 1 - i)
+    return beads
 
 
 def _parts_from_beads(beads: int) -> tuple[int, ...]:

@@ -17,10 +17,13 @@ n! / prod lam_i! and n! / prod lam'_j!, the numbers of row words and of
 column words.  That bound reads the parts and their conjugate, no hook,
 and it holds at every state: a tableau is fixed by its row word and by its
 column word, and a state's count is at most f^mu <= f^lam for its subshape
-mu, so no slot reaches its top bit.  Its work and memory grow with the
-number of subshapes, the states of one level, so it refuses a shape with
-more subshapes than its budget, counted without reading a hook; callers
-are expected to switch to those routes there.
+mu, so no slot reaches its top bit.  A state is the bead set of its
+subshape, one bead per row of the shape, and the next entry's rows are its
+corners: a bead with a free place above it, kept when the row stays inside
+the shape.  So a state costs its corners, not its rows.  Its work and
+memory grow with the number of subshapes, the states of one level, so it
+refuses a shape with more subshapes than its budget, counted without
+reading a hook; callers are expected to switch to those routes there.
 
 ``enumerate_syt`` reads one walk, ``_row_word_stream``: a depth-first
 search on an explicit stack, with no depth limit, that carries the major
@@ -279,9 +282,13 @@ def amod_by_enumeration(
     Entry k+1 adds k when it goes above entry k's row, the walk's descent
     rule: a rotation of the slots by k.  A final slot at or above its top
     bit, which the width leaves clear, raises ArithmeticError.  A subshape
-    is kept as (length, count) blocks of equal rows, bottom up; only a
-    block's lowest row or the first empty row takes the next entry, so a
-    state costs its blocks, not its rows, and ``1^1000`` stays cheap.
+    is kept as its bead set, ``_bead_set`` of it padded with rows of length
+    0 to one bead per row of the shape, so the empty one is the low
+    ``rows`` bits.  Row r takes entry k+1 when its bead has a free place
+    above it, r being the number of beads above, and the row does not pass
+    ``parts[r]``; the bead moves up one place.  The moves are the corners,
+    read off one int, so a state costs its corners, not its rows, and
+    ``1^1000`` stays cheap.
     """
     n = lam.n
     if n < 1:
@@ -295,33 +302,28 @@ def amod_by_enumeration(
     rows = len(parts)
     w = _slot_width(lam)
     full = (1 << w * n) - 1
-    level = {(): {-1: 1}}  # blocks -> {row of entry k, -1 for none: packed counts}
+    level = {(1 << rows) - 1: {-1: 1}}  # bead set -> {row of entry k, -1 for none: packed counts}
     for k in range(n):
         up, down = w * k, w * (n - k)
         grown_level = {}
-        for blocks, by_last in level.items():
-            r = 0  # the lowest row of block i; past the last block, the first empty row
-            nblocks = len(blocks)
-            for i in range(nblocks + 1):
-                length, size = blocks[i] if i < nblocks else (0, 0)
-                if r < rows and length < parts[r]:
-                    # Entry k+1 goes to row r: the chains with entry k below r shift by k.
-                    vec = below = 0
-                    for last, v in by_last.items():
-                        if r > last:
-                            below += v
-                        else:
-                            vec += v
-                    if below:
-                        vec += ((below << up) & full) | (below >> down)
-                    head = blocks[:i]
-                    if head and head[-1][0] == length + 1:  # row r joins the block below
-                        head = head[:-1] + ((length + 1, head[-1][1] + 1),)
+        for beads, by_last in level.items():
+            free = (beads << 1) & ~beads  # the free places just above a bead
+            while free:
+                high = free & -free
+                free ^= high
+                r = (beads >> high.bit_length()).bit_count()  # the beads above: the row
+                if high.bit_length() - rows + r > parts[r]:  # the row's new length passes the shape
+                    continue
+                # Entry k+1 goes to row r: the chains with entry k below r shift by k.
+                vec = below = 0
+                for last, v in by_last.items():
+                    if r > last:
+                        below += v
                     else:
-                        head += ((length + 1, 1),)
-                    grown = head + ((length, size - 1),) * (size > 1) + blocks[i + 1 :]
-                    grown_level.setdefault(grown, {})[r] = vec
-                r += size
+                        vec += v
+                if below:
+                    vec += ((below << up) & full) | (below >> down)
+                grown_level.setdefault(beads ^ high ^ (high >> 1), {})[r] = vec
         level = grown_level
     (by_last,) = level.values()
     total = sum(by_last.values())

@@ -1,9 +1,11 @@
 """Character-formula route, the vanishing classification, and the bound suites."""
 
+import gc
 import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 import types
 from unittest import mock
 
@@ -329,6 +331,28 @@ def test_predicted_exceptions_small_n():
     n6 = {(rec.shape.parts, tuple(sorted(rec.residues))) for rec in predicted_exceptions(6)}
     assert ((2, 2, 2), (1, 5)) in n6
     assert ((3, 3), (2, 4)) in n6
+
+
+def test_predicted_exceptions_walk_the_shapes_lazily():
+    # The 37,338 shapes of 40 are walked one at a time, so what the call
+    # holds at its peak, above what stays held when it returns (the
+    # interpreter's free lists), is far below what a sorted list of the
+    # shapes holds.  The collector is off while tracing, since a full
+    # collection empties the free lists and so would lower what stays held.
+    def held_at_peak(fn):
+        gc.disable()
+        tracemalloc.start()
+        try:
+            fn()
+            after, peak = tracemalloc.get_traced_memory()
+            return peak - after
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    assert 20 * held_at_peak(lambda: predicted_exceptions(40)) < held_at_peak(lambda: sorted(partitions_of(40)))
+    shapes = [rec.shape for rec in predicted_exceptions(40)]
+    assert shapes == sorted(shapes) and len(shapes) == 4
 
 
 def test_zero_sets_match_brute_force():

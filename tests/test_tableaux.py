@@ -1,6 +1,8 @@
 """Tableau enumeration, descents, major index, and the residue histogram."""
 
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -210,6 +212,42 @@ def test_chain_count_of_shapes_deeper_than_the_recursion_limit():
     assert list(amod_by_enumeration(P((1000,)))) == [int(r == 0) for r in range(1000)]
     assert list(amod_by_enumeration(P((1,) * 1000))) == [int(r == 500) for r in range(1000)]
     assert list(amod_by_enumeration(P((2,) + (1,) * 998))) == [int(r != 500) for r in range(1000)]
+
+
+def walk_mismatches(amod):
+    # the shapes with n <= 8 where amod differs from the walk's histogram,
+    # or raises because no chain reaches the shape
+    out = []
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            counts = [0] * n
+            for _, major in _row_word_stream(lam.parts):
+                counts[major % n] += 1
+            try:
+                if list(amod(lam)) != counts:
+                    out.append(lam.parts)
+            except ValueError:
+                out.append(lam.parts)
+    return out
+
+
+def mutated_amod(old, new):
+    # amod_by_enumeration's own source with one expression replaced
+    source = textwrap.dedent(inspect.getsource(tableaux.amod_by_enumeration))
+    assert source.count(old) == 1
+    namespace = dict(vars(tableaux))
+    exec(source.replace(old, new), namespace)
+    return namespace["amod_by_enumeration"]
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("r > last", "r >= last"), ("> parts[r]", ">= parts[r]")],
+    ids=["descent-on-the-same-row", "box-one-cell-short"],
+)
+def test_chain_count_oracle_finds_planted_fault(old, new):
+    assert walk_mismatches(amod_by_enumeration) == []
+    assert walk_mismatches(mutated_amod(old, new))
 
 
 def test_slot_width_keeps_f_below_the_top_bit():
