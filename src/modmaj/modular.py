@@ -74,8 +74,15 @@ folded counts by its own shift.
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
 takes it as its second argument, so the suites of one ``_run_checks`` call
-share one pool of workers, forked by the map's first parallel call and shut
-down when the block ends.  The checks that map over shapes (classification,
+share one ``Pool`` of workers, forked by the map's first parallel call and
+shut down when the block ends.  The workers are driven by the calling
+thread alone: the pool starts no thread in this process.  It sends chunks
+when a map is issued and, while a map is iterated, reads results and sends
+the chunks still queued.  Each worker holds up to two chunks, so its next
+chunk is at hand when it sends a result.  A
+worker that dies in the middle of a map is an error (``ChildProcessError``,
+exit 2), not a hang, and the workers ignore SIGINT, so an interrupt reaches
+this process alone.  The checks that map over shapes (classification,
 fiber laws and bounds) go through ``_map_ahead``: it issues the map of
 n + 1 before it folds the results of n, so the workers never wait at an n
 boundary, and at most two n are in flight.  ``modmaj bounds`` runs the same
@@ -87,12 +94,11 @@ sweep started, patched functions included.
 import json
 import math
 import os
-from collections import Counter
-from contextlib import ExitStack, contextmanager
+from collections import Counter, deque
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from multiprocessing import Pool
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -357,6 +363,152 @@ def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None
     return rows
 
 
+class Pool:
+    """Ordered maps on ``processes`` forked workers, driven by the calling thread alone.
+
+    ``imap`` cuts its items into chunks, queues them in one FIFO shared by
+    every map and sends them at once to the workers with room.  A worker
+    holds at most two chunks, so its next chunk is at hand when it sends a
+    result.  Iterating a map yields its results in order; while it waits
+    for one, it reads whichever busy worker answers first and sends that
+    worker the next queued chunk.  The pool starts no thread in this
+    process.  A worker that exits in the middle of a map raises
+    ``ChildProcessError``.  Leaving the block terminates every worker,
+    closes its pipe and joins it.
+    """
+
+    def __init__(self, processes: int):
+        import multiprocessing.connection
+
+        context = multiprocessing.get_context("fork")
+        self._wait = multiprocessing.connection.wait
+        self._queued = deque()  # (pickled chunk, slot) of each chunk not yet sent
+        self._workers = {}  # pipe -> (process, the slots of the chunks it holds, oldest first)
+        try:
+            for _ in range(processes):
+                pipe, child_pipe = context.Pipe()
+                process = context.Process(target=_serve, args=(child_pipe,), daemon=True)
+                process.start()
+                child_pipe.close()
+                self._workers[pipe] = process, deque()
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for pipe, (process, _) in self._workers.items():
+            process.terminate()
+            pipe.close()
+        for process, _ in self._workers.values():
+            process.join()
+            process.close()
+
+    def imap(self, fn: Callable, items: Iterable, chunksize: int) -> Iterator:
+        """``fn(item)`` for each item, in order; the chunks are queued, and sent to workers with room, at once."""
+        import pickle
+
+        items = list(items)
+        messages = [pickle.dumps((fn, items[i : i + chunksize])) for i in range(0, len(items), chunksize)]
+        slots = [[] for _ in messages]
+        self._queued.extend(zip(messages, slots))
+        self._send()
+        return self._results(slots)
+
+    def _results(self, slots: list[list]) -> Iterator:
+        for slot in slots:
+            while not slot:
+                self._receive()
+            ok, value = slot.pop()
+            if not ok:
+                raise value
+            yield from value
+
+    def _send(self) -> None:
+        """Send queued chunks to the workers with room: one to each in turn, then a second to each."""
+        for held_before in (0, 1):
+            for pipe, (process, held) in self._workers.items():
+                if self._queued and len(held) == held_before:
+                    message, slot = self._queued.popleft()
+                    held.append(slot)
+                    try:
+                        pipe.send_bytes(message)
+                    except OSError as exc:
+                        raise _lost(process) from exc
+
+    def _receive(self) -> None:
+        """Fill the oldest slot of each worker that has answered, then send more chunks."""
+        for pipe in self._wait([pipe for pipe, (_, held) in self._workers.items() if held]):
+            process, held = self._workers[pipe]
+            try:
+                held[0].append(pipe.recv())
+            except (EOFError, OSError) as exc:
+                raise _lost(process) from exc
+            held.popleft()
+        self._send()
+
+
+def _lost(process) -> ChildProcessError:
+    return ChildProcessError(f"worker process {process.pid} exited in the middle of a map")
+
+
+def _serve(pipe) -> None:
+    """A ``Pool`` worker: for each chunk, send back (True, results) or (False, the error it raised).
+
+    The worker ignores SIGINT, so an interrupt is handled by the parent
+    alone.  A thread of the worker reads the chunks as they come, so the
+    parent's send never waits on this worker's send of a large result.
+    """
+    import pickle
+    import queue
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    chunks = queue.SimpleQueue()
+    threading.Thread(target=_read_chunks, args=(pipe, chunks), daemon=True).start()
+    for message in iter(chunks.get, None):
+        try:
+            fn, items = pickle.loads(message)
+            reply = _pickled_reply(True, [fn(item) for item in items])
+        except Exception as exc:
+            reply = _pickled_reply(False, exc)
+        pipe.send_bytes(reply)
+
+
+def _read_chunks(pipe, chunks) -> None:
+    """Put each message of ``pipe`` on ``chunks``, and None once the parent closes it."""
+    with suppress(EOFError, OSError):
+        while True:
+            chunks.put(pipe.recv_bytes())
+    chunks.put(None)
+
+
+def _pickled_reply(ok: bool, value) -> bytes:
+    """The pickled (ok, value); results or an error that cannot be sent become a RuntimeError.
+
+    The RuntimeError carries the repr and the formatted traceback of the
+    error.  An error is unpickled once here as well, since an exception
+    can pickle and still fail to unpickle.
+    """
+    import pickle
+
+    try:
+        message = pickle.dumps((ok, value))
+        if not ok:
+            pickle.loads(message)
+        return message
+    except Exception as exc:
+        import traceback
+
+        error = exc if ok else value
+        what = "results" if ok else "error"
+        text = "".join(traceback.format_exception(error))
+        return pickle.dumps((False, RuntimeError(f"a worker's {what} could not be sent back: {error!r}\n{text}")))
+
+
 @contextmanager
 def sweep_pool(jobs: int) -> Iterator[Callable[[Callable, Iterable], Iterator]]:
     """Yield ``pool_map(fn, items)``, an ordered map on one pool of min(jobs, os.cpu_count()) workers.
@@ -365,8 +517,11 @@ def sweep_pool(jobs: int) -> Iterator[Callable[[Callable, Iterable], Iterator]]:
     min(jobs, os.cpu_count()) is 1), so a block that never needs it starts
     no process.  Each map is cut into about four chunks per worker, enough
     items per message to outweigh pickling and IPC; ``fn`` must be a
-    module-level function.  Leaving the block terminates and joins the
-    workers, also when an exception leaves it.
+    module-level function.  The workers are driven by the caller: each
+    holds up to two chunks, and iterating a map reads their results and
+    sends them the chunks still queued.  A worker that dies in the middle
+    of a map raises ``ChildProcessError``.  Leaving the block terminates
+    and joins the workers, also when an exception leaves it.
     """
     processes = min(jobs, os.cpu_count() or 1)
     with ExitStack() as stack:
@@ -399,9 +554,10 @@ def _map_ahead(
 ) -> Iterator:
     """``fold(n, pool_map(fn, tasks(n)))`` for each n of ns, in order, with the map of n + 1 issued first.
 
-    A pool's ``imap`` submits its tasks when it is called, so the workers
-    start on n + 1 while this process folds the results of n, and no n
-    boundary leaves them idle.  At most two n are in flight, so at most two
+    A pool's ``imap`` queues its chunks when it is called, and folding n
+    sends them as the workers finish the chunks of n, so the workers start
+    on n + 1 while this process folds the results of n, and no n boundary
+    leaves them idle.  At most two n are in flight, so at most two
     task lists are alive at once.
     """
     ahead = None

@@ -616,6 +616,35 @@ def test_resume_computes_only_the_missing_n(tmp_path, monkeypatch, check_calls, 
         assert multiprocessing.active_children() == []
 
 
+def test_interrupt_leaves_no_worker_and_a_checkpoint_to_resume(tmp_path, monkeypatch, capsys):
+    # Real pools of 2 workers.  The interrupt is raised in this process, in
+    # the fold of n = 5, while the map of n = 6 is in flight.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["verify", "--suite", "classification", "--n-max", "8", "--format", "json", "--jobs", "2"]
+    code, fresh, _ = run(args, capsys)
+    assert code == 0
+    fold = modular._classification_entry
+
+    def interrupted(n, pairs):
+        if n == 5:
+            raise KeyboardInterrupt
+        return fold(n, pairs)
+
+    monkeypatch.setattr(modular, "_classification_entry", interrupted)
+    ckpt = tmp_path / "progress.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*args, "--resume", str(ckpt)])
+    assert multiprocessing.active_children() == []
+    text = ckpt.read_text()
+    assert text.endswith("\n")
+    assert [json.loads(line)["n"] for line in text.splitlines()] == [1, 2, 3, 4]
+    monkeypatch.setattr(modular, "_classification_entry", fold)
+    code, resumed, _ = run([*args, "--resume", str(ckpt)], capsys)
+    assert code == 0 and resumed == fresh
+    assert [json.loads(line)["n"] for line in ckpt.read_text().splitlines()] == list(range(1, 9))
+    assert multiprocessing.active_children() == []
+
+
 def test_resume_of_every_suite_from_one_file(tmp_path, monkeypatch, capsys):
     # Real pools of 2 workers; one file holds the entries of all five suites.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -5,8 +5,12 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -478,6 +482,92 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
         assert cli.main(argv + ["--jobs", "2"]) == 3
         assert "planted failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter on this checkout's ``src``, for at most 60 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_a_killed_worker_is_an_error_not_a_hang():
+    # The row of (3, 2), a pair leader of n = 5 mapped in a worker, kills
+    # its worker.  A pool that waited for the lost result would run into
+    # the timeout instead.
+    result = run_script(
+        "import multiprocessing, os, signal, sys\n"
+        "from modmaj import cli, modular\n"
+        "row = modular._classification_row\n"
+        "def killing_row(parts, quotient):\n"
+        "    if parts == (3, 2):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return row(parts, quotient)\n"
+        "modular._classification_row = killing_row\n"
+        "os.cpu_count = lambda: 2\n"
+        "code = cli.main(['verify', '--n-max', '8', '--jobs', '2'])\n"
+        "print(len(multiprocessing.active_children()))\n"
+        "sys.exit(code)\n"
+    )
+    assert result.returncode == 2
+    assert result.stdout == "0\n"
+    [line] = result.stderr.splitlines()
+    assert line.startswith("modmaj: worker process ") and "exited in the middle of a map" in line
+
+
+def test_pool_moves_chunks_and_results_larger_than_a_pipe_holds():
+    # Each chunk and each result is 300 kB, more than a pipe buffers.  A
+    # worker that read its next chunk only after sending its result would
+    # block in that send while this process blocks sending it the chunk.
+    result = run_script(
+        "from modmaj.modular import Pool\n"
+        "with Pool(processes=2) as pool:\n"
+        "    print(sum(map(len, pool.imap(bytes, [bytes(300_000)] * 8, 1))))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{8 * 300_000}\n"
+
+
+def raise_unpicklable(x):
+    raise ArithmeticError(lambda: x)
+
+
+def return_unpicklable(x):
+    return lambda: x
+
+
+class Unrebuildable(Exception):
+    """Pickles by its args, (a,), but cannot be rebuilt from them."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def raise_unrebuildable(x):
+    raise Unrebuildable(x, x)
+
+
+@pytest.mark.parametrize("fn", [raise_unpicklable, return_unpicklable, raise_unrebuildable])
+def test_what_a_worker_cannot_send_back_arrives_as_a_runtime_error(fn):
+    with modular.Pool(processes=2) as pool:
+        with pytest.raises(RuntimeError, match="could not be sent back") as raised:
+            list(pool.imap(fn, [1, 2, 3], 1))
+        # the repr or the traceback of the original error names the function
+        assert fn.__name__ in str(raised.value)
+        assert len(multiprocessing.active_children()) == 2
+        assert list(pool.imap(abs, [-1, -2, -3, -4], 1)) == [1, 2, 3, 4]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_ignore_sigint():
+    with modular.Pool(processes=2) as pool:
+        assert list(pool.imap(abs, [-1, -2], 1)) == [1, 2]
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGINT)
+        assert list(pool.imap(abs, [-1, -2, -3], 1)) == [1, 2, 3]
+        assert len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children() == []
 
 
 # The size n of one task of each check that maps over the shapes of n.
