@@ -76,16 +76,17 @@ map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
 takes it as its second argument, so the suites of one ``_run_checks`` call
 share one ``Pool`` of workers, forked by the map's first parallel call and
 shut down when the block ends.  The workers are driven by the calling
-thread alone: the pool starts no thread in this process.  It sends chunks
-when a map is issued and, while a map is iterated, reads results and sends
-the chunks still queued.  Each worker holds up to two chunks, so its next
-chunk is at hand when it sends a result.  A
-worker that dies in the middle of a map is an error (``ChildProcessError``,
-exit 2), not a hang, and the workers ignore SIGINT, so an interrupt reaches
-this process alone.  The checks that map over shapes (classification,
-fiber laws and bounds) go through ``_map_ahead``: it issues the map of
-n + 1 before it folds the results of n, so the workers never wait at an n
-boundary, and at most two n are in flight.  ``modmaj bounds`` runs the same
+thread alone, and the pool starts no thread here or in a worker.  It
+sends chunks when a map is issued and, while a map is iterated, reads
+results and sends the chunks still queued.  Each worker holds one chunk at
+a time and is sent the next only once its reply is read, so the two sides
+never both wait to send.  A worker that dies in the middle of a map is an
+error (``ChildProcessError``, exit 2), not a hang, and the workers ignore
+SIGINT, so an interrupt reaches this process alone.  The checks that map
+over shapes (classification, fiber laws and bounds) go through
+``_map_ahead``: it issues the map of n + 1 before it folds the results of
+n, so the workers never wait at an n boundary, and at most two n are in
+flight.  ``modmaj bounds`` runs the same
 ``_map_ahead`` sweep over ``_bounds_tasks`` in a block of its own.  The
 workers are forked inside the sweep, so they run the code in place when the
 sweep started, patched functions included.
@@ -367,14 +368,15 @@ class Pool:
     """Ordered maps on ``processes`` forked workers, driven by the calling thread alone.
 
     ``imap`` cuts its items into chunks, queues them in one FIFO shared by
-    every map and sends them at once to the workers with room.  A worker
-    holds at most two chunks, so its next chunk is at hand when it sends a
-    result.  Iterating a map yields its results in order; while it waits
-    for one, it reads whichever busy worker answers first and sends that
-    worker the next queued chunk.  The pool starts no thread in this
-    process.  A worker that exits in the middle of a map raises
-    ``ChildProcessError``.  Leaving the block terminates every worker,
-    closes its pipe and joins it.
+    every map and sends them at once to the idle workers.  A worker holds
+    one chunk at a time: this process sends a chunk only to a worker that
+    holds none, so it never sends to a worker that may be sending, and
+    neither side can block the other.  Iterating a map yields its results
+    in order; while it waits for one, it reads whichever busy worker
+    answers first and sends that worker the next queued chunk.  The pool
+    starts no thread, here or in a worker.  A worker that exits in the
+    middle of a map raises ``ChildProcessError``.  Leaving the block
+    terminates every worker, closes its pipe and joins it.
     """
 
     def __init__(self, processes: int):
@@ -383,14 +385,15 @@ class Pool:
         context = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
         self._queued = deque()  # (pickled chunk, slot) of each chunk not yet sent
-        self._workers = {}  # pipe -> (process, the slots of the chunks it holds, oldest first)
+        self._workers = {}  # pipe -> process
+        self._held = {}  # pipe -> the slot of the one chunk its worker holds, for each busy worker
         try:
             for _ in range(processes):
                 pipe, child_pipe = context.Pipe()
                 process = context.Process(target=_serve, args=(child_pipe,), daemon=True)
                 process.start()
                 child_pipe.close()
-                self._workers[pipe] = process, deque()
+                self._workers[pipe] = process
         except BaseException:
             self.__exit__()
             raise
@@ -399,15 +402,15 @@ class Pool:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for pipe, (process, _) in self._workers.items():
+        for pipe, process in self._workers.items():
             process.terminate()
             pipe.close()
-        for process, _ in self._workers.values():
+        for process in self._workers.values():
             process.join()
             process.close()
 
     def imap(self, fn: Callable, items: Iterable, chunksize: int) -> Iterator:
-        """``fn(item)`` for each item, in order; the chunks are queued, and sent to workers with room, at once."""
+        """``fn(item)`` for each item, in order; the chunks are queued, and sent to idle workers, at once."""
         import pickle
 
         items = list(items)
@@ -427,26 +430,22 @@ class Pool:
             yield from value
 
     def _send(self) -> None:
-        """Send queued chunks to the workers with room: one to each in turn, then a second to each."""
-        for held_before in (0, 1):
-            for pipe, (process, held) in self._workers.items():
-                if self._queued and len(held) == held_before:
-                    message, slot = self._queued.popleft()
-                    held.append(slot)
-                    try:
-                        pipe.send_bytes(message)
-                    except OSError as exc:
-                        raise _lost(process) from exc
+        """Send the next queued chunk to each worker that holds none."""
+        for pipe, process in self._workers.items():
+            if self._queued and pipe not in self._held:
+                message, self._held[pipe] = self._queued.popleft()
+                try:
+                    pipe.send_bytes(message)
+                except OSError as exc:
+                    raise _lost(process) from exc
 
     def _receive(self) -> None:
-        """Fill the oldest slot of each worker that has answered, then send more chunks."""
-        for pipe in self._wait([pipe for pipe, (_, held) in self._workers.items() if held]):
-            process, held = self._workers[pipe]
+        """Fill the slot of each worker that has answered, then send more chunks."""
+        for pipe in self._wait(list(self._held)):
             try:
-                held[0].append(pipe.recv())
+                self._held.pop(pipe).append(pipe.recv())
             except (EOFError, OSError) as exc:
-                raise _lost(process) from exc
-            held.popleft()
+                raise _lost(self._workers[pipe]) from exc
         self._send()
 
 
@@ -457,33 +456,23 @@ def _lost(process) -> ChildProcessError:
 def _serve(pipe) -> None:
     """A ``Pool`` worker: for each chunk, send back (True, results) or (False, the error it raised).
 
-    The worker ignores SIGINT, so an interrupt is handled by the parent
-    alone.  A thread of the worker reads the chunks as they come, so the
-    parent's send never waits on this worker's send of a large result.
+    The worker receives a chunk, computes it and sends its reply, one chunk
+    at a time in its one thread, until the parent closes the pipe.  It
+    ignores SIGINT, so an interrupt is handled by the parent alone.
     """
     import pickle
-    import queue
     import signal
-    import threading
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    chunks = queue.SimpleQueue()
-    threading.Thread(target=_read_chunks, args=(pipe, chunks), daemon=True).start()
-    for message in iter(chunks.get, None):
-        try:
-            fn, items = pickle.loads(message)
-            reply = _pickled_reply(True, [fn(item) for item in items])
-        except Exception as exc:
-            reply = _pickled_reply(False, exc)
-        pipe.send_bytes(reply)
-
-
-def _read_chunks(pipe, chunks) -> None:
-    """Put each message of ``pipe`` on ``chunks``, and None once the parent closes it."""
     with suppress(EOFError, OSError):
         while True:
-            chunks.put(pipe.recv_bytes())
-    chunks.put(None)
+            message = pipe.recv_bytes()
+            try:
+                fn, items = pickle.loads(message)
+                reply = _pickled_reply(True, [fn(item) for item in items])
+            except Exception as exc:
+                reply = _pickled_reply(False, exc)
+            pipe.send_bytes(reply)
 
 
 def _pickled_reply(ok: bool, value) -> bytes:
@@ -518,10 +507,11 @@ def sweep_pool(jobs: int) -> Iterator[Callable[[Callable, Iterable], Iterator]]:
     no process.  Each map is cut into about four chunks per worker, enough
     items per message to outweigh pickling and IPC; ``fn`` must be a
     module-level function.  The workers are driven by the caller: each
-    holds up to two chunks, and iterating a map reads their results and
-    sends them the chunks still queued.  A worker that dies in the middle
-    of a map raises ``ChildProcessError``.  Leaving the block terminates
-    and joins the workers, also when an exception leaves it.
+    holds one chunk at a time, and iterating a map reads their results and
+    sends them the chunks still queued; the pool starts no thread here or
+    in a worker.  A worker that dies in the middle of a map raises
+    ``ChildProcessError``.  Leaving the block terminates and joins the
+    workers, also when an exception leaves it.
     """
     processes = min(jobs, os.cpu_count() or 1)
     with ExitStack() as stack:

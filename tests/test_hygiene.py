@@ -171,8 +171,8 @@ def test_report_path_fault_is_found():
 
 # Double-backticked words in src/modmaj docstrings and comments that are not
 # names in its code: the command names, a paper quantity, a report key, a
-# folder, a json.dumps keyword and a multiprocessing.Pool method.
-NON_CODE_WORDS = {"bounds", "verify", "a_r", "small_dimension", "src", "indent", "imap"}
+# folder and a json.dumps keyword.
+NON_CODE_WORDS = {"bounds", "verify", "a_r", "small_dimension", "src", "indent"}
 
 QUOTED_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 

@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -516,17 +517,28 @@ def test_a_killed_worker_is_an_error_not_a_hang():
     assert line.startswith("modmaj: worker process ") and "exited in the middle of a map" in line
 
 
-def test_pool_moves_chunks_and_results_larger_than_a_pipe_holds():
+@pytest.mark.parametrize("processes", [1, 2])
+def test_pool_moves_chunks_and_results_larger_than_a_pipe_holds(processes):
     # Each chunk and each result is 300 kB, more than a pipe buffers.  A
-    # worker that read its next chunk only after sending its result would
-    # block in that send while this process blocks sending it the chunk.
+    # worker blocks in sending its result until this process reads it, so
+    # this process must never block sending a chunk to a busy worker: it
+    # sends a chunk only to a worker that holds none.
     result = run_script(
         "from modmaj.modular import Pool\n"
-        "with Pool(processes=2) as pool:\n"
+        f"with Pool(processes={processes}) as pool:\n"
         "    print(sum(map(len, pool.imap(bytes, [bytes(300_000)] * 8, 1))))\n"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{8 * 300_000}\n"
+
+
+def worker_thread_count(_):
+    return threading.active_count()
+
+
+def test_pool_workers_run_no_thread_of_their_own():
+    with modular.Pool(processes=2) as pool:
+        assert list(pool.imap(worker_thread_count, range(6), 1)) == [1] * 6
 
 
 def raise_unpicklable(x):
