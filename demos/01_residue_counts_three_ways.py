@@ -36,9 +36,13 @@ print("residue counts by enumeration:", list(amod_by_enumeration(shape)))
 # %% Route 2: the q-analogue of the hook length formula.  The polynomial
 # below has the full major index distribution as its coefficients; folding
 # exponents mod n (i.e. reducing mod q^n - 1) gives the same vector
-# without touching a single tableau.  The library evaluates the quotient
-# at q = 2^w, so the whole polynomial is one big integer whose w-bit
-# digits are the coefficients, and the fold is reduction mod 2^(wn) - 1.
+# without touching a single tableau.  The library evaluates at q = 2^w, so
+# a polynomial is one big integer whose w-bit digits are its coefficients.
+# The polynomial comes from one exact division of two such integers.  The
+# counts need no division: the quotient is a product of cyclotomic
+# polynomials Phi_d, one power per d read off the hooks, and the library
+# multiplies the Phi_d(2^w) modulo 2^(wn) - 1, where 2^(wn) is 1 just as
+# q^n is 1 mod q^n - 1, so the product's n digits are the folded counts.
 
 poly = maj_generating_polynomial(shape)
 print("\nmaj generating polynomial:", poly)

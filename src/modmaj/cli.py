@@ -40,7 +40,6 @@ import os
 import sys
 from operator import itemgetter
 
-from . import qpoly
 from .characters import mn_character, rect_character
 from .modular import (
     BOUND_SUITES,
@@ -156,10 +155,9 @@ def cmd_table(args):
             except EnumerationBudgetExceeded as exc:
                 raise ValueError(f"{exc}; use --method qhook or formula") from None
         elif method == "qhook":
-            # One q-hook division gives both the polynomial and the counts.
-            quotient = qpoly._packed_quotient(lam)
-            poly = maj_generating_polynomial(lam, quotient)
-            vectors[method] = amod_by_qhook(lam, quotient)
+            # The polynomial comes from one q-hook division, the counts from one cyclotomic product.
+            poly = maj_generating_polynomial(lam)
+            vectors[method] = amod_by_qhook(lam)
         else:
             vectors[method] = amod_by_character_formula(lam)
     agree = len({tuple(v) for v in vectors.values()}) == 1

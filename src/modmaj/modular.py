@@ -125,7 +125,7 @@ from .partitions import (
     partitions_of,
     removable_ribbons,
 )
-from .qpoly import Quotient, _packed_quotient, amod_by_qhook
+from .qpoly import Fold, _cyclotomic_fold, amod_by_qhook
 from .tableaux import ModularClassVector
 
 
@@ -320,23 +320,22 @@ class ClassificationReport:
         return not self.mismatches
 
 
-def _classification_row(parts: tuple[int, ...], quotient: Quotient | None = None) -> tuple[bool, dict | None]:
+def _classification_row(lam: Partition, fold: Fold | None = None) -> tuple[bool, dict | None]:
     """Whether f < n^3 at one shape, and its mismatch record (None when the zero sets agree).
 
-    ``quotient`` is the shape's q-hook quotient when a conjugate pair
+    ``fold`` is the shape's folded q-hook quotient when a conjugate pair
     shares one (see ``_classification_pair``).  The record carries the
     q-hook residue count vector the computed zero set was read from, so
     the failure can be reproduced and checked by hand.
     """
-    lam = Partition(parts)
-    counts = amod_by_qhook(lam, quotient).counts
+    counts = amod_by_qhook(lam, fold).counts
     computed = [r for r, c in enumerate(counts) if not c] if 0 in counts else []
     predicted = sorted(zero_residues(lam))
     # The q-hook slots are checked to sum to f, so the census reads f off them.
     small = not n_cubed_criterion(lam.n, sum(counts))
     if computed == predicted:
         return small, None
-    return small, {"shape": list(parts), "computed": computed, "predicted": predicted, "counts": list(counts)}
+    return small, {"shape": list(lam.parts), "computed": computed, "predicted": predicted, "counts": list(counts)}
 
 
 def _leads_pair(parts: tuple[int, ...]) -> bool:
@@ -352,15 +351,15 @@ def _leads_pair(parts: tuple[int, ...]) -> bool:
 def _classification_pair(parts: tuple[int, ...]) -> list[tuple[bool, dict | None]]:
     """The rows of the pair led by parts (one row when it is self-conjugate).
 
-    lam and lam' have the same hook multiset, so one q-hook quotient and
-    the fold it carries serve both, and each row rotates the folded counts
-    by its own shift.
+    lam and lam' have the same hook multiset, so one folded q-hook
+    quotient serves both, and each row rotates it by its own shift.
     """
-    quotient = _packed_quotient(Partition(parts))
+    lam = Partition(parts)
+    fold = _cyclotomic_fold(lam)
+    rows = [_classification_row(lam, fold)]
     conj = tuple(_column_lengths(parts))
-    rows = [_classification_row(parts, quotient)]
     if conj != parts:
-        rows.append(_classification_row(conj, quotient))
+        rows.append(_classification_row(Partition(conj), fold))
     return rows
 
 
@@ -376,7 +375,8 @@ class Pool:
     answers first and sends that worker the next queued chunk.  The pool
     starts no thread, here or in a worker.  A worker that exits in the
     middle of a map raises ``ChildProcessError``.  Leaving the block
-    terminates every worker, closes its pipe and joins it.
+    terminates every worker, closes its pipe and joins it; a worker whose
+    parent dies without leaving it, killed say, exits by itself.
     """
 
     def __init__(self, processes: int):
@@ -390,7 +390,7 @@ class Pool:
         try:
             for _ in range(processes):
                 pipe, child_pipe = context.Pipe()
-                process = context.Process(target=_serve, args=(child_pipe,), daemon=True)
+                process = context.Process(target=_serve, args=(child_pipe, [*self._workers, pipe]), daemon=True)
                 process.start()
                 child_pipe.close()
                 self._workers[pipe] = process
@@ -453,16 +453,22 @@ def _lost(process) -> ChildProcessError:
     return ChildProcessError(f"worker process {process.pid} exited in the middle of a map")
 
 
-def _serve(pipe) -> None:
+def _serve(pipe, parent_ends) -> None:
     """A ``Pool`` worker: for each chunk, send back (True, results) or (False, the error it raised).
 
     The worker receives a chunk, computes it and sends its reply, one chunk
-    at a time in its one thread, until the parent closes the pipe.  It
-    ignores SIGINT, so an interrupt is handled by the parent alone.
+    at a time in its one thread, until the parent closes the pipe or dies.
+    It first closes ``parent_ends``, the parent's ends of its own pipe and
+    of the pipes of the workers forked before it, which the fork copied:
+    then the parent holds the only one, and the worker reads EOF when the
+    parent exits, even killed.  It ignores SIGINT, so an interrupt is
+    handled by the parent alone.
     """
     import pickle
     import signal
 
+    for end in parent_ends:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with suppress(EOFError, OSError):
         while True:

@@ -1,48 +1,59 @@
 """Dense integer polynomials in q and the q-hook route to the residue counts.
 
 The generating polynomial of major index over standard tableaux of shape
-``lam`` is ``q^b * prod(q^i - 1 for i <= n) / prod(q^h - 1 over hooks h)``
-where ``b = sum((i - 1) * lam_i)`` (Stanley, EC2 Cor. 7.21.5).  It is
-computed by Kronecker substitution: the factors shared by ``{1..n}`` and
-the hook multiset cancel, the rest are evaluated at ``X = 2^w`` and
-multiplied into two integers, and one exact ``divmod`` gives the quotient
-polynomial packed as base-X digits.  Reducing mod ``q^n - 1`` is then
-folding that integer mod ``2^(wn) - 1``, and the residue counts are its
-n slots of w bits.  No root of unity is ever evaluated.
+``lam`` is ``q^b * Q(q)`` with Q = prod(q^i - 1 for i <= n) / prod(q^h - 1
+over hooks h) and ``b = sum((i - 1) * lam_i)`` (Stanley, EC2 Cor. 7.21.5).
+Both routes below evaluate at ``X = 2^w`` with ``w = bit_length(f) + 1``,
+where f is the number of tableaux.  Every coefficient of Q, and every
+residue count, lies between 0 and f, and ``2^(w-1) > f``, so they are the
+base-X digits of one integer, each with a spare top bit: a negative
+coefficient would borrow from its neighbour and leave a digit above f.  In
+both routes f is n! over the hook product, so a hook product that does not
+divide n! fails first.  No root of unity is ever evaluated.
 
-Every coefficient of the quotient, and every residue count, lies between
-0 and ``f``, the number of tableaux, and ``w = bit_length(f) + 1`` makes
-``2^(w-1) > f``.  So the quotient's base-X digits are exactly its
-coefficients, folding adds the digits of a residue class without a carry
-into the next slot, and each slot keeps a spare top bit: a negative
-coefficient would borrow from its neighbour and leave a digit above f.
-An integer division can be exact when the polynomial division is not, so
-three checks guard the unpacking, each raising ExactDivisionError: the
-remainder is zero, the quotient is below ``X^(deg+1)`` for the degree
-``deg = C(n,2) - b - sum(C(lam_i, 2))`` read off the shape rather than the
-hooks, and the slots sum to f.  f itself is the quotient of the cancelled
-factors' products, so a hook product that does not divide n! fails first.
+The polynomial (``maj_generating_polynomial``) comes from one exact
+division.  The factors shared by ``{1..n}`` and the hook multiset cancel,
+the rest are evaluated at X and multiplied into two integers, and one
+``divmod`` gives Q packed as base-X digits.  An integer division can be
+exact when the polynomial division is not, so three checks guard it, each
+raising ExactDivisionError: the remainder is zero, the quotient is below
+``X^(deg+1)`` for the degree ``deg = C(n,2) - b - sum(C(lam_i, 2))`` read
+off the shape rather than the hooks, and the digits sum to f.
 
-The quotient before the shift by ``q^b`` depends only on the hook
-multiset, which ``lam`` shares with its conjugate ``lam'``, and so does
-its degree.  So does its fold: ``_packed_quotient`` folds the unshifted
-quotient once and carries the n slots with it, and the shift by ``q^b``
-is then a rotation of those slots by b mod n, because ``q^n`` is 1 mod
-``q^n - 1``.  ``amod_by_qhook`` and ``maj_generating_polynomial`` take a
-quotient that a caller already holds, as ``_packed_quotient`` of ``lam``
-or of ``lam'``, and apply ``lam``'s own shift to it: ``modmaj table``
-divides once for its polynomial and its counts, and the classification
-sweep divides and folds once per conjugate pair and rotates per shape.
-A quotient whose degree is not ``lam``'s, or whose fold is not mod
-``q^n - 1`` for ``lam``'s n, is refused with ValueError.
+The residue counts (``amod_by_qhook``) come from a product, with no
+division.  q^i - 1 is the product of the cyclotomic polynomials Phi_d over
+d | i, so Q is the product of Phi_d^e_d with e_d = floor(n/d) minus the
+number of hooks divisible by d.  And q -> X is a ring map from
+Z[q]/(q^n - 1) to Z/(2^(wn) - 1), because X^n is 1 there.  So Q folded mod
+q^n - 1 is the product of Phi_d(X)^e_d taken mod ``2^(wn) - 1``, reduced
+after each factor by adding its wn-bit pieces, and its n slots of w bits
+are the counts.  Each Phi_d(X) is positive, so no value is ever negative.
+Phi_d(X) is evaluated once per (d, w), by shifts, from the coefficients of
+Phi_d, which are built once per d from the Moebius function and phi(d).
+Three checks guard the product, each raising ExactDivisionError: the
+degrees e_d * phi(d) sum to deg, which catches any single e_d off by one;
+no e_d is negative, which is exactly the divisibility of the polynomials,
+since the Phi_d are irreducible; and the slots sum to f.
 
-All arithmetic is exact on Python ints; at n = 60 the packed integers run
-to some hundred thousand bits.
+Q depends only on the hook multiset, which ``lam`` shares with its
+conjugate ``lam'``, and so do its degree and its fold.  The shift by
+``q^b`` is then a rotation of the folded slots by b mod n, because ``q^n``
+is 1 mod ``q^n - 1``.  So ``amod_by_qhook`` takes a fold that a caller
+already holds, ``_cyclotomic_fold`` of ``lam`` or of ``lam'``, and rotates
+it by lam's own b: the classification sweep computes one fold per
+conjugate pair.  A fold whose degree is not lam's, or whose length is not
+lam's n, is refused with ValueError.
+
+All arithmetic is exact on Python ints; at n = 60 the packed integers of
+the division run to some hundred thousand bits.
 """
 
-from math import prod
+from functools import lru_cache
+from itertools import compress
+from math import factorial, prod
 from operator import mul
 
+from .numtheory import divisors, moebius, totient
 from .partitions import Partition, hook_histogram
 from .tableaux import ModularClassVector
 
@@ -51,8 +62,8 @@ class ExactDivisionError(ArithmeticError):
     """The q-hook quotient failed an exactness check: a logic bug."""
 
 
-# What ``_packed_quotient`` returns: (value, w, deg, f, slots).
-Quotient = tuple[int, int, int, int, tuple[int, ...]]
+# What ``_cyclotomic_fold`` returns: (w, deg, f, slots).
+Fold = tuple[int, int, int, tuple[int, ...]]
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -132,98 +143,189 @@ def min_major_index(lam: Partition) -> int:
     return sum(map(mul, range(len(lam.parts)), lam.parts))
 
 
-def _degree(lam: Partition) -> int:
-    """C(n,2) - b(lam) - b(lam'), the quotient's degree, which lam and lam' share.
+def _degree(lam: Partition, b: int) -> int:
+    """C(n,2) - b(lam) - b(lam'), the quotient's degree, which lam and lam' share; b is b(lam).
 
     b(lam') = sum C(lam_i, 2), so C(n,2) - b(lam') = (n^2 - sum lam_i^2) / 2.
     """
-    return (lam.n**2 - sum(map(mul, lam.parts, lam.parts))) // 2 - min_major_index(lam)
+    return (lam.n**2 - sum(map(mul, lam.parts, lam.parts))) // 2 - b
 
 
-def _packed_quotient(lam: Partition) -> Quotient:
-    """The unshifted q-hook quotient at X = 2^w, with w, its degree, f and its fold.
-
-    Returns (value, w, deg, f, slots); value's base-X digits are the
-    coefficients, and slots is value folded mod q^n - 1.  It depends only
-    on the hook multiset, so lam' has the same one.
-    """
-    n = lam.n
-    if n < 1:
+def _hooks(lam: Partition) -> tuple[list[int], int]:
+    """lam's hook histogram and f = n! / prod(h^count[h]), checked to be exact."""
+    if lam.n < 1:
         raise ValueError("the q-hook route requires a nonempty partition")
     counts = hook_histogram(lam)
+    f, rem = divmod(factorial(lam.n), prod(map(pow, range(len(counts)), counts)))
+    if rem:
+        raise ExactDivisionError(f"hook product does not divide n! for {lam}")
+    return counts, f
+
+
+def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
+    """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
+
+    Returns (value, w, deg, f); value's base-X digits are the coefficients.
+    """
+    n = lam.n
+    counts, f = _hooks(lam)
     # Multiplicity of each length 1, 2, ... among the hooks minus its
     # multiplicity in {1..n} (a hook above n only in a corrupted histogram).
     excess = [c - 1 for c in counts[1 : n + 1]] + [-1] * (n + 1 - len(counts)) + counts[n + 1 :]
-    num = [a for a, e in enumerate(excess, 1) if e < 0]
-    den = [h for h, e in enumerate(excess, 1) if e > 0 for _ in range(e)]
-    f, rem = divmod(prod(num), prod(den))
-    if rem:
-        raise ExactDivisionError(f"hook product does not divide n! for {lam}")
     w = f.bit_length() + 1
     numerator = denominator = 1
-    for a in num:
-        numerator = (numerator << (w * a)) - numerator
-    for h in den:
-        denominator = (denominator << (w * h)) - denominator
+    for a, e in enumerate(excess, 1):
+        if e < 0:
+            numerator = (numerator << (w * a)) - numerator
+        for _ in range(e):
+            denominator = (denominator << (w * a)) - denominator
     value, rem = divmod(numerator, denominator)
     if rem:
         raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
-    deg = _degree(lam)
+    deg = _degree(lam, min_major_index(lam))
     if value >> (w * (deg + 1)):
         raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
-    return value, w, deg, f, _residue_slots(value, w, n, f)
+    return value, w, deg, f
 
 
-def _own_quotient(lam: Partition, quotient: Quotient | None) -> Quotient:
-    """``quotient``, or lam's own when None; one of another degree or fold length is a ValueError."""
-    if quotient is None:
-        return _packed_quotient(lam)
-    deg, slots = quotient[2], quotient[4]
-    if deg != _degree(lam) or len(slots) != lam.n:
-        raise ValueError(f"a q-hook quotient of degree {deg} and {len(slots)} slots does not belong to {lam}")
-    return quotient
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The coefficients of Phi_d, the product of (q^k - 1)^mu(d/k) over k | d.
+
+    For d >= 2 the signs cancel, and Phi_d is the product of
+    (1 - q^k)^mu(d/k) as a power series cut after q^phi(d), its degree:
+    dividing by 1 - q^k adds to each coefficient the one k places below.
+    """
+    if d == 1:
+        return (-1, 1)
+    top = totient(d)
+    coeffs = [1] + [0] * top
+    for k in divisors(d):
+        mu = moebius(d // k)
+        if mu > 0:
+            for i in range(top, k - 1, -1):
+                coeffs[i] -= coeffs[i - k]
+        elif mu < 0:
+            for i in range(k, top + 1):
+                coeffs[i] += coeffs[i - k]
+    return tuple(coeffs)
+
+
+# For each w met so far, the list whose entry d is Phi_d(2^w), or 0 where
+# ``_cyclotomic_values`` has not needed it yet (every value is positive).
+_CYCLOTOMIC_VALUES: dict[int, list[int]] = {}
+
+
+def _cyclotomic_values(w: int, exps: list[int]) -> list[int]:
+    """The list kept for w, as long as exps at least, with Phi_d(2^w) at each d where exps[d] is nonzero.
+
+    Each value is evaluated once, by shifts, from the coefficients of Phi_d.
+    """
+    values = _CYCLOTOMIC_VALUES.get(w)
+    if values is None:
+        values = _CYCLOTOMIC_VALUES[w] = []
+    if len(values) < len(exps):
+        values += [0] * (len(exps) - len(values))
+    for d in compress(range(len(exps)), exps):
+        if not values[d]:
+            value = 0
+            for c in reversed(_cyclotomic(d)):
+                value = (value << w) + c
+            values[d] = value
+    return values
+
+
+@lru_cache(maxsize=None)
+def _totients(m: int) -> tuple[int, ...]:
+    """phi(d) for d = 0, 1, ..., m - 1, with phi(0) read as 0."""
+    return (0,) + tuple(map(totient, range(1, m)))
+
+
+@lru_cache(maxsize=None)
+def _factorial_exponents(n: int, m: int) -> tuple[int, ...]:
+    """floor(n/d), the power of Phi_d in prod(q^i - 1 for i <= n), for d = 0, 1, ..., m (0 at d = 0)."""
+    return (0,) + tuple(n // d for d in range(1, m + 1))
+
+
+def _cyclotomic_exponents(n: int, counts: list[int]) -> list[int]:
+    """e_d = floor(n/d) - sum_k counts[k*d], the power of Phi_d in the quotient, at index d >= 1.
+
+    Index 0 holds 0.  The list runs to the larger of n and the largest hook
+    (above n only in a corrupted histogram).  A length d above half the
+    largest hook has no multiple among the hooks but itself.
+    """
+    top = len(counts) - 1
+    exps = list(_factorial_exponents(n, max(n, top)))
+    for d in range(1, top // 2 + 1):
+        exps[d] -= sum(counts[d::d])
+    for d in range(top // 2 + 1, top + 1):
+        exps[d] -= counts[d]
+    return exps
+
+
+def _cyclotomic_fold(lam: Partition) -> Fold:
+    """The unshifted q-hook quotient folded mod q^n - 1, as a product of Phi_d(2^w) mod 2^(wn) - 1.
+
+    Returns (w, deg, f, slots): slot k sums the quotient's coefficients at
+    q^j, j = k mod n.  It depends only on the hook multiset, so lam' has
+    the same one.
+    """
+    n = lam.n
+    counts, f = _hooks(lam)
+    w = f.bit_length() + 1
+    deg = _degree(lam, min_major_index(lam))
+    exps = _cyclotomic_exponents(n, counts)
+    total = sum(map(mul, exps, _totients(len(exps))))
+    if total != deg:
+        raise ExactDivisionError(f"cyclotomic factors of degree {total}, not {deg}, for {lam}")
+    if min(exps) < 0:
+        raise ExactDivisionError(f"the hooks divide by Phi_{exps.index(min(exps))} more often than n! for {lam}")
+    span = w * n
+    mask = (1 << span) - 1
+    value = 1
+    for x, e in zip(_cyclotomic_values(w, exps), exps):
+        if e:
+            value *= x if e == 1 else x**e
+            if value > mask:
+                value = (value & mask) + (value >> span)
+    while value > mask:
+        value = (value & mask) + (value >> span)
+    return w, deg, f, tuple(_slots(value, w, n, f))
 
 
 def _slots(value: int, w: int, count: int, f: int) -> list[int]:
     """The first count w-bit digits of value, which must sum to f."""
     low = (1 << w) - 1
-    slots = [(value >> (w * k)) & low for k in range(count)]
+    slots = []
+    for _ in range(count):
+        slots.append(value & low)
+        value >>= w
     if sum(slots) != f:
         raise ExactDivisionError(f"q-hook digits sum to {sum(slots)}, not f = {f}")
     return slots
 
 
-def _residue_slots(value: int, w: int, n: int, f: int) -> tuple[int, ...]:
-    """value folded mod q^n - 1: slot k sums its coefficients at q^j, j = k mod n.
-
-    X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit pieces folds it.
-    """
-    span = w * n
-    mask = (1 << span) - 1
-    while value > mask:
-        value = (value & mask) + (value >> span)
-    return tuple(_slots(value, w, n, f))
-
-
-def maj_generating_polynomial(lam: Partition, quotient: Quotient | None = None) -> IntPolynomial:
-    """Coefficient of q^i counts the standard tableaux with major index i.
-
-    ``quotient`` is as for ``amod_by_qhook``.
-    """
-    value, w, deg, f, _ = _own_quotient(lam, quotient)
+def maj_generating_polynomial(lam: Partition) -> IntPolynomial:
+    """Coefficient of q^i counts the standard tableaux with major index i."""
+    value, w, deg, f = _packed_quotient(lam)
     return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
 
 
-def amod_by_qhook(lam: Partition, quotient: Quotient | None = None) -> ModularClassVector:
+def amod_by_qhook(lam: Partition, fold: Fold | None = None) -> ModularClassVector:
     """Residue counts: the generating polynomial folded mod q^n - 1, at X = 2^w.
 
-    ``quotient`` is ``_packed_quotient`` of lam or of its conjugate, which
-    share it with its fold; a caller that holds one passes it, and the
-    counts are then read from that fold with no second division.  The
-    folded slots are rotated by lam's own b: count r is slot (r - b) mod n.
-    A quotient whose degree or fold length is not lam's is a ValueError.
+    ``fold`` is ``_cyclotomic_fold`` of lam or of its conjugate, which
+    share it; a caller that holds one passes it, and the counts are then
+    read from it with no second product.  The folded slots are rotated by
+    lam's own b: count r is slot (r - b) mod n.  A fold whose degree or
+    length is not lam's is a ValueError.
     """
     n = lam.n
-    slots = _own_quotient(lam, quotient)[4]
-    cut = n - min_major_index(lam) % n
+    b = min_major_index(lam)
+    if fold is None:
+        fold = _cyclotomic_fold(lam)
+    elif fold[1] != _degree(lam, b) or len(fold[3]) != n:
+        raise ValueError(f"a q-hook fold of degree {fold[1]} and {len(fold[3])} slots does not belong to {lam}")
+    slots = fold[3]
+    cut = n - b % n
     return ModularClassVector._of(slots[cut:] + slots[:cut])

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -485,12 +486,17 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
         assert multiprocessing.active_children() == []
 
 
-def run_script(script: str) -> subprocess.CompletedProcess:
-    """Run a Python script in a fresh interpreter on this checkout's ``src``, for at most 60 s."""
+def run_script(script: str, capture: bool = True) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter on this checkout's ``src``, for at most 60 s.
+
+    Without ``capture`` its output is discarded, so no pipe is held open by
+    a process that the script leaves behind.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    output = dict(capture_output=True, text=True) if capture else dict(stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-c", script], env=env, timeout=60, **output)
 
 
 def test_a_killed_worker_is_an_error_not_a_hang():
@@ -501,10 +507,10 @@ def test_a_killed_worker_is_an_error_not_a_hang():
         "import multiprocessing, os, signal, sys\n"
         "from modmaj import cli, modular\n"
         "row = modular._classification_row\n"
-        "def killing_row(parts, quotient):\n"
-        "    if parts == (3, 2):\n"
+        "def killing_row(lam, fold):\n"
+        "    if lam.parts == (3, 2):\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return row(parts, quotient)\n"
+        "    return row(lam, fold)\n"
         "modular._classification_row = killing_row\n"
         "os.cpu_count = lambda: 2\n"
         "code = cli.main(['verify', '--n-max', '8', '--jobs', '2'])\n"
@@ -530,6 +536,41 @@ def test_pool_moves_chunks_and_results_larger_than_a_pipe_holds(processes):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{8 * 300_000}\n"
+
+
+def test_workers_exit_when_their_parent_is_killed(tmp_path):
+    # The killed parent never leaves its pool.  Each worker holds no copy of
+    # the parent's end of its own pipe or of an earlier worker's, so it reads
+    # EOF and exits.  At most 3 processes: the script and its 2 workers.
+    pids = tmp_path / "pids"
+    result = run_script(
+        "import os, signal\n"
+        "from modmaj.modular import Pool\n"
+        "pool = Pool(processes=2)\n"
+        "assert list(pool.imap(abs, [-1, -2, -3, -4], 1)) == [1, 2, 3, 4]\n"
+        f"with open({str(pids)!r}, 'w') as fh:\n"
+        "    fh.write(' '.join(str(p.pid) for p in pool._workers.values()))\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n",
+        capture=False,
+    )
+    assert result.returncode == -signal.SIGKILL
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5
+    while (alive := [pid for pid in workers if running(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
+
+
+def running(pid: int) -> bool:
+    """Whether the process exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def worker_thread_count(_):
@@ -684,7 +725,7 @@ def test_formula_and_classification_rows_compute_hooks_once(calls):
     assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
     # the census reads f off the q-hook counts, whose slots are checked to sum to f
     calls["hook_histogram"] = 0
-    small, mismatch = modular._classification_row((6, 4, 2))
+    small, mismatch = modular._classification_row(P((6, 4, 2)))
     assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
     assert (small, mismatch) == (False, None)
 
@@ -696,21 +737,21 @@ def test_leaders_are_the_larger_shape_of_each_pair():
 
 
 def test_classification_pair_computes_hooks_once(calls, monkeypatch):
-    # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook histogram, one
-    # quotient and one fold
+    # (6,4,2) and its conjugate (3,3,2,2,1,1) share one hook histogram and
+    # one folded quotient
     folds = []
-    fold = qpoly._residue_slots
+    fold = modular._cyclotomic_fold
 
     def counted(*args):
         folds.append(args)
         return fold(*args)
 
-    monkeypatch.setattr(qpoly, "_residue_slots", counted)
+    monkeypatch.setattr(modular, "_cyclotomic_fold", counted)
     pair = modular._classification_pair((6, 4, 2))
     assert calls["hook_histogram"] == 1 and calls["hook_lengths"] == calls["dimension"] == 0
     assert len(folds) == 1
-    assert pair == [modular._classification_row((6, 4, 2)), modular._classification_row((3, 3, 2, 2, 1, 1))]
-    assert modular._classification_pair((3, 2, 1)) == [modular._classification_row((3, 2, 1))]
+    assert pair == [modular._classification_row(P((6, 4, 2))), modular._classification_row(P((3, 3, 2, 2, 1, 1)))]
+    assert modular._classification_pair((3, 2, 1)) == [modular._classification_row(P((3, 2, 1)))]
 
 
 def test_pair_counts_match_the_character_formula(monkeypatch):
@@ -718,8 +759,8 @@ def test_pair_counts_match_the_character_formula(monkeypatch):
     # alike, against the independent character-formula route
     seen = {}
 
-    def recording(lam, quotient=None, _amod=amod_by_qhook):
-        seen[lam] = _amod(lam, quotient)
+    def recording(lam, fold=None, _amod=amod_by_qhook):
+        seen[lam] = _amod(lam, fold)
         return seen[lam]
 
     monkeypatch.setattr(modular, "amod_by_qhook", recording)
@@ -734,9 +775,9 @@ def test_pair_counts_match_the_character_formula(monkeypatch):
 def test_classification_pairs_cover_each_shape_once(monkeypatch):
     rows = []
 
-    def counted(parts, quotient=None, _row=modular._classification_row):
-        rows.append(parts)
-        return _row(parts, quotient)
+    def counted(lam, fold=None, _row=modular._classification_row):
+        rows.append(lam.parts)
+        return _row(lam, fold)
 
     monkeypatch.setattr(modular, "_classification_row", counted)
     for n in range(1, 16):
@@ -750,7 +791,7 @@ def test_classification_mismatches_keep_shape_order(monkeypatch):
     monkeypatch.setattr(modular, "zero_residues", lambda lam: frozenset({0}))
     for n in range(3, 10):
         shapes = [record["shape"] for entry in VERIFY_CHECKS["classification"]([n]) for record in entry["mismatches"]]
-        expected = [list(lam.parts) for lam in partitions_of(n) if modular._classification_row(lam.parts)[1]]
+        expected = [list(lam.parts) for lam in partitions_of(n) if modular._classification_row(lam)[1]]
         assert shapes == expected and len(shapes) > 1
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import modmaj.qpoly
+from modmaj import modular
 from modmaj.modular import amod_by_character_formula
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of
 from modmaj.qpoly import (
@@ -103,33 +104,80 @@ def test_folded_polynomial_matches_packed_fold():
 
 
 def test_conjugate_folds_the_leaders_quotient():
-    # lam and lam' share the hook multiset and the degree, so one quotient
-    # serves both; each folds it with its own shift b mod n.
+    # lam and lam' share the hook multiset and the degree, so one fold
+    # serves both; each rotates it by its own shift b mod n.
     for n in range(1, 26):
         for lam in partitions_of(n):
             conj = conjugate(lam)
             if lam >= conj:
-                quotient = modmaj.qpoly._packed_quotient(lam)
-                assert amod_by_qhook(conj, quotient) == amod_by_qhook(conj), lam
+                fold = modmaj.qpoly._cyclotomic_fold(lam)
+                assert amod_by_qhook(conj, fold) == amod_by_qhook(conj), lam
+
+
+def residue_slots(value, w, n):
+    """value folded mod 2^(wn) - 1, cut into its n slots of w bits.
+
+    Applied to the division's packed quotient, this is the quotient folded
+    mod q^n - 1: X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit
+    pieces folds it.
+    """
+    span = w * n
+    while value >> span:
+        value = (value & ((1 << span) - 1)) + (value >> span)
+    return tuple((value >> (w * k)) & ((1 << w) - 1) for k in range(n))
+
+
+def test_cyclotomic_fold_matches_the_divisions_fold():
+    # The product of the Phi_d(2^w) against the packed quotient of the long
+    # division, folded, for every pair leader.
+    for n in range(1, 31):
+        for parts in modular._pair_leaders(n):
+            lam = P(parts)
+            value, w, deg, f = modmaj.qpoly._packed_quotient(lam)
+            assert modmaj.qpoly._cyclotomic_fold(lam) == (w, deg, f, residue_slots(value, w, n)), lam
+
+
+def multiply(p, r):
+    out = [0] * (len(p.coeffs) + len(r.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, c in enumerate(r.coeffs):
+            out[i + j] += a * c
+    return IntPolynomial(out)
+
+
+def test_cyclotomic_coefficients():
+    assert modmaj.qpoly._cyclotomic(1) == (-1, 1)
+    assert modmaj.qpoly._cyclotomic(6) == (1, -1, 1)
+    assert modmaj.qpoly._cyclotomic(12) == (1, 0, -1, 0, 1)
+    # the first cyclotomic polynomial with a coefficient other than 0 and +-1
+    assert -2 in modmaj.qpoly._cyclotomic(105)
+    for d in range(1, 61):
+        # q^d - 1 is the product of Phi_k over k | d
+        product = IntPolynomial((1,))
+        for k in range(1, d + 1):
+            if d % k == 0:
+                product = multiply(product, IntPolynomial(modmaj.qpoly._cyclotomic(k)))
+        assert product == IntPolynomial((-1,) + (0,) * (d - 1) + (1,)), d
 
 
 def test_quotient_of_another_degree_is_refused():
-    quotient = modmaj.qpoly._packed_quotient(P((4,)))  # degree 0; (2, 2) has degree 2
-    assert amod_by_qhook(P((1, 1, 1, 1)), quotient) == amod_by_qhook(P((1, 1, 1, 1)))
+    fold = modmaj.qpoly._cyclotomic_fold(P((4,)))  # degree 0; (2, 2) has degree 2
+    assert amod_by_qhook(P((1, 1, 1, 1)), fold) == amod_by_qhook(P((1, 1, 1, 1)))
     with pytest.raises(ValueError, match="degree"):
-        amod_by_qhook(P((2, 2)), quotient)
-    with pytest.raises(ValueError, match="degree"):
-        maj_generating_polynomial(P((2, 2)), quotient)
+        amod_by_qhook(P((2, 2)), fold)
 
 
 def test_quotient_of_another_size_is_refused():
-    # (4,) and (5,) both have degree 0, but the quotient of (4,) carries a
-    # fold mod q^4 - 1, which has no count for residue 4 mod 5.
-    quotient = modmaj.qpoly._packed_quotient(P((4,)))
+    # (4,) and (5,) both have degree 0, but the fold of (4,) is mod q^4 - 1,
+    # which has no count for residue 4 mod 5.
+    fold = modmaj.qpoly._cyclotomic_fold(P((4,)))
     with pytest.raises(ValueError, match="4 slots"):
-        amod_by_qhook(P((5,)), quotient)
-    with pytest.raises(ValueError, match="4 slots"):
-        maj_generating_polynomial(P((5,)), quotient)
+        amod_by_qhook(P((5,)), fold)
+
+
+# The checks the cyclotomic product trips where the division trips another:
+# those two multisets give Phi_d powers whose degrees miss the shape's.
+PRODUCT_CHECK = {"nonzero remainder": "factors of degree 3, not 2", "exceeds degree": "factors of degree 3, not 0"}
 
 
 @pytest.mark.parametrize(
@@ -143,14 +191,84 @@ def test_quotient_of_another_size_is_refused():
 )
 def test_corrupted_hooks_are_caught(monkeypatch, parts, hooks, check):
     # each multiset, given as its histogram, trips one integrity check of
-    # the packed quotient; the digit-sum case divides exactly as integers
-    # but not as polynomials
+    # the division (the polynomial) and one of the cyclotomic product (the
+    # counts); the digit-sum case divides exactly as integers but not as
+    # polynomials, and its Phi_d powers have the shape's degree
     histogram = [hooks.count(h) for h in range(max(hooks) + 1)]
     monkeypatch.setattr(modmaj.qpoly, "hook_histogram", lambda lam: list(histogram))
-    with pytest.raises(ExactDivisionError, match=check):
+    with pytest.raises(ExactDivisionError, match=PRODUCT_CHECK.get(check, check)):
         amod_by_qhook(P(parts))
     with pytest.raises(ExactDivisionError, match=check):
         maj_generating_polynomial(P(parts))
+
+
+def test_negative_cyclotomic_power_is_caught(monkeypatch):
+    # The quotient of (3, 1) is Phi_3: e_1 = e_2 = 0.  Phi_1 up by one and
+    # Phi_2 down by one (both of degree 1) keep the degree, and leave a
+    # negative power of Phi_2.
+    original = modmaj.qpoly._cyclotomic_exponents
+
+    def shifted(n, counts):
+        exps = original(n, counts)
+        exps[1] += 1
+        exps[2] -= 1
+        return exps
+
+    assert original(4, modmaj.qpoly.hook_histogram(P((3, 1)))) == [0, 0, 0, 1, 0]
+    monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_exponents", shifted)
+    with pytest.raises(ExactDivisionError, match="Phi_2 more often"):
+        amod_by_qhook(P((3, 1)))
+
+
+PLANTED_SHAPES = [(4, 2, 1), (6, 4, 2), (5, 5, 3, 1), (9, 3, 3, 2, 1, 1), (12,), (1,) * 8]
+
+
+@pytest.mark.parametrize("parts", PLANTED_SHAPES)
+def test_exponent_off_by_one_is_caught_by_the_degree(monkeypatch, parts):
+    # e_d + 1 and e_d - 1 at each d change the degree by phi(d) >= 1
+    lam = P(parts)
+    original = modmaj.qpoly._cyclotomic_exponents
+    size = len(original(lam.n, modmaj.qpoly.hook_histogram(lam)))
+    for d in range(1, size):
+        for step in (1, -1):
+
+            def planted(n, counts):
+                exps = original(n, counts)
+                exps[d] += step
+                return exps
+
+            monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_exponents", planted)
+            with pytest.raises(ExactDivisionError, match="cyclotomic factors of degree"):
+                amod_by_qhook(lam)
+    monkeypatch.undo()
+    assert amod_by_qhook(lam) == amod_by_character_formula(lam)
+
+
+@pytest.mark.parametrize("parts", PLANTED_SHAPES)
+def test_wrong_cyclotomic_value_is_caught(monkeypatch, parts):
+    # one Phi_d(2^w) with its coefficient of q^0 or of q^1 off by one fails
+    # the digit sum or the independent formula route
+    lam = P(parts)
+    original = modmaj.qpoly._cyclotomic_values
+    exps = modmaj.qpoly._cyclotomic_exponents(lam.n, modmaj.qpoly.hook_histogram(lam))
+    expected = amod_by_character_formula(lam)
+    for d in (d for d, e in enumerate(exps) if e):
+        for error in (1, -1, "X", "-X"):
+
+            def planted(w, exps):
+                values = list(original(w, exps))
+                values[d] += {"X": 1 << w, "-X": -(1 << w)}.get(error, error)
+                return values
+
+            monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_values", planted)
+            try:
+                counts = amod_by_qhook(lam)
+            except ExactDivisionError as exc:
+                assert "digits sum" in str(exc)
+            else:
+                assert counts != expected, (d, error)
+    monkeypatch.undo()
+    assert amod_by_qhook(lam) == expected
 
 
 def test_empty_shape_is_rejected():
