@@ -56,7 +56,7 @@ from .modular import (
     zero_residues,
 )
 from .partitions import Partition, dimension, ell_core
-from .qpoly import amod_by_qhook, maj_generating_polynomial
+from .qpoly import PolynomialBudgetExceeded, amod_by_qhook, maj_generating_polynomial
 from .report import emit
 from .tableaux import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetExceeded, amod_by_enumeration
 
@@ -156,7 +156,10 @@ def cmd_table(args):
                 raise ValueError(f"{exc}; use --method qhook or formula") from None
         elif method == "qhook":
             # The polynomial comes from one q-hook division, the counts from one cyclotomic product.
-            poly = maj_generating_polynomial(lam)
+            try:
+                poly = maj_generating_polynomial(lam)
+            except PolynomialBudgetExceeded as exc:
+                raise ValueError(f"{exc}; use --method formula for the residue counts alone") from None
             vectors[method] = amod_by_qhook(lam)
         else:
             vectors[method] = amod_by_character_formula(lam)

@@ -68,8 +68,9 @@ alike, and it owns the ``--resume`` checkpoint: one JSON line per finished
 entries are computed, each appended as its check yields it.  The
 classification check maps one task per conjugate pair: a shape and its
 conjugate share the q-hook quotient and its fold mod q^n - 1, so the sweep
-does one division and one fold per pair, and each shape's row rotates the
-folded counts by its own shift.
+computes one fold per pair, as one cyclotomic product
+(``qpoly._cyclotomic_fold``), and each shape's row rotates the folded
+counts by its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``

@@ -18,7 +18,11 @@ the rest are evaluated at X and multiplied into two integers, and one
 exact when the polynomial division is not, so three checks guard it, each
 raising ExactDivisionError: the remainder is zero, the quotient is below
 ``X^(deg+1)`` for the degree ``deg = C(n,2) - b - sum(C(lam_i, 2))`` read
-off the shape rather than the hooks, and the digits sum to f.
+off the shape rather than the hooks, and the digits sum to f.  Q packs
+into (deg + 1) * w bits, and the division is quadratic in that; a Q of
+more than ``POLYNOMIAL_BIT_BUDGET`` bits is refused with
+PolynomialBudgetExceeded, a ValueError, before any product is formed.
+The residue counts have no such cap.
 
 The residue counts (``amod_by_qhook``) come from a product, with no
 division.  q^i - 1 is the product of the cyclotomic polynomials Phi_d over
@@ -60,6 +64,18 @@ from .tableaux import ModularClassVector
 
 class ExactDivisionError(ArithmeticError):
     """The q-hook quotient failed an exactness check: a logic bug."""
+
+
+class PolynomialBudgetExceeded(ValueError):
+    """The shape's generating polynomial is too large to divide out; its residue counts are not."""
+
+
+# The most bits, (deg + 1) * w, that the packed polynomial of
+# ``maj_generating_polynomial`` may take.  The division costs time
+# quadratic in its operands: about a second at this size, against hours
+# for a shape such as (500, 500) at some 2.5e8 bits.  Every shape with
+# n <= 60 stays far below it.
+POLYNOMIAL_BIT_BUDGET = 1 << 20
 
 
 # What ``_cyclotomic_fold`` returns: (w, deg, f, slots).
@@ -166,6 +182,8 @@ def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
     """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
 
     Returns (value, w, deg, f); value's base-X digits are the coefficients.
+    A quotient of more than ``POLYNOMIAL_BIT_BUDGET`` bits is refused with
+    PolynomialBudgetExceeded before any product is formed.
     """
     n = lam.n
     counts, f = _hooks(lam)
@@ -173,6 +191,12 @@ def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
     # multiplicity in {1..n} (a hook above n only in a corrupted histogram).
     excess = [c - 1 for c in counts[1 : n + 1]] + [-1] * (n + 1 - len(counts)) + counts[n + 1 :]
     w = f.bit_length() + 1
+    deg = _degree(lam, min_major_index(lam))
+    if (deg + 1) * w > POLYNOMIAL_BIT_BUDGET:
+        raise PolynomialBudgetExceeded(
+            f"the maj generating polynomial of {lam} has {deg + 1} coefficients of {w} bits,"
+            f" above the budget of {POLYNOMIAL_BIT_BUDGET} bits"
+        )
     numerator = denominator = 1
     for a, e in enumerate(excess, 1):
         if e < 0:
@@ -182,7 +206,6 @@ def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
     value, rem = divmod(numerator, denominator)
     if rem:
         raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
-    deg = _degree(lam, min_major_index(lam))
     if value >> (w * (deg + 1)):
         raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
     return value, w, deg, f

@@ -3,7 +3,13 @@
 A JSON report is exactly ``json.dumps(report, sort_keys=True, indent=2)``
 and a newline.  ``json_text`` writes each value without json's
 pure-Python indenting encoder, which json.dumps runs whenever ``indent``
-is set.
+is set.  A report repeats a few key sets at a few depths (a bounds row and
+its checks, say, at every shape), so each dict is written from a cached
+layout of its key set at its indent: the sorted keys, and the comma, line
+break, indent and escaped key before each value, built once by
+``_layout``.  The cache holds the 64 layouts used last.  A value that is
+None, a bool or a plain int is written in place, with no call; only
+lists, tuples, nested dicts, strings and anything else recurse.
 
 A report may be streamed, so that a long sweep never holds all its rows:
 a top-level value of the report that is an iterator is a list given in
@@ -26,6 +32,7 @@ import json
 import shutil
 import sys
 import tempfile
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
@@ -92,6 +99,12 @@ def _write_chunked_list(fh, chunks: Iterator[list], pad: str) -> None:
     fh.write("[]" if empty else f"\n{pad}]")
 
 
+# The one item type of a list of plain ints, and the one key type of a dict
+# that ``json_text`` writes itself.
+_INT = {int}
+_STR = {str}
+
+
 def json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, each line after the first indented by pad.
 
@@ -100,35 +113,65 @@ def json_text(obj, pad: str = "") -> str:
     strings by json's C escaper.  Anything else (floats, subclasses, dicts
     with other keys) goes to json.dumps and its lines are re-indented: a
     JSON text has no raw newline but between lines.  Each level joins its
-    items once and formats them into one f-string, so a large report is
-    copied as few times as possible; a list of plain ints, such as a
-    shape, is joined with no call per item.
+    items once, so a large report is copied as few times as possible.  A
+    list or tuple of plain ints, such as a shape, is joined with no call
+    per item.  A dict with str keys takes its sorted keys and the text
+    before each value from ``_layout``, and writes each value that is None,
+    a bool or a plain int in place; only other values recurse.
     """
     kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None or kind is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if kind is list or kind is tuple:
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if {*map(type, obj)} == _STR:
+            keys, heads, inner = _layout(tuple(obj), pad)
+            pieces = ["{"]
+            append = pieces.append
+            for key, head in zip(keys, heads):
+                value = obj[key]
+                append(head)
+                if value is None:
+                    append("null")
+                elif value is True:
+                    append("true")
+                elif value is False:
+                    append("false")
+                elif type(value) is int:
+                    append(int.__repr__(value))
+                else:
+                    append(json_text(value, inner))
+            append(f"\n{pad}}}")
+            return "".join(pieces)
+    elif kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = pad + "  "
-        if all(type(value) is int for value in obj):
+        if {*map(type, obj)} == _INT:
             body = (",\n" + inner).join(map(int.__repr__, obj))
         else:
             body = (",\n" + inner).join([json_text(value, inner) for value in obj])
         return f"[\n{inner}{body}\n{pad}]"
-    if kind is dict and all(type(key) is str for key in obj):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        body = (",\n" + inner).join(
-            [f"{encode_basestring_ascii(key)}: {json_text(obj[key], inner)}" for key in sorted(obj)]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
+    elif kind is str:
+        return encode_basestring_ascii(obj)
+    elif kind is int:
+        return int.__repr__(obj)
+    elif obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+@lru_cache(maxsize=64)
+def _layout(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], tuple[str, ...], str]:
+    """The sorted keys of a dict written at pad, the head before each value, and the values' pad.
+
+    A head is the comma before every entry but the first, the line break
+    and indent, and the escaped key and colon.  Reports repeat a few key
+    sets at a few depths, so the cache is small.
+    """
+    inner = pad + "  "
+    keys = tuple(sorted(keys))
+    heads = tuple(f"{',' if i else ''}\n{inner}{encode_basestring_ascii(key)}: " for i, key in enumerate(keys))
+    return keys, heads, inner
 
 
 def _write_csv(fh, rows: Iterable[dict], header: Sequence[str] | None = None) -> None:

@@ -4,12 +4,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from modmaj import cli, modular, qpoly
+from modmaj import cli, modular, qpoly, report
 from modmaj.report import json_text
 from modmaj.partitions import Partition
 
@@ -65,7 +66,7 @@ def test_table_enumerates_shapes_deeper_than_the_recursion_limit(shape, nonzero,
 
 @pytest.mark.parametrize("method", ["qhook", "all"])
 def test_table_divides_once(method, monkeypatch, capsys):
-    # The report's polynomial and its q-hook counts come from one big-integer quotient.
+    # The report's polynomial comes from one division, its q-hook counts from one cyclotomic product.
     calls = []
     original = qpoly._packed_quotient
 
@@ -79,6 +80,20 @@ def test_table_divides_once(method, monkeypatch, capsys):
     assert len(calls) == 1
     counts = {r["method"]: r["counts"] for r in json.loads(out)["results"]}
     assert counts["qhook"] == list(qpoly.amod_by_qhook(Partition((6, 4, 2))))
+
+
+def test_table_refuses_a_polynomial_past_its_budget_at_once(capsys):
+    # (500, 500) packs its polynomial into some 2.5e8 bits: the division
+    # would run for hours, so the shape is refused before it starts
+    started = time.perf_counter()
+    code, out, err = run(["table", "--shape", "500,500"], capsys)
+    assert time.perf_counter() - started < 10
+    assert code == 2 and out == ""
+    assert err.startswith("modmaj: ") and "budget" in err and "--method formula" in err
+    code, out, _ = run(["table", "--shape", "500,500", "--method", "formula", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert sum(report["results"][0]["counts"]) == report["summary"]["dimension"]
 
 
 def test_bad_shape_is_usage_error(capsys):
@@ -436,6 +451,64 @@ JSON_VALUES = st.recursive(
 @example((4, 2, 1.0))
 def test_json_writer_matches_json_dumps(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def written_twice(value):
+    """json_text of value twice in one process, the second time from cached layouts, each equal to json.dumps."""
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert json_text(value) == expected
+    assert json_text(value) == expected
+
+
+def test_json_writer_layouts_follow_key_order():
+    hits = report._layout.cache_info().hits
+    written_twice({"b": 1, "a": [2, 3], "c": None, "é": "x"})
+    written_twice({"c": None, "é": "x", "a": [2, 3], "b": 1})
+    assert report._layout.cache_info().hits > hits
+
+
+def test_json_writer_layouts_follow_depth():
+    row = {"y": True, "x": {"z": -4}}
+    written_twice(row)
+    written_twice({"k": row, "j": [row, {"k": row}]})
+    written_twice(row)
+
+
+def test_json_writer_scalars_in_place():
+    for value in ({"a": 1}, {"a": True}, {"a": None}, {"a": False}, {"a": 0}, {"a": 2**70}):
+        written_twice(value)
+        written_twice({"b": [value]})
+
+
+class BackwardKey(str):
+    """A str key that sorts backwards, so a dict of them must be written by json.dumps."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+class Count(int):
+    """An int whose text is not int's."""
+
+    def __repr__(self):
+        return "Count()"
+
+
+def test_json_writer_falls_back_for_other_keys_and_values():
+    written_twice({"a": 1, "b": 2})
+    written_twice({BackwardKey("a"): 1, BackwardKey("b"): 2})
+    written_twice({"a": {BackwardKey("a"): [1], "b": None}})
+    written_twice({2: "x", 10: [1], -1: None})
+    written_twice({"a": {2: True, 1: False}})
+    written_twice({"a": Count(3), "b": [Count(1), 2], "c": 1.5})
+
+
+def test_json_writer_layout_cache_is_bounded():
+    bound = report._layout.cache_info().maxsize
+    assert bound == 64
+    for i in range(3 * bound):
+        written_twice({f"k{i}": i, "z": [None]})
+        assert report._layout.cache_info().currsize <= bound
 
 
 def test_csv_report(capsys):

@@ -10,8 +10,10 @@ from modmaj import modular
 from modmaj.modular import amod_by_character_formula
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of
 from modmaj.qpoly import (
+    POLYNOMIAL_BIT_BUDGET,
     ExactDivisionError,
     IntPolynomial,
+    PolynomialBudgetExceeded,
     amod_by_qhook,
     maj_generating_polynomial,
     min_major_index,
@@ -276,6 +278,33 @@ def test_empty_shape_is_rejected():
         amod_by_qhook(P(()))
     with pytest.raises(ValueError):
         maj_generating_polynomial(P(()))
+
+
+def polynomial_bits(lam):
+    """(deg + 1) * w, the size of lam's packed generating polynomial."""
+    _, f = modmaj.qpoly._hooks(lam)
+    return (modmaj.qpoly._degree(lam, min_major_index(lam)) + 1) * (f.bit_length() + 1)
+
+
+def test_polynomial_past_its_budget_is_refused_and_counts_are_not(monkeypatch):
+    lam = P((4, 2, 1))
+    monkeypatch.setattr(modmaj.qpoly, "POLYNOMIAL_BIT_BUDGET", polynomial_bits(lam))
+    assert maj_generating_polynomial(lam).evaluate(1) == dimension(lam)
+    monkeypatch.setattr(modmaj.qpoly, "POLYNOMIAL_BIT_BUDGET", polynomial_bits(lam) - 1)
+    with pytest.raises(PolynomialBudgetExceeded, match="budget"):
+        maj_generating_polynomial(lam)
+    # the residue counts come from the cyclotomic product, which has no budget
+    assert amod_by_qhook(lam) == amod_by_enumeration(lam)
+
+
+def test_gate_and_demo_shapes_stay_under_the_polynomial_budget():
+    # The acceptance gate runs the q-hook route for n <= 25; the demos draw
+    # the polynomial of small shapes and name shapes of at most 33 cells.
+    demo_shapes = [P((3, 2)), P((8, 7, 6, 5, 4, 2, 1)), P((5, 4, 3)), P((4, 3, 1))]
+    gate_shapes = [lam for n in range(1, 26) for lam in partitions_of(n)]
+    worst = max(gate_shapes + demo_shapes, key=polynomial_bits)
+    assert polynomial_bits(worst) <= POLYNOMIAL_BIT_BUDGET
+    assert maj_generating_polynomial(worst).evaluate(1) == dimension(worst)
 
 
 @settings(max_examples=40, deadline=None)
