@@ -38,11 +38,12 @@ print("residue counts by enumeration:", list(amod_by_enumeration(shape)))
 # exponents mod n (i.e. reducing mod q^n - 1) gives the same vector
 # without touching a single tableau.  The library evaluates at q = 2^w, so
 # a polynomial is one big integer whose w-bit digits are its coefficients.
-# The polynomial comes from one exact division of two such integers.  The
-# counts need no division: the quotient is a product of cyclotomic
-# polynomials Phi_d, one power per d read off the hooks, and the library
-# multiplies the Phi_d(2^w) modulo 2^(wn) - 1, where 2^(wn) is 1 just as
-# q^n is 1 mod q^n - 1, so the product's n digits are the folded counts.
+# The quotient of the hook formula is a product of cyclotomic polynomials
+# Phi_d, one power per d read off the hooks, so no polynomial is divided:
+# the library multiplies the Phi_d(2^w) modulo 2^(wn) - 1, where 2^(wn) is 1
+# just as q^n is 1 mod q^n - 1, so the product's n digits are the folded
+# counts.  The same product modulo 2^(w(deg+1)) - 1, a modulus above the
+# polynomial's value, gives its deg + 1 coefficients as they are.
 
 poly = maj_generating_polynomial(shape)
 print("\nmaj generating polynomial:", poly)

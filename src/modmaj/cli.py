@@ -145,7 +145,10 @@ def _parse_shape(text: str) -> Partition:
 def cmd_table(args):
     lam = _parse_shape(args.shape)
     n = lam.n
-    methods = ["enumerate", "qhook", "formula"] if args.method == "all" else [args.method]
+    # The q-hook goes first, so a polynomial past its budget is refused
+    # before any enumeration, naming the one route left.  The report sorts
+    # the methods, so the order does not reach it.
+    methods = ["qhook", "enumerate", "formula"] if args.method == "all" else [args.method]
     vectors = {}
     poly = None
     for method in methods:
@@ -155,7 +158,7 @@ def cmd_table(args):
             except EnumerationBudgetExceeded as exc:
                 raise ValueError(f"{exc}; use --method qhook or formula") from None
         elif method == "qhook":
-            # The polynomial comes from one q-hook division, the counts from one cyclotomic product.
+            # The polynomial and the counts each come from one cyclotomic product.
             try:
                 poly = maj_generating_polynomial(lam)
             except PolynomialBudgetExceeded as exc:

@@ -3,41 +3,38 @@
 The generating polynomial of major index over standard tableaux of shape
 ``lam`` is ``q^b * Q(q)`` with Q = prod(q^i - 1 for i <= n) / prod(q^h - 1
 over hooks h) and ``b = sum((i - 1) * lam_i)`` (Stanley, EC2 Cor. 7.21.5).
-Both routes below evaluate at ``X = 2^w`` with ``w = bit_length(f) + 1``,
-where f is the number of tableaux.  Every coefficient of Q, and every
-residue count, lies between 0 and f, and ``2^(w-1) > f``, so they are the
-base-X digits of one integer, each with a spare top bit: a negative
-coefficient would borrow from its neighbour and leave a digit above f.  In
-both routes f is n! over the hook product, so a hook product that does not
-divide n! fails first.  No root of unity is ever evaluated.
+Q is evaluated at ``X = 2^w`` with ``w = bit_length(f) + 1``, where f is
+the number of tableaux, n! over the hook product, so a hook product that
+does not divide n! fails first.  Every coefficient of Q, and every residue
+count, lies between 0 and f, and ``2^(w-1) > f``, so they are the base-X
+digits of one integer, each with a spare top bit: a negative coefficient
+would borrow from its neighbour and leave a digit above f.  No root of
+unity is ever evaluated, and no polynomial is divided.
 
-The polynomial (``maj_generating_polynomial``) comes from one exact
-division.  The factors shared by ``{1..n}`` and the hook multiset cancel,
-the rest are evaluated at X and multiplied into two integers, and one
-``divmod`` gives Q packed as base-X digits.  An integer division can be
-exact when the polynomial division is not, so three checks guard it, each
-raising ExactDivisionError: the remainder is zero, the quotient is below
-``X^(deg+1)`` for the degree ``deg = C(n,2) - b - sum(C(lam_i, 2))`` read
-off the shape rather than the hooks, and the digits sum to f.  Q packs
-into (deg + 1) * w bits, and the division is quadratic in that; a Q of
-more than ``POLYNOMIAL_BIT_BUDGET`` bits is refused with
-PolynomialBudgetExceeded, a ValueError, before any product is formed.
-The residue counts have no such cap.
+q^i - 1 is the product of the cyclotomic polynomials Phi_d over d | i, so
+Q is the product of Phi_d^e_d with e_d = floor(n/d) minus the number of
+hooks divisible by d.  And q -> X is a ring map from Z[q]/(q^m - 1) to
+Z/(2^(wm) - 1), because X^m is 1 there.  So Q folded mod q^m - 1 is the
+product of Phi_d(X)^e_d taken mod ``2^(wm) - 1``, reduced after each
+factor by adding its wm-bit pieces, and its m slots of w bits are the
+folded coefficients.  Each Phi_d(X) is positive, so no value is ever
+negative.  Phi_d(X) is evaluated once per (d, w), by shifts, from the
+coefficients of Phi_d, which are built once per d from the Moebius
+function and phi(d).  Three checks guard the product, each raising
+ExactDivisionError: the degrees e_d * phi(d) sum to the degree
+``deg = C(n,2) - b - sum(C(lam_i, 2))`` read off the shape rather than
+the hooks, which catches any single e_d off by one; no e_d is negative,
+which is exactly the divisibility of the polynomials, since the Phi_d are
+irreducible; and the slots sum to f.
 
-The residue counts (``amod_by_qhook``) come from a product, with no
-division.  q^i - 1 is the product of the cyclotomic polynomials Phi_d over
-d | i, so Q is the product of Phi_d^e_d with e_d = floor(n/d) minus the
-number of hooks divisible by d.  And q -> X is a ring map from
-Z[q]/(q^n - 1) to Z/(2^(wn) - 1), because X^n is 1 there.  So Q folded mod
-q^n - 1 is the product of Phi_d(X)^e_d taken mod ``2^(wn) - 1``, reduced
-after each factor by adding its wn-bit pieces, and its n slots of w bits
-are the counts.  Each Phi_d(X) is positive, so no value is ever negative.
-Phi_d(X) is evaluated once per (d, w), by shifts, from the coefficients of
-Phi_d, which are built once per d from the Moebius function and phi(d).
-Three checks guard the product, each raising ExactDivisionError: the
-degrees e_d * phi(d) sum to deg, which catches any single e_d off by one;
-no e_d is negative, which is exactly the divisibility of the polynomials,
-since the Phi_d are irreducible; and the slots sum to f.
+The residue counts (``amod_by_qhook``) take m = n.  The polynomial
+(``maj_generating_polynomial``) takes m = deg + 1, where the fold leaves
+Q as it is: Q has degree deg < m, and its digits are at most
+f < 2^(w-1), so Q(X) < X^m - 1 and the reduction never changes the value.
+It packs into (deg + 1) * w bits; a polynomial of more than
+``POLYNOMIAL_BIT_BUDGET`` bits is refused with PolynomialBudgetExceeded,
+a ValueError, before any product is formed.  The residue counts have no
+such cap.
 
 Q depends only on the hook multiset, which ``lam`` shares with its
 conjugate ``lam'``, and so do its degree and its fold.  The shift by
@@ -48,8 +45,8 @@ it by lam's own b: the classification sweep computes one fold per
 conjugate pair.  A fold whose degree is not lam's, or whose length is not
 lam's n, is refused with ValueError.
 
-All arithmetic is exact on Python ints; at n = 60 the packed integers of
-the division run to some hundred thousand bits.
+All arithmetic is exact on Python ints; at n = 60 a packed polynomial
+runs to some hundred thousand bits.
 """
 
 from functools import lru_cache
@@ -67,14 +64,15 @@ class ExactDivisionError(ArithmeticError):
 
 
 class PolynomialBudgetExceeded(ValueError):
-    """The shape's generating polynomial is too large to divide out; its residue counts are not."""
+    """The shape's generating polynomial is too large to build; its residue counts are not."""
 
 
 # The most bits, (deg + 1) * w, that the packed polynomial of
-# ``maj_generating_polynomial`` may take.  The division costs time
-# quadratic in its operands: about a second at this size, against hours
-# for a shape such as (500, 500) at some 2.5e8 bits.  Every shape with
-# n <= 60 stays far below it.
+# ``maj_generating_polynomial`` may take.  The product's cost grows
+# faster than its size: about 0.3 s for (80, 80) at 954,471 bits and
+# 2-3 s for (120, 120) at 3.3e6, so a shape such as (500, 500), at some
+# 2.5e8 bits, would take well over ten minutes.  Every shape with n <= 60
+# stays far below it.
 POLYNOMIAL_BIT_BUDGET = 1 << 20
 
 
@@ -178,39 +176,6 @@ def _hooks(lam: Partition) -> tuple[list[int], int]:
     return counts, f
 
 
-def _packed_quotient(lam: Partition) -> tuple[int, int, int, int]:
-    """The unshifted q-hook quotient at X = 2^w, with w, its degree and f.
-
-    Returns (value, w, deg, f); value's base-X digits are the coefficients.
-    A quotient of more than ``POLYNOMIAL_BIT_BUDGET`` bits is refused with
-    PolynomialBudgetExceeded before any product is formed.
-    """
-    n = lam.n
-    counts, f = _hooks(lam)
-    # Multiplicity of each length 1, 2, ... among the hooks minus its
-    # multiplicity in {1..n} (a hook above n only in a corrupted histogram).
-    excess = [c - 1 for c in counts[1 : n + 1]] + [-1] * (n + 1 - len(counts)) + counts[n + 1 :]
-    w = f.bit_length() + 1
-    deg = _degree(lam, min_major_index(lam))
-    if (deg + 1) * w > POLYNOMIAL_BIT_BUDGET:
-        raise PolynomialBudgetExceeded(
-            f"the maj generating polynomial of {lam} has {deg + 1} coefficients of {w} bits,"
-            f" above the budget of {POLYNOMIAL_BIT_BUDGET} bits"
-        )
-    numerator = denominator = 1
-    for a, e in enumerate(excess, 1):
-        if e < 0:
-            numerator = (numerator << (w * a)) - numerator
-        for _ in range(e):
-            denominator = (denominator << (w * a)) - denominator
-    value, rem = divmod(numerator, denominator)
-    if rem:
-        raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
-    if value >> (w * (deg + 1)):
-        raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
-    return value, w, deg, f
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """The coefficients of Phi_d, the product of (q^k - 1)^mu(d/k) over k | d.
@@ -286,24 +251,33 @@ def _cyclotomic_exponents(n: int, counts: list[int]) -> list[int]:
     return exps
 
 
-def _cyclotomic_fold(lam: Partition) -> Fold:
-    """The unshifted q-hook quotient folded mod q^n - 1, as a product of Phi_d(2^w) mod 2^(wn) - 1.
+def _cyclotomic_fold(lam: Partition, whole: bool = False) -> Fold:
+    """The unshifted q-hook quotient folded mod q^m - 1, as a product of Phi_d(2^w) mod 2^(wm) - 1.
 
-    Returns (w, deg, f, slots): slot k sums the quotient's coefficients at
-    q^j, j = k mod n.  It depends only on the hook multiset, so lam' has
-    the same one.
+    m is n, or deg + 1 with ``whole``, where the fold leaves the quotient
+    as it is.  Returns (w, deg, f, slots): slot k sums the quotient's
+    coefficients at q^j, j = k mod m.  It depends only on the hook
+    multiset, so lam' has the same one.  A whole quotient of more than
+    ``POLYNOMIAL_BIT_BUDGET`` bits is refused with PolynomialBudgetExceeded
+    before any product is formed.
     """
     n = lam.n
     counts, f = _hooks(lam)
     w = f.bit_length() + 1
     deg = _degree(lam, min_major_index(lam))
+    m = deg + 1 if whole else n
+    if whole and m * w > POLYNOMIAL_BIT_BUDGET:
+        raise PolynomialBudgetExceeded(
+            f"the maj generating polynomial of {lam} has {m} coefficients of {w} bits,"
+            f" above the budget of {POLYNOMIAL_BIT_BUDGET} bits"
+        )
     exps = _cyclotomic_exponents(n, counts)
     total = sum(map(mul, exps, _totients(len(exps))))
     if total != deg:
         raise ExactDivisionError(f"cyclotomic factors of degree {total}, not {deg}, for {lam}")
     if min(exps) < 0:
         raise ExactDivisionError(f"the hooks divide by Phi_{exps.index(min(exps))} more often than n! for {lam}")
-    span = w * n
+    span = w * m
     mask = (1 << span) - 1
     value = 1
     for x, e in zip(_cyclotomic_values(w, exps), exps):
@@ -313,7 +287,7 @@ def _cyclotomic_fold(lam: Partition) -> Fold:
                 value = (value & mask) + (value >> span)
     while value > mask:
         value = (value & mask) + (value >> span)
-    return w, deg, f, tuple(_slots(value, w, n, f))
+    return w, deg, f, tuple(_slots(value, w, m, f))
 
 
 def _slots(value: int, w: int, count: int, f: int) -> list[int]:
@@ -330,8 +304,7 @@ def _slots(value: int, w: int, count: int, f: int) -> list[int]:
 
 def maj_generating_polynomial(lam: Partition) -> IntPolynomial:
     """Coefficient of q^i counts the standard tableaux with major index i."""
-    value, w, deg, f = _packed_quotient(lam)
-    return IntPolynomial(_slots(value, w, deg + 1, f)).shifted(min_major_index(lam))
+    return IntPolynomial(_cyclotomic_fold(lam, whole=True)[3]).shifted(min_major_index(lam))
 
 
 def amod_by_qhook(lam: Partition, fold: Fold | None = None) -> ModularClassVector:

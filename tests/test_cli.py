@@ -65,21 +65,24 @@ def test_table_enumerates_shapes_deeper_than_the_recursion_limit(shape, nonzero,
 
 
 @pytest.mark.parametrize("method", ["qhook", "all"])
-def test_table_divides_once(method, monkeypatch, capsys):
-    # The report's polynomial comes from one division, its q-hook counts from one cyclotomic product.
-    calls = []
-    original = qpoly._packed_quotient
+def test_table_builds_one_product_per_output(method, monkeypatch, capsys):
+    # The report's polynomial and its q-hook counts each come from one
+    # cyclotomic product: deg + 1 slots for the one, n slots for the other.
+    slots = []
+    original = qpoly._cyclotomic_fold
 
-    def counted(lam):
-        calls.append(lam)
-        return original(lam)
+    def counted(*args, **kwargs):
+        fold = original(*args, **kwargs)
+        slots.append(len(fold[3]))
+        return fold
 
-    monkeypatch.setattr(qpoly, "_packed_quotient", counted)
+    monkeypatch.setattr(qpoly, "_cyclotomic_fold", counted)
     code, out, _ = run(["table", "--shape", "6,4,2", "--method", method, "--format", "json"], capsys)
     assert code == 0
-    assert len(calls) == 1
+    lam = Partition((6, 4, 2))
+    assert sorted(slots) == [12, qpoly._degree(lam, qpoly.min_major_index(lam)) + 1]
     counts = {r["method"]: r["counts"] for r in json.loads(out)["results"]}
-    assert counts["qhook"] == list(qpoly.amod_by_qhook(Partition((6, 4, 2))))
+    assert counts["qhook"] == list(qpoly.amod_by_qhook(lam))
 
 
 def test_table_refuses_a_polynomial_past_its_budget_at_once(capsys):
@@ -94,6 +97,18 @@ def test_table_refuses_a_polynomial_past_its_budget_at_once(capsys):
     assert code == 0
     report = json.loads(out)
     assert sum(report["results"][0]["counts"]) == report["summary"]["dimension"]
+
+
+def test_table_all_names_only_the_routes_left(capsys):
+    # (500, 500) is past both budgets: --method all names the formula alone.
+    # (5, 4, 3) is past an enumeration budget of 10 subshapes only, so the
+    # q-hook is still named.
+    code, out, err = run(["table", "--shape", "500,500", "--method", "all"], capsys)
+    assert code == 2 and out == ""
+    assert "--method formula" in err and "qhook" not in err
+    code, out, err = run(["table", "--shape", "5,4,3", "--method", "all", "--budget", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith("; use --method qhook or formula\n")
 
 
 def test_bad_shape_is_usage_error(capsys):

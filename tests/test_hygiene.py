@@ -4,8 +4,9 @@ Every import is used, the package ``__init__`` exports exactly the names
 it imports, every module-level private function in ``src/modmaj`` is
 referenced from somewhere in ``src`` besides its own body, every name a
 docstring or comment there quotes in double backticks is bound in that
-code, and ``modmaj.cli`` writes reports and usage errors only from
-``main``.
+code, every private name the README quotes in single backticks is bound
+at the top level of a module, and ``modmaj.cli`` writes reports and usage
+errors only from ``main``.
 """
 
 import ast
@@ -242,3 +243,37 @@ def test_unbound_quoted_name_is_found():
     )
     b = "def helper():\n    pass\n"
     assert unbound_quoted_names({"a": a, "b": b}, "pkg") == ["a: _gone", "a: b._also_gone", "a: c.f"]
+
+
+README_PRIVATE_NAME = re.compile(r"(?<!`)`(_[A-Za-z]\w*)`(?!`)")
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names a module's top-level statements bind: definitions, assignment targets and imports."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).partition(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                names.update(node.id for node in ast.walk(target) if isinstance(node, ast.Name))
+    return names
+
+
+def unbound_readme_names(readme: str, modules: list[ast.Module]) -> list[str]:
+    """The single-backticked private names ``_name`` in the README that no module binds at its top level."""
+    bound = set().union(*map(module_level_names, modules))
+    return sorted(set(README_PRIVATE_NAME.findall(readme)) - bound)
+
+
+def test_readme_names_bound_code():
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "modmaj").glob("*.py")]
+    assert unbound_readme_names((ROOT / "README.md").read_text(encoding="utf-8"), modules) == []
+
+
+def test_unbound_readme_name_is_found():
+    module = ast.parse("import a as _alias\n_TABLE: dict = {}\n_x, _y = 1, 2\n\ndef _here():\n    _local = 1\n")
+    readme = "`_here`, `_alias`, `_TABLE`, `_y`, ``_quoted``, `_local` and `_gone` (`_gone`)\n"
+    assert unbound_readme_names(readme, [module]) == ["_gone", "_local"]

@@ -96,13 +96,19 @@ def test_amod_matches_enumeration():
             assert amod_by_qhook(lam) == amod_by_enumeration(lam), lam
 
 
+def folded(coeffs, n):
+    """coeffs folded mod q^n - 1: slot k sums the coefficients at q^j, j = k mod n."""
+    slots = [0] * n
+    for k, c in enumerate(coeffs):
+        slots[k % n] += c
+    return tuple(slots)
+
+
 def test_folded_polynomial_matches_packed_fold():
     for n in range(1, 16):
         for lam in partitions_of(n):
-            folded = [0] * n
-            for k, c in enumerate(maj_generating_polynomial(lam).coeffs):
-                folded[k % n] += c
-            assert ModularClassVector(n, folded) == amod_by_qhook(lam), lam
+            poly = maj_generating_polynomial(lam)
+            assert ModularClassVector(n, folded(poly.coeffs, n)) == amod_by_qhook(lam), lam
 
 
 def test_conjugate_folds_the_leaders_quotient():
@@ -116,27 +122,47 @@ def test_conjugate_folds_the_leaders_quotient():
                 assert amod_by_qhook(conj, fold) == amod_by_qhook(conj), lam
 
 
-def residue_slots(value, w, n):
-    """value folded mod 2^(wn) - 1, cut into its n slots of w bits.
+def divided_quotient(lam):
+    """The unshifted q-hook quotient from one exact long division at X = 2^w: (w, deg, f, coefficients).
 
-    Applied to the division's packed quotient, this is the quotient folded
-    mod q^n - 1: X^n is 1 modulo 2^(wn) - 1, so adding the value's wn-bit
-    pieces folds it.
+    The factors shared by {1..n} and the hook multiset cancel, the rest are
+    evaluated at X and multiplied into two integers, and one divmod gives
+    the quotient packed as base-X digits.  An integer division can be exact
+    when the polynomial division is not, so three checks guard it, each
+    raising ExactDivisionError: the remainder is zero, the quotient is below
+    X^(deg+1), and the digits sum to f.
     """
-    span = w * n
-    while value >> span:
-        value = (value & ((1 << span) - 1)) + (value >> span)
-    return tuple((value >> (w * k)) & ((1 << w) - 1) for k in range(n))
+    n = lam.n
+    counts, f = modmaj.qpoly._hooks(lam)
+    # Multiplicity of each length 1, 2, ... among the hooks minus its
+    # multiplicity in {1..n} (a hook above n only in a corrupted histogram).
+    excess = [c - 1 for c in counts[1 : n + 1]] + [-1] * (n + 1 - len(counts)) + counts[n + 1 :]
+    w = f.bit_length() + 1
+    deg = modmaj.qpoly._degree(lam, min_major_index(lam))
+    numerator = denominator = 1
+    for a, e in enumerate(excess, 1):
+        if e < 0:
+            numerator = (numerator << (w * a)) - numerator
+        for _ in range(e):
+            denominator = (denominator << (w * a)) - denominator
+    value, rem = divmod(numerator, denominator)
+    if rem:
+        raise ExactDivisionError(f"nonzero remainder in the q-hook quotient for {lam}")
+    if value >> (w * (deg + 1)):
+        raise ExactDivisionError(f"q-hook quotient exceeds degree {deg} for {lam}")
+    return w, deg, f, tuple(modmaj.qpoly._slots(value, w, deg + 1, f))
 
 
 def test_cyclotomic_fold_matches_the_divisions_fold():
-    # The product of the Phi_d(2^w) against the packed quotient of the long
-    # division, folded, for every pair leader.
+    # The product of the Phi_d(2^w), folded at n slots for the counts and
+    # at deg + 1 for the polynomial, against the long division's quotient,
+    # for every pair leader.
     for n in range(1, 31):
         for parts in modular._pair_leaders(n):
             lam = P(parts)
-            value, w, deg, f = modmaj.qpoly._packed_quotient(lam)
-            assert modmaj.qpoly._cyclotomic_fold(lam) == (w, deg, f, residue_slots(value, w, n)), lam
+            w, deg, f, coeffs = divided_quotient(lam)
+            assert modmaj.qpoly._cyclotomic_fold(lam) == (w, deg, f, folded(coeffs, n)), lam
+            assert maj_generating_polynomial(lam) == IntPolynomial(coeffs).shifted(min_major_index(lam)), lam
 
 
 def multiply(p, r):
@@ -177,8 +203,9 @@ def test_quotient_of_another_size_is_refused():
         amod_by_qhook(P((5,)), fold)
 
 
-# The checks the cyclotomic product trips where the division trips another:
-# those two multisets give Phi_d powers whose degrees miss the shape's.
+# The checks the cyclotomic product trips where the long division trips
+# another: those two multisets give Phi_d powers whose degrees miss the
+# shape's.
 PRODUCT_CHECK = {"nonzero remainder": "factors of degree 3, not 2", "exceeds degree": "factors of degree 3, not 0"}
 
 
@@ -193,15 +220,17 @@ PRODUCT_CHECK = {"nonzero remainder": "factors of degree 3, not 2", "exceeds deg
 )
 def test_corrupted_hooks_are_caught(monkeypatch, parts, hooks, check):
     # each multiset, given as its histogram, trips one integrity check of
-    # the division (the polynomial) and one of the cyclotomic product (the
-    # counts); the digit-sum case divides exactly as integers but not as
-    # polynomials, and its Phi_d powers have the shape's degree
+    # the long division (the test oracle) and one of the cyclotomic product
+    # (the counts and the polynomial alike); the digit-sum case divides
+    # exactly as integers but not as polynomials, and its Phi_d powers have
+    # the shape's degree
     histogram = [hooks.count(h) for h in range(max(hooks) + 1)]
     monkeypatch.setattr(modmaj.qpoly, "hook_histogram", lambda lam: list(histogram))
-    with pytest.raises(ExactDivisionError, match=PRODUCT_CHECK.get(check, check)):
-        amod_by_qhook(P(parts))
     with pytest.raises(ExactDivisionError, match=check):
-        maj_generating_polynomial(P(parts))
+        divided_quotient(P(parts))
+    for route in (amod_by_qhook, maj_generating_polynomial):
+        with pytest.raises(ExactDivisionError, match=PRODUCT_CHECK.get(check, check)):
+            route(P(parts))
 
 
 def test_negative_cyclotomic_power_is_caught(monkeypatch):
@@ -311,5 +340,9 @@ def test_gate_and_demo_shapes_stay_under_the_polynomial_budget():
 @given(shapes(40, 60))
 def test_qhook_matches_formula_beyond_the_gate(lam):
     counts = amod_by_qhook(lam)
-    assert counts == amod_by_character_formula(lam)
+    expected = amod_by_character_formula(lam)
+    assert counts == expected
     assert counts.total() == dimension(lam)
+    poly = maj_generating_polynomial(lam)
+    assert poly.evaluate(1) == dimension(lam)
+    assert ModularClassVector(lam.n, folded(poly.coeffs, lam.n)) == expected
