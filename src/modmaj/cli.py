@@ -56,7 +56,7 @@ from .modular import (
     zero_residues,
 )
 from .partitions import Partition, dimension, ell_core
-from .qpoly import PolynomialBudgetExceeded, amod_by_qhook, maj_generating_polynomial
+from .qpoly import PolynomialBudgetExceeded, _within_budget, amod_by_qhook, maj_generating_polynomial
 from .report import emit
 from .tableaux import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetExceeded, amod_by_enumeration
 
@@ -156,7 +156,8 @@ def cmd_table(args):
             try:
                 vectors[method] = amod_by_enumeration(lam, budget=args.budget)
             except EnumerationBudgetExceeded as exc:
-                raise ValueError(f"{exc}; use --method qhook or formula") from None
+                routes = "qhook or formula" if _within_budget(lam, dimension(lam)) else "formula"
+                raise ValueError(f"{exc}; use --method {routes}") from None
         elif method == "qhook":
             # The polynomial and the counts each come from one cyclotomic product.
             try:

@@ -117,14 +117,16 @@ from .numtheory import (
 )
 from .partitions import (
     Partition,
+    _bead_set,
     _column_lengths,
+    _hook_counts,
+    _parts_from_beads,
     _parts_of,
+    _removals,
     capped_excess,
     dimension,
     ell_core,
-    hook_lengths,
     partitions_of,
-    removable_ribbons,
 )
 from .qpoly import Fold, _cyclotomic_fold, amod_by_qhook
 from .tableaux import ModularClassVector
@@ -849,33 +851,35 @@ def _check_fiber_laws(ns: Iterable[int], pool_map: Callable = map) -> Iterator[d
     With an empty ell-core, each class {a, -a} mod ell holds s = n / ell
     hooks per residue in it; removing an ell-ribbon removes one hook per
     residue in each class, for every ell <= n.  As ``_class_counts`` counts
-    a class once per residue in it, the laws compare with 2s and 2.
+    a class once per residue in it, the laws compare with 2s and 2.  Hooks are counted
+    (``_hook_counts``) on bead sets; ``ell_core`` finds the core, as the ell-weight assumes the law.
     """
     return _map_ahead(ns, pool_map, _fiber_law_row, lambda n: sorted(_parts_of(n)), _fiber_law_entry)
 
 
 def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
-    """The fiber-law mismatches of one shape."""
+    """The fiber-law mismatches of one shape; its ribbons by decreasing bead, as ``removable_ribbons`` lists them."""
     lam = Partition(parts)
     n = lam.n
-    hooks = hook_lengths(lam)
+    beads = _bead_set(parts)
+    counts = _hook_counts(beads)
     mismatches = []
     for ell in divisors(n):
         if ell == 1 or ell_core(lam, ell):
             continue
         s = n // ell
-        for a, count in enumerate(_class_counts(hooks, ell)):
+        for a, count in enumerate(_class_counts(counts, ell)):
             if count != 2 * s:
                 mismatches.append({"shape": list(parts), "ell": ell, "a": a})
     for ell in range(1, n + 1):
-        steps = removable_ribbons(lam, ell)
-        big = _class_counts(hooks, ell) if steps else ()
-        for step in steps:
-            small = _class_counts(hook_lengths(step.shape), ell)
+        steps = _removals(beads, ell)
+        big = _class_counts(counts, ell) if steps else ()
+        for _, left in reversed(steps):
+            small = _class_counts(_hook_counts(left), ell)
             for a in range(ell):
                 if big[a] - small[a] != 2:
                     mismatches.append(
-                        {"shape": list(parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
+                        {"shape": list(parts), "ribbon_to": list(_parts_from_beads(left)), "ell": ell, "a": a}
                     )
     return mismatches
 
@@ -884,11 +888,9 @@ def _fiber_law_entry(n: int, rows: Iterator[list[dict]]) -> dict:
     return {"n": n, "suite": "fiber-laws", "mismatches": [record for row in rows for record in row]}
 
 
-def _class_counts(hooks: list[int], ell: int) -> list[int]:
-    """For each a mod ell, the hooks congruent to a plus those congruent to -a: a class {a} = {-a} counts twice."""
-    residues = [0] * ell
-    for h in hooks:
-        residues[h % ell] += 1
+def _class_counts(counts: list[int], ell: int) -> list[int]:
+    """For each a mod ell, the histogram's hooks congruent to a plus those congruent to -a: a class {a} = {-a} counts twice."""
+    residues = [sum(counts[a::ell]) for a in range(ell)]
     return [residues[a] + residues[-a] for a in range(ell)]
 
 

@@ -17,8 +17,8 @@ lengths): removing a length-``ell`` ribbon is moving one beta value down
 by ``ell`` into an unoccupied slot, and the ribbon's height is the number
 of beta values jumped over.  ``_removals`` is the one copy of that step, on
 bead sets (``_bead_set``: one int, bit x set for each beta-number x), and
-both ``removable_ribbons`` and the recursion in ``characters`` step with
-it.  The greedy-removal equivalence is a test concern, not assumed here.
+``_hook_counts`` reads the hook histogram off any such set.  The
+greedy-removal equivalence is a test concern, not assumed here.
 """
 
 from enum import Enum
@@ -189,15 +189,6 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(_column_lengths(lam.parts))
 
 
-def hook_length_table(lam: Partition) -> list[list[int]]:
-    """Hook length of every cell, as rows matching the shape (row 1 first)."""
-    conj = conjugate(lam).parts
-    return [
-        [(row_len - a) + (conj[a] - b) - 1 for a in range(row_len)]
-        for b, row_len in enumerate(lam.parts)
-    ]
-
-
 def hook_lengths(lam: Partition) -> list[int]:
     """The multiset of hook lengths, flattened in cell order.
 
@@ -211,21 +202,8 @@ def hook_lengths(lam: Partition) -> list[int]:
 
 
 def hook_histogram(lam: Partition) -> list[int]:
-    """How many hooks have each length, indexed by length up to the largest hook.
-
-    Read off the bead set (``_bead_set``), with no list of hooks: bead
-    x = lam_i + m - 1 - i for row i of m, and a hook of length h is a bead
-    x with a gap (no bead) at x - h.  So the count of length h is the number of bits set in
-    beads & (gaps << h), where the gaps lie below the top bead, whose value
-    lam_1 + m - 1 is the largest hook.
-    """
-    parts = lam.parts
-    if not parts:
-        return [0]
-    top = parts[0] + len(parts) - 1
-    beads = _bead_set(parts)
-    gaps = ~beads & ((1 << top) - 1)
-    return [0] + [(beads & (gaps << h)).bit_count() for h in range(1, top + 1)]
+    """How many hooks have each length, indexed by length up to the largest hook: ``_hook_counts`` of the bead set."""
+    return _hook_counts(_bead_set(lam.parts))
 
 
 def opposite_hook_lengths(lam: Partition) -> list[int]:
@@ -268,6 +246,19 @@ def _parts_from_beads(beads: int) -> tuple[int, ...]:
         beads ^= low
         parts.append(low.bit_length() - 1 - len(parts))
     return tuple(reversed(parts))
+
+
+def _hook_counts(beads: int) -> list[int]:
+    """The hook histogram of a bead set, with no list of hooks; the empty set gives [0].
+
+    A hook of length h is a bead x with a gap (no bead) at x - h: the count of length h is the number of
+    bits set in beads & (gaps << h), gaps below the top bead, which is the largest hook (bit 0 is a gap).
+    """
+    if not beads:
+        return [0]
+    top = beads.bit_length() - 1
+    gaps = ~beads & ((1 << top) - 1)
+    return [0] + [(beads & (gaps << h)).bit_count() for h in range(1, top + 1)]
 
 
 def _removals(beads: int, ell: int) -> list[tuple[int, int]]:

@@ -52,7 +52,7 @@ runs to some hundred thousand bits.
 from functools import lru_cache
 from itertools import compress
 from math import factorial, prod
-from operator import mul
+from operator import index, mul
 
 from .numtheory import divisors, moebius, totient
 from .partitions import Partition, hook_histogram
@@ -92,7 +92,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([int(c) for c in coeffs])
+        self.coeffs = _trim(list(map(index, coeffs)))
 
     @property
     def degree(self) -> int:
@@ -266,7 +266,7 @@ def _cyclotomic_fold(lam: Partition, whole: bool = False) -> Fold:
     w = f.bit_length() + 1
     deg = _degree(lam, min_major_index(lam))
     m = deg + 1 if whole else n
-    if whole and m * w > POLYNOMIAL_BIT_BUDGET:
+    if whole and not _within_budget(lam, f):
         raise PolynomialBudgetExceeded(
             f"the maj generating polynomial of {lam} has {m} coefficients of {w} bits,"
             f" above the budget of {POLYNOMIAL_BIT_BUDGET} bits"
@@ -288,6 +288,11 @@ def _cyclotomic_fold(lam: Partition, whole: bool = False) -> Fold:
     while value > mask:
         value = (value & mask) + (value >> span)
     return w, deg, f, tuple(_slots(value, w, m, f))
+
+
+def _within_budget(lam: Partition, f: int) -> bool:
+    """Whether lam's whole quotient, deg + 1 slots of bit_length(f) + 1 bits, fits in ``POLYNOMIAL_BIT_BUDGET``."""
+    return (_degree(lam, min_major_index(lam)) + 1) * (f.bit_length() + 1) <= POLYNOMIAL_BIT_BUDGET
 
 
 def _slots(value: int, w: int, count: int, f: int) -> list[int]:

@@ -102,7 +102,7 @@ class StandardTableau:
     __slots__ = ("shape", "rows", "row_of")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         shape = Partition([len(row) for row in rows])
         n = shape.n
         row_of = [-1] * n

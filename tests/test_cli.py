@@ -53,6 +53,18 @@ def test_table_budget_exhaustion_is_usage_error(capsys):
     assert err.startswith("modmaj: ") and "budget" in err
 
 
+def test_enumeration_refusal_names_qhook_only_when_it_accepts_the_shape(capsys):
+    # (500, 500) is past the q-hook route's polynomial budget too, so the
+    # formula is the one route named; (5, 4, 3) is past only the enumeration
+    # budget of 10 subshapes.
+    code, out, err = run(["table", "--shape", "500,500", "--method", "enumerate"], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith("; use --method formula\n") and "qhook" not in err
+    code, out, err = run(["table", "--shape", "5,4,3", "--method", "enumerate", "--budget", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith("; use --method qhook or formula\n")
+
+
 @pytest.mark.parametrize(
     "shape,nonzero",
     [("1000", {0: 1}), ("1^1000", {499500 % 1000: 1}), ("999,1", {r: 1 for r in range(1, 1000)})],

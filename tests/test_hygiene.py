@@ -2,7 +2,8 @@
 
 Every import is used, the package ``__init__`` exports exactly the names
 it imports, every module-level private function in ``src/modmaj`` is
-referenced from somewhere in ``src`` besides its own body, every name a
+referenced from somewhere in ``src`` besides its own body, every public
+one, function or class, is exported or so referenced, every name a
 docstring or comment there quotes in double backticks is bound in that
 code, every private name the README quotes in single backticks is bound
 at the top level of a module, and ``modmaj.cli`` writes reports and usage
@@ -85,12 +86,11 @@ def test_export_fault_is_found():
     assert export_faults(tree) == ["not exported: y", "not imported: w", "exported twice: x"]
 
 
-def dead_private_functions(modules: dict[str, ast.Module]) -> list[str]:
-    """Module-level private functions that no other top-level statement references.
+def references(modules: dict[str, ast.Module]) -> defaultdict[str, set[tuple[str, int]]]:
+    """For each name, the (path, index) of every top-level statement that references it.
 
     A reference is a name, an attribute or an imported name anywhere in the
-    given modules, outside the function's own definition (so recursion does
-    not count).
+    statement.
     """
     referenced = defaultdict(set)
     for path, tree in modules.items():
@@ -102,6 +102,16 @@ def dead_private_functions(modules: dict[str, ast.Module]) -> list[str]:
                     referenced[node.attr].add((path, index))
                 elif isinstance(node, ast.alias):
                     referenced[node.name].add((path, index))
+    return referenced
+
+
+def dead_private_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions that no other top-level statement references.
+
+    A reference lies anywhere in the given modules, outside the function's
+    own definition (so recursion does not count).
+    """
+    referenced = references(modules)
     return [
         f"{path}:{stmt.lineno}: {stmt.name}"
         for path, tree in modules.items()
@@ -125,6 +135,52 @@ def test_dead_private_function_is_found():
     a = ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n")
     b = ast.parse("from a import _used\n_used()\n")
     assert dead_private_functions({"a.py": a, "b.py": b}) == ["a.py:4: _dead"]
+
+
+# Public names that nothing in src uses and the package does not export:
+# bench/test_bench.py calls parallel_map, which ROADMAP direction 8 removes.
+UNEXPORTED_PUBLIC_NAMES = {"parallel_map"}
+
+
+def dead_public_names(modules: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Module-level public functions and classes neither exported nor referenced by another top-level statement."""
+    referenced = references(modules)
+    return [
+        f"{path}:{stmt.lineno}: {stmt.name}"
+        for path, tree in modules.items()
+        for index, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in exported
+        and not referenced[stmt.name] - {(path, index)}
+    ]
+
+
+def test_no_dead_public_names():
+    package = ROOT / "src" / "modmaj"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(
+        set(ast.literal_eval(node.value))
+        for node in init.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+    )
+    modules = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"  # its imports are the exports
+    }
+    assert [fault.rpartition(" ")[2] for fault in dead_public_names(modules, exported)] == sorted(
+        UNEXPORTED_PUBLIC_NAMES
+    )
+
+
+def test_dead_public_name_is_found():
+    a = ast.parse(
+        "class Used:\n    pass\n\ndef exported():\n    pass\n\n"
+        "def dead(n):\n    return dead(n - 1)\n\nclass Dead:\n    pass\n\ndef _private():\n    pass\n"
+    )
+    b = ast.parse("from a import Used\nUsed()\n")
+    assert dead_public_names({"a.py": a, "b.py": b}, {"exported"}) == ["a.py:7: dead", "a.py:10: Dead"]
 
 
 def report_path_faults(tree: ast.Module) -> list[str]:

@@ -41,7 +41,7 @@ from modmaj.modular import (
 )
 from modmaj.characters import mn_character, rect_character
 from modmaj.numtheory import divisors, ramanujan_sum, ramanujan_sum_oracle, totient
-from modmaj.partitions import Partition, conjugate, dimension, hook_lengths, partitions_of
+from modmaj.partitions import Partition, conjugate, dimension, ell_core, hook_lengths, partitions_of, removable_ribbons
 from modmaj.qpoly import amod_by_qhook
 from modmaj.tableaux import ModularClassVector
 
@@ -465,19 +465,20 @@ def test_no_worker_outlives_the_command(monkeypatch, capsys):
         assert multiprocessing.active_children() == []
 
     def faulty(fn):
-        def wrapper(lam):
-            if lam.parts == (3, 2):
+        def wrapper(shape):
+            # a Partition, or the parts tuple that _bead_set takes
+            if getattr(shape, "parts", shape) == (3, 2):
                 raise ArithmeticError("planted failure")
-            return fn(lam)
+            return fn(shape)
 
         return wrapper
 
     # the classification rows read zero_residues, the bounds rows rect_characters,
-    # the fiber-law rows hook_lengths
+    # the fiber-law rows _bead_set, each once per shape
     planted = {
         "zero_residues": ["verify", "--n-max", "6"],
         "rect_characters": ["bounds", "--n-max", "6"],
-        "hook_lengths": ["verify", "--suite", "fiber-laws", "--n-max", "6"],
+        "_bead_set": ["verify", "--suite", "fiber-laws", "--n-max", "6"],
     }
     for name, argv in planted.items():
         monkeypatch.setattr(modular, name, faulty(getattr(modular, name)))
@@ -648,12 +649,17 @@ def test_check_of_no_n_yields_nothing():
         assert list(check([], map)) == []
 
 
+def drop_largest_hook(counts: list[int]) -> list[int]:
+    """A planted fault in a hook histogram: the largest hook goes uncounted."""
+    return counts[:-1] + [counts[-1] - 1] if len(counts) > 1 else counts
+
+
 # One broken lookup in modmaj.modular per check that can report a mismatch
 # (fdim-census only counts), so the gate cannot pass vacuously.
 PLANTED_FAULTS = {
     "classification": ("zero_residues", lambda lam: frozenset({0})),
     "ramanujan": ("ramanujan_sum_oracle", lambda j, s: ramanujan_sum_oracle(j, s) + 1),
-    "fiber-laws": ("hook_lengths", lambda lam: hook_lengths(lam)[1:]),
+    "fiber-laws": ("_hook_counts", lambda beads: drop_largest_hook(partitions._hook_counts(beads))),
     "bounds": ("_equidistributed", lambda f, dev, n5: False),
 }
 
@@ -670,6 +676,57 @@ def test_verify_check_reports_planted_fault(name, monkeypatch):
             lam = P(record["shape"])
             assert len(record["counts"]) == lam.n
             assert sum(record["counts"]) == dimension(lam)
+
+
+def hook_list_class_counts(hooks: list[int], ell: int) -> list[int]:
+    """For each a mod ell, the listed hooks congruent to a plus those congruent to -a."""
+    residues = [0] * ell
+    for h in hooks:
+        residues[h % ell] += 1
+    return [residues[a] + residues[-a] for a in range(ell)]
+
+
+def fiber_law_row_oracle(parts: tuple[int, ...], hooks_of=hook_lengths) -> list[dict]:
+    """The fiber-law row on hook lists, each ribbon's remainder a ``Partition`` from ``removable_ribbons``."""
+    lam = Partition(parts)
+    n = lam.n
+    hooks = hooks_of(lam)
+    mismatches = []
+    for ell in divisors(n):
+        if ell == 1 or ell_core(lam, ell):
+            continue
+        s = n // ell
+        for a, count in enumerate(hook_list_class_counts(hooks, ell)):
+            if count != 2 * s:
+                mismatches.append({"shape": list(parts), "ell": ell, "a": a})
+    for ell in range(1, n + 1):
+        steps = removable_ribbons(lam, ell)
+        big = hook_list_class_counts(hooks, ell) if steps else ()
+        for step in steps:
+            small = hook_list_class_counts(hooks_of(step.shape), ell)
+            for a in range(ell):
+                if big[a] - small[a] != 2:
+                    mismatches.append(
+                        {"shape": list(parts), "ribbon_to": list(step.shape.parts), "ell": ell, "a": a}
+                    )
+    return mismatches
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "largest-hook-dropped"])
+def test_fiber_law_row_matches_the_hook_list_oracle(planted, monkeypatch):
+    # records and their order, for every shape with n <= 18; the planted
+    # fault drops the largest hook from both rows' counts
+    hooks_of = hook_lengths
+    if planted:
+        monkeypatch.setattr(modular, *PLANTED_FAULTS["fiber-laws"])
+        hooks_of = lambda lam: hook_lengths(lam)[1:]  # cell order puts the largest hook first
+    flagged = 0
+    for n in range(1, 19):
+        for parts in partitions._parts_of(n):
+            row = modular._fiber_law_row(parts)
+            assert row == fiber_law_row_oracle(parts, hooks_of), parts
+            flagged += bool(row)
+    assert bool(flagged) == planted
 
 
 @pytest.fixture

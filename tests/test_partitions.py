@@ -20,6 +20,7 @@ from modmaj.partitions import (
     DiagOrder,
     Partition,
     _bead_set,
+    _hook_counts,
     _parts_from_beads,
     _removals,
     _tail_counts,
@@ -33,7 +34,6 @@ from modmaj.partitions import (
     dimension,
     ell_core,
     hook_histogram,
-    hook_length_table,
     hook_lengths,
     is_ribbon,
     opposite_hook_lengths,
@@ -155,6 +155,12 @@ def brute_hooks(lam):
     return sorted(out)
 
 
+def hook_length_table(lam):
+    """Hook length of every cell, as rows matching the shape (row 1 first), read off the conjugate."""
+    conj = conjugate(lam).parts
+    return [[(row_len - a) + (conj[a] - b) - 1 for a in range(row_len)] for b, row_len in enumerate(lam.parts)]
+
+
 @pytest.mark.parametrize(
     "parts,expected",
     [((2, 2), [3, 2, 2, 1]), ((1,), [1]), ((3, 1), [4, 2, 1, 1])],
@@ -185,6 +191,17 @@ def test_hook_histogram_against_cell_count_oracle():
         for lam in partitions_of(n):
             hooks = brute_hooks(lam)
             assert hook_histogram(lam) == [hooks.count(h) for h in range(hooks[-1] + 1)], lam
+
+
+def test_hook_counts_of_every_set_a_ribbon_leaves():
+    # the sets _removals leaves have their rows of length 0 shifted off, as
+    # a shape's own set has; each counts as the hook histogram of its shape
+    assert _hook_counts(0) == [0]
+    for n in range(1, 15):
+        for lam in partitions_of(n):
+            for ell in range(1, n + 1):
+                for _, left in _removals(_bead_set(lam.parts), ell):
+                    assert _hook_counts(left) == hook_histogram(P(_parts_from_beads(left))), (lam, ell)
 
 
 @pytest.mark.parametrize(
@@ -550,8 +567,6 @@ def test_binomial_dimension_bound():
 
 
 def test_beta_numbers_are_first_column_hooks():
-    from modmaj.partitions import hook_length_table
-
     for n in range(1, 13):
         for lam in partitions_of(n):
             column = [row[0] for row in hook_length_table(lam)]

@@ -9,7 +9,7 @@ import pytest
 from modmaj import tableaux
 from modmaj.modular import amod_by_character_formula
 from modmaj.partitions import Partition, conjugate, dimension, partitions_of, subshape_count
-from modmaj.qpoly import amod_by_qhook
+from modmaj.qpoly import IntPolynomial, amod_by_qhook
 from modmaj.tableaux import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetExceeded,
@@ -45,6 +45,17 @@ def test_class_vector_refuses_non_integer_counts():
     for counts in ((1,), (1, 0, 0), iter((1, 0, 0))):
         with pytest.raises(ValueError, match="need exactly n=2 counts"):
             ModularClassVector(2, counts)
+
+
+@pytest.mark.parametrize("entry", [2.9, "2"], ids=["float", "str"])
+def test_polynomial_and_tableau_refuse_non_integer_entries(entry):
+    # a float is refused, not truncated (IntPolynomial([1.9, 2.5]) was 1 + 2*q),
+    # and a str is refused, not parsed
+    with pytest.raises(TypeError):
+        IntPolynomial([1, entry])
+    with pytest.raises(TypeError):
+        StandardTableau([[1, entry]])
+    assert IntPolynomial([True, 2]).coeffs == (1, 2)
 
 
 def test_route_vectors_are_what_the_public_constructor_builds():
