@@ -14,9 +14,11 @@ chi_ell are 0, which ``rect_characters`` reads off the hook lengths with
 no abacus pass.  Everything stays in integer arithmetic; divisibility by n
 is asserted, not assumed.
 
-``expected_zero`` transcribes the classification of the vanishing pairs
-(lam, r) as a literal case list, so the exhaustive verifier genuinely
-tests that statement rather than a rederivation:
+The classification of the vanishing pairs (lam, r) is a literal case list,
+written once as data in the per-n table ``_case_list``: ``zero_residues``
+looks a shape up in it and ``predicted_exceptions`` reads its shapes, so no
+caller walks the shapes of n, and the exhaustive verifier genuinely tests
+that statement rather than a rederivation:
 
   n > 1 and one of
     lam = (2,2), r in {1,3};  lam = (2,2,2), r in {1,5};  lam = (3,3), r in {2,4};
@@ -102,6 +104,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import characters
@@ -261,33 +264,31 @@ def expected_zero(lam: Partition, r: int) -> bool:
     return r % lam.n in zero_residues(lam)
 
 
+@lru_cache(maxsize=128)
+def _case_list(n: int) -> Mapping[tuple[int, ...], frozenset[int]]:
+    """Parts -> residues for each shape of n the case list names, one entry per line, in its order.
+
+    A line whose shape is not a partition of n is dropped, and two lines naming
+    one shape (n = 2 and 3) union their residues.  The mapping is read-only.
+    """
+    table = {}
+    for parts, residues in (
+        ((2, 2), {1, 3}), ((2, 2, 2), {1, 5}), ((3, 3), {2, 4}),
+        ((n - 1, 1), {0}),
+        ((2,) + (1,) * (n - 2), {0 if n % 2 else n // 2}),
+        ((n,), set(range(1, n))),
+        ((1,) * n, set(range(1, n)) if n % 2 else set(range(n)) - {n // 2}),
+    ):
+        if n > 1 and sum(parts) == n:
+            table[parts] = table.get(parts, frozenset()) | residues
+    return MappingProxyType(table)
+
+
 def zero_residues(lam: Partition) -> frozenset[int]:
     """All residues the case list predicts to vanish for this shape."""
-    n = lam.n
-    if n < 1:
+    if lam.n < 1:
         raise ValueError("zero_residues requires a nonempty partition")
-    if n == 1:
-        return frozenset()
-    parts = lam.parts
-    out: set[int] = set()
-    if parts == (2, 2):
-        out |= {1, 3}
-    if parts == (2, 2, 2):
-        out |= {1, 5}
-    if parts == (3, 3):
-        out |= {2, 4}
-    if parts == (n - 1, 1):
-        out.add(0)
-    if parts == (2,) + (1,) * (n - 2):
-        out.add(0 if n % 2 else n // 2)
-    if parts == (n,):
-        out |= set(range(1, n))
-    if parts == (1,) * n:
-        if n % 2:
-            out |= set(range(1, n))
-        else:
-            out |= set(range(n)) - {n // 2}
-    return frozenset(out)
+    return _case_list(lam.n).get(lam.parts, frozenset())
 
 
 @dataclass(frozen=True)
@@ -299,14 +300,10 @@ class ExceptionRecord:
 
 
 def predicted_exceptions(n: int) -> list[ExceptionRecord]:
-    """Every shape of n with a nonempty predicted zero set, in report order.
-
-    The shapes are walked one at a time and only the few records are
-    sorted, so the memory does not grow with the number of shapes.
-    """
-    records = [ExceptionRecord(lam, zeros) for lam in partitions_of(n) if (zeros := zero_residues(lam))]
-    records.sort(key=lambda rec: rec.shape)
-    return records
+    """Every shape of n with a nonempty predicted zero set, in report order: the sorted ``_case_list(n)``."""
+    if n < 1:
+        raise ValueError(f"predicted_exceptions requires n >= 1, got {n}")
+    return [ExceptionRecord(Partition(parts), zeros) for parts, zeros in sorted(_case_list(n).items())]
 
 
 @dataclass(frozen=True)

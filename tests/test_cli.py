@@ -98,8 +98,9 @@ def test_table_builds_one_product_per_output(method, monkeypatch, capsys):
 
 
 def test_table_refuses_a_polynomial_past_its_budget_at_once(capsys):
-    # (500, 500) packs its polynomial into some 2.5e8 bits: the division
-    # would run for hours, so the shape is refused before it starts
+    # (500, 500) packs its polynomial into some 2.5e8 bits: the cyclotomic
+    # product would multiply integers of that size once per factor, so the
+    # shape is refused before the product starts
     started = time.perf_counter()
     code, out, err = run(["table", "--shape", "500,500"], capsys)
     assert time.perf_counter() - started < 10

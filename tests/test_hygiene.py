@@ -6,19 +6,23 @@ referenced from somewhere in ``src`` besides its own body, every public
 one, function or class, is exported or so referenced, every name a
 docstring or comment there quotes in double backticks is bound in that
 code, every private name the README quotes in single backticks is bound
-at the top level of a module, and ``modmaj.cli`` writes reports and usage
-errors only from ``main``.
+at the top level of a module, every ``modmaj`` command line in a README
+code block parses, and ``modmaj.cli`` writes reports and usage errors only
+from ``main``.
 """
 
 import ast
 import builtins
 import io
 import re
+import shlex
 import tokenize
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from modmaj import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -333,3 +337,31 @@ def test_unbound_readme_name_is_found():
     module = ast.parse("import a as _alias\n_TABLE: dict = {}\n_x, _y = 1, 2\n\ndef _here():\n    _local = 1\n")
     readme = "`_here`, `_alias`, `_TABLE`, `_y`, ``_quoted``, `_local` and `_gone` (`_gone`)\n"
     assert unbound_readme_names(readme, [module]) == ["_gone", "_local"]
+
+
+def refused_readme_commands(readme: str) -> list[str]:
+    """The lines of the README's code blocks that start with ``modmaj `` and that the parser refuses.
+
+    Each line is split as a shell would, its comment dropped, and only
+    parsed: nothing is run.
+    """
+    lines = [line for block in readme.split("```")[1::2] for line in block.splitlines() if line.startswith("modmaj ")]
+    assert lines, "no modmaj command line in a code block"
+    parser = cli.build_parser()
+    refused = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            refused.append(line)
+    return refused
+
+
+def test_readme_commands_parse():
+    assert refused_readme_commands((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_refused_readme_command_is_found(capsys):
+    readme = "run\n```sh\nmodmaj classify --n-max 6  # fine\nmodmaj verify --n-max 6 --suite nosuch\n```\nmodmaj verify --bad\n"
+    assert refused_readme_commands(readme) == ["modmaj verify --n-max 6 --suite nosuch"]
+    assert "nosuch" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Character-formula route, the vanishing classification, and the bound suites."""
 
 import gc
+import inspect
 import math
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import random
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -22,6 +24,7 @@ from modmaj import characters, cli, modular, numtheory, partitions, qpoly, table
 from modmaj.modular import (
     VERIFY_CHECKS,
     ClassWeightTable,
+    ExceptionRecord,
     amod_by_character_formula,
     binomial_lower_bound_check,
     dist_check,
@@ -68,8 +71,18 @@ def formula_vectors():
         (lambda: verify_main_theorem(0), "n_max >= 1"),
         (lambda: zero_residues(P(())), "nonempty partition"),
         (lambda: amod_by_character_formula(P(())), "nonempty partition"),
+        (lambda: predicted_exceptions(0), "predicted_exceptions requires n >= 1, got 0"),
+        (lambda: predicted_exceptions(-1), "predicted_exceptions requires n >= 1, got -1"),
     ],
-    ids=["fl-bound-ell-not-dividing", "fl-log-ell-1", "n-max-0", "zero-residues-empty", "formula-empty"],
+    ids=[
+        "fl-bound-ell-not-dividing",
+        "fl-log-ell-1",
+        "n-max-0",
+        "zero-residues-empty",
+        "formula-empty",
+        "predicted-exceptions-0",
+        "predicted-exceptions-negative",
+    ],
 )
 def test_arguments_out_of_range_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
@@ -340,11 +353,12 @@ def test_predicted_exceptions_small_n():
 
 
 def test_predicted_exceptions_walk_the_shapes_lazily():
-    # The 37,338 shapes of 40 are walked one at a time, so what the call
-    # holds at its peak, above what stays held when it returns (the
-    # interpreter's free lists), is far below what a sorted list of the
-    # shapes holds.  The collector is off while tracing, since a full
-    # collection empties the free lists and so would lower what stays held.
+    # No shape of 40 is walked: the records are read off the case-list
+    # table, so what the call holds at its peak, above what stays held when
+    # it returns (the interpreter's free lists), is far below what a sorted
+    # list of the 37,338 shapes holds.  The collector is off while tracing,
+    # since a full collection empties the free lists and so would lower
+    # what stays held.
     def held_at_peak(fn):
         gc.disable()
         tracemalloc.start()
@@ -359,6 +373,73 @@ def test_predicted_exceptions_walk_the_shapes_lazily():
     assert 20 * held_at_peak(lambda: predicted_exceptions(40)) < held_at_peak(lambda: sorted(partitions_of(40)))
     shapes = [rec.shape for rec in predicted_exceptions(40)]
     assert shapes == sorted(shapes) and len(shapes) == 4
+
+
+def case_list_oracle(lam):
+    # the case list as an if-chain, each line tested against the shape
+    n = lam.n
+    if n == 1:
+        return frozenset()
+    parts = lam.parts
+    out = set()
+    if parts == (2, 2):
+        out |= {1, 3}
+    if parts == (2, 2, 2):
+        out |= {1, 5}
+    if parts == (3, 3):
+        out |= {2, 4}
+    if parts == (n - 1, 1):
+        out.add(0)
+    if parts == (2,) + (1,) * (n - 2):
+        out.add(0 if n % 2 else n // 2)
+    if parts == (n,):
+        out |= set(range(1, n))
+    if parts == (1,) * n:
+        if n % 2:
+            out |= set(range(1, n))
+        else:
+            out |= set(range(n)) - {n // 2}
+    return frozenset(out)
+
+
+def case_list_mismatches(n_max):
+    # the shapes with n <= n_max where zero_residues and the oracle differ
+    shapes = (lam for n in range(1, n_max + 1) for lam in partitions_of(n))
+    return [lam.parts for lam in shapes if zero_residues(lam) != case_list_oracle(lam)]
+
+
+def test_zero_residues_match_the_case_list_oracle():
+    assert case_list_mismatches(30) == []
+
+
+def test_predicted_exceptions_match_the_walk_over_every_shape():
+    for n in range(1, 41):
+        walked = [ExceptionRecord(lam, zeros) for lam in partitions_of(n) if (zeros := case_list_oracle(lam))]
+        walked.sort(key=lambda rec: rec.shape)
+        assert predicted_exceptions(n) == walked, n
+
+
+def test_case_list_names_shapes_of_n_and_is_read_only():
+    for n in range(1, 501):
+        table = modular._case_list(n)
+        for parts, residues in table.items():
+            assert P(parts).n == n, parts
+            assert residues and residues <= set(range(n)), (parts, residues)
+        assert (n == 1) == (not table)
+    with pytest.raises(TypeError):
+        modular._case_list(4)[(2, 2)] = frozenset()
+    with pytest.raises(TypeError):
+        modular._case_list(4)[(3, 2)] = frozenset({0})
+
+
+def test_case_list_oracle_finds_planted_fault(monkeypatch):
+    # _case_list's own source with (2,2)'s residues {1, 3} written {1, 2}
+    source = textwrap.dedent(inspect.getsource(modular._case_list))
+    assert source.count("{1, 3}") == 1
+    namespace = dict(vars(modular))
+    exec(source.replace("{1, 3}", "{1, 2}"), namespace)
+    monkeypatch.setattr(modular, "_case_list", namespace["_case_list"])
+    assert case_list_mismatches(30) == [(2, 2)]
 
 
 def test_zero_sets_match_brute_force():
