@@ -242,6 +242,8 @@ def rect_character(lam: Partition, ell: int) -> int:
     is empty; a remainder would mean a bug.
     """
     n = lam.n
+    if n < 1:
+        raise ValueError(f"rect_character requires a nonempty partition, got {lam}")
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
     return _rect_value(lam, hook_histogram(lam), beta_numbers(lam), ell)
@@ -252,5 +254,7 @@ def rect_characters(lam: Partition) -> dict[int, int]:
 
     The entry for ell = 1 is f; lam must be nonempty.
     """
+    if lam.n < 1:
+        raise ValueError(f"rect_characters requires a nonempty partition, got {lam}")
     counts, betas = hook_histogram(lam), beta_numbers(lam)
     return {ell: _rect_value(lam, counts, betas, ell) for ell in multiples_table(lam.n)}

@@ -28,11 +28,12 @@ only for ``--format csv``) and raises ValueError on a usage error.  ``main``
 alone opens ``--out`` before any work, builds the report, hands it to
 ``report.emit`` and maps errors to exit codes.
 
-``bounds`` returns its report unevaluated: its results, text lines and
-CSV rows are generators over one sweep, which runs as ``emit`` writes the
-chosen format, one n at a time; its summary is filled in and its exit code
-(a function) decided as the sweep ends.  So ``main`` reads the exit code
-only after the report is written.
+``cmd_bounds`` and ``cmd_classify`` return their reports unevaluated:
+results, text lines and CSV rows are generators over one sweep, which runs
+as ``emit`` writes the chosen format, one n at a time; the summary is
+filled in as the sweep ends, and so is the exit code of ``bounds`` (a
+function).  So ``main`` reads the exit code only after the report is
+written.
 """
 
 import argparse
@@ -278,28 +279,35 @@ CSV_HEADERS = {"classify": ("n", "shape", "residues")}
 
 
 def cmd_classify(args):
-    results = []
-    for n in range(1, args.n_max + 1):
-        records = [
-            {"shape": list(rec.shape.parts), "residues": sorted(rec.residues)}
-            for rec in predicted_exceptions(n)
-        ]
-        results.append({"n": n, "exceptions": records})
-    summary = {"total_exceptional_shapes": sum(len(e["exceptions"]) for e in results)}
+    """A streamed report, like ``cmd_bounds``: one pass over n, each n's records written and dropped in turn."""
+    summary = {"total_exceptional_shapes": 0}
+
+    def per_n():
+        for n in range(1, args.n_max + 1):
+            records = [
+                {"shape": list(rec.shape.parts), "residues": sorted(rec.residues)}
+                for rec in predicted_exceptions(n)
+            ]
+            summary["total_exceptional_shapes"] += len(records)
+            yield n, records
+
+    def text_lines():
+        for n, records in sweep:
+            yield f"n={n}:"
+            if not records:
+                yield "  (no vanishing residues predicted)"
+            for rec in records:
+                shape = ",".join(map(str, rec["shape"]))
+                yield f"  ({shape}): {{{', '.join(map(str, rec['residues']))}}}"
+
+    sweep = per_n()
     csv_rows = (
-        {"n": e["n"], "shape": rec["shape"], "residues": " ".join(map(str, rec["residues"]))}
-        for e in results
-        for rec in e["exceptions"]
+        {"n": n, "shape": rec["shape"], "residues": " ".join(map(str, rec["residues"]))}
+        for n, records in sweep
+        for rec in records
     )
-    text = []
-    for e in results:
-        text.append(f"n={e['n']}:")
-        if not e["exceptions"]:
-            text.append("  (no vanishing residues predicted)")
-        for rec in e["exceptions"]:
-            shape = ",".join(map(str, rec["shape"]))
-            text.append(f"  ({shape}): {{{', '.join(map(str, rec['residues']))}}}")
-    return 0, {"n_max": args.n_max}, results, summary, text, csv_rows
+    results = ([{"n": n, "exceptions": records}] for n, records in sweep)
+    return 0, {"n_max": args.n_max}, results, summary, text_lines(), csv_rows
 
 
 # ---------------------------------------------------------------- bounds

@@ -195,7 +195,7 @@ def _class_table(n: int) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ClassWeightTable:
-    """Integer weight per cycle type plus the order of the inducing subgroup.
+    """Integer weight per cycle type plus the order of the inducing subgroup, at least 1.
 
     ``weights`` is a copy of the mapping given, taken at construction:
     changing that mapping afterwards changes nothing here, and the copy is
@@ -214,6 +214,8 @@ class ClassWeightTable:
     _sums: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.group_order < 1:
+            raise ValueError(f"ClassWeightTable requires group_order >= 1, got {self.group_order}")
         weights = dict(self.weights)
         firsts, longest, groups = {}, Counter(), {}
         for mu, c in weights.items():
@@ -261,7 +263,8 @@ def induced_multiplicity(weights: ClassWeightTable, lam: Partition) -> int:
 
 def expected_zero(lam: Partition, r: int) -> bool:
     """The literal case list of vanishing (shape, residue) pairs."""
-    return r % lam.n in zero_residues(lam)
+    zeros = zero_residues(lam)  # refuses the empty shape before r % lam.n
+    return r % lam.n in zeros
 
 
 @lru_cache(maxsize=128)
@@ -287,7 +290,7 @@ def _case_list(n: int) -> Mapping[tuple[int, ...], frozenset[int]]:
 def zero_residues(lam: Partition) -> frozenset[int]:
     """All residues the case list predicts to vanish for this shape."""
     if lam.n < 1:
-        raise ValueError("zero_residues requires a nonempty partition")
+        raise ValueError(f"zero_residues requires a nonempty partition, got {lam}")
     return _case_list(lam.n).get(lam.parts, frozenset())
 
 
@@ -624,6 +627,8 @@ def fl_log_bound(n: int, ell: int, f: int) -> float:
     """
     if ell < 2 or n % ell != 0:
         raise ValueError(f"need ell | n and ell >= 2, got ell={ell}, n={n}")
+    if n < 1 or f < 1:
+        raise ValueError(f"fl_log_bound requires n >= 1 and f >= 1, got n={n}, f={f}")
     return _fl_log_bound(n, ell, f)
 
 

@@ -17,15 +17,17 @@ hooks divisible by d.  And q -> X is a ring map from Z[q]/(q^m - 1) to
 Z/(2^(wm) - 1), because X^m is 1 there.  So Q folded mod q^m - 1 is the
 product of Phi_d(X)^e_d taken mod ``2^(wm) - 1``, reduced after each
 factor by adding its wm-bit pieces, and its m slots of w bits are the
-folded coefficients.  Each Phi_d(X) is positive, so no value is ever
-negative.  Phi_d(X) is evaluated once per (d, w), by shifts, from the
-coefficients of Phi_d, which are built once per d from the Moebius
-function and phi(d).  Three checks guard the product, each raising
-ExactDivisionError: the degrees e_d * phi(d) sum to the degree
-``deg = C(n,2) - b - sum(C(lam_i, 2))`` read off the shape rather than
-the hooks, which catches any single e_d off by one; no e_d is negative,
-which is exactly the divisibility of the polynomials, since the Phi_d are
-irreducible; and the slots sum to f.
+folded coefficients.  ``_slots`` reads them, more than 64 by reading the
+two halves apart, so that no digit costs a copy of the whole product.
+Each Phi_d(X) is positive, so no value is ever negative.  Phi_d(X) is
+evaluated by shifts from the coefficients of Phi_d and cached once per
+(d, w) by ``_cyclotomic_value``; the coefficients are built once per d
+from the Moebius function and phi(d).  Three checks guard the product,
+each raising ExactDivisionError: the degrees e_d * phi(d) sum to the
+degree ``deg = C(n,2) - b - sum(C(lam_i, 2))`` read off the shape rather
+than the hooks, which catches any single e_d off by one; no e_d is
+negative, which is exactly the divisibility of the polynomials, since the
+Phi_d are irreducible; and the slots sum to f.
 
 The residue counts (``amod_by_qhook``) take m = n.  The polynomial
 (``maj_generating_polynomial``) takes m = deg + 1, where the fold leaves
@@ -50,7 +52,6 @@ runs to some hundred thousand bits.
 """
 
 from functools import lru_cache
-from itertools import compress
 from math import factorial, prod
 from operator import index, mul
 
@@ -199,28 +200,13 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-# For each w met so far, the list whose entry d is Phi_d(2^w), or 0 where
-# ``_cyclotomic_values`` has not needed it yet (every value is positive).
-_CYCLOTOMIC_VALUES: dict[int, list[int]] = {}
-
-
-def _cyclotomic_values(w: int, exps: list[int]) -> list[int]:
-    """The list kept for w, as long as exps at least, with Phi_d(2^w) at each d where exps[d] is nonzero.
-
-    Each value is evaluated once, by shifts, from the coefficients of Phi_d.
-    """
-    values = _CYCLOTOMIC_VALUES.get(w)
-    if values is None:
-        values = _CYCLOTOMIC_VALUES[w] = []
-    if len(values) < len(exps):
-        values += [0] * (len(exps) - len(values))
-    for d in compress(range(len(exps)), exps):
-        if not values[d]:
-            value = 0
-            for c in reversed(_cyclotomic(d)):
-                value = (value << w) + c
-            values[d] = value
-    return values
+@lru_cache(maxsize=None)
+def _cyclotomic_value(d: int, w: int) -> int:
+    """Phi_d(2^w), evaluated by shifts from the coefficients of Phi_d."""
+    value = 0
+    for c in reversed(_cyclotomic(d)):
+        value = (value << w) + c
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -280,8 +266,9 @@ def _cyclotomic_fold(lam: Partition, whole: bool = False) -> Fold:
     span = w * m
     mask = (1 << span) - 1
     value = 1
-    for x, e in zip(_cyclotomic_values(w, exps), exps):
+    for d, e in enumerate(exps):
         if e:
+            x = _cyclotomic_value(d, w)
             value *= x if e == 1 else x**e
             if value > mask:
                 value = (value & mask) + (value >> span)
@@ -295,14 +282,24 @@ def _within_budget(lam: Partition, f: int) -> bool:
     return (_degree(lam, min_major_index(lam)) + 1) * (f.bit_length() + 1) <= POLYNOMIAL_BIT_BUDGET
 
 
-def _slots(value: int, w: int, count: int, f: int) -> list[int]:
-    """The first count w-bit digits of value, which must sum to f."""
-    low = (1 << w) - 1
-    slots = []
-    for _ in range(count):
-        slots.append(value & low)
-        value >>= w
-    if sum(slots) != f:
+def _slots(value: int, w: int, count: int, f: int | None) -> list[int]:
+    """The first count w-bit digits of value, which must sum to f (unchecked when f is None).
+
+    Above 64 digits the two halves are read apart, recursively, so that no
+    digit costs a copy of the whole int; 64 digits or fewer, the n slots
+    of a sweep up to n = 64, are read in one loop.
+    """
+    if count > 64:
+        half = count // 2
+        cut = w * half
+        slots = _slots(value & ((1 << cut) - 1), w, half, None) + _slots(value >> cut, w, count - half, None)
+    else:
+        low = (1 << w) - 1
+        slots = []
+        for _ in range(count):
+            slots.append(value & low)
+            value >>= w
+    if f is not None and sum(slots) != f:
         raise ExactDivisionError(f"q-hook digits sum to {sum(slots)}, not f = {f}")
     return slots
 

@@ -430,19 +430,32 @@ def test_failed_bounds_run_leaves_no_partial_report(jobs, tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def test_bounds_report_is_written_while_the_sweep_runs(tmp_path):
-    # A report held whole until the sweep ends (every row, then one string)
-    # peaks at more than four times its size; a streamed one holds one n.
-    out = tmp_path / "report.json"
-    argv = ["bounds", "--n-max", "20", "--format", "json", "--out", str(out)]
-    assert cli.main(argv) == 0  # fills the per-n tables and caches
+def report_peak(argv: list[str]) -> tuple[int, int]:
+    """The tracemalloc peak of a second run of argv, after one that fills the caches, and the size of its --out file."""
+    assert cli.main(argv) == 0
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * out.stat().st_size
+    return peak, os.path.getsize(argv[argv.index("--out") + 1])
+
+
+def test_bounds_report_is_written_while_the_sweep_runs(tmp_path):
+    # A report held whole until the sweep ends (every row, then one string)
+    # peaks at more than four times its size; a streamed one holds one n.
+    out = str(tmp_path / "report.json")
+    peak, size = report_peak(["bounds", "--n-max", "20", "--format", "json", "--out", out])
+    assert peak < 2 * size
+
+
+def test_classify_report_is_written_while_the_sweep_runs(tmp_path):
+    # Records held for every n until the report is written peak at about
+    # four times its size; a streamed report holds one n.
+    out = str(tmp_path / "report.json")
+    peak, size = report_peak(["classify", "--n-max", "300", "--format", "json", "--out", out])
+    assert peak < 2 * size
 
 
 JSON_SCALARS = st.one_of(

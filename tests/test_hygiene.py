@@ -7,8 +7,8 @@ one, function or class, is exported or so referenced, every name a
 docstring or comment there quotes in double backticks is bound in that
 code, every private name the README quotes in single backticks is bound
 at the top level of a module, every ``modmaj`` command line in a README
-code block parses, and ``modmaj.cli`` writes reports and usage errors only
-from ``main``.
+code block parses, ``modmaj.cli`` writes reports and usage errors only
+from ``main``, and no function in ``src/modmaj`` writes module-level state.
 """
 
 import ast
@@ -18,6 +18,7 @@ import re
 import shlex
 import tokenize
 from collections import defaultdict
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -365,3 +366,119 @@ def test_refused_readme_command_is_found(capsys):
     readme = "run\n```sh\nmodmaj classify --n-max 6  # fine\nmodmaj verify --n-max 6 --suite nosuch\n```\nmodmaj verify --bad\n"
     assert refused_readme_commands(readme) == ["modmaj verify --n-max 6 --suite nosuch"]
     assert "nosuch" in capsys.readouterr().err
+
+
+# Methods that change the list, dict or set they are called on.
+MUTATORS = {
+    "append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+    "clear", "add", "discard", "remove", "sort", "reverse",
+}
+
+
+def outermost_functions(stmts: list[ast.stmt]):
+    """The functions defined by these statements, the methods of their classes, nested classes included."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from outermost_functions(stmt.body)
+
+
+def root_name(node: ast.expr) -> str | None:
+    """The name at the base of a chain of attributes and subscripts, or None when the base is no name."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_writes(tree: ast.Module) -> list[str]:
+    """The lines where a function or method of the module writes module-level state.
+
+    A write is a ``global`` statement, a store into or a delete of a
+    subscript or attribute based on a module-level name, or a call of one of
+    the ``MUTATORS`` on such a name.  A name the function binds itself (a
+    parameter, an assignment target, an import or a definition, in it or in
+    a function nested in it) is its own, not the module's.
+    """
+    module = module_level_names(tree)
+    faults = []
+    for func in outermost_functions(tree.body):
+        nodes = list(ast.walk(func))
+        own = bound_names(func) - {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+        shared = module - own
+        for node in sorted((node for node in nodes if hasattr(node, "lineno")), key=attrgetter("lineno")):
+            if isinstance(node, ast.Global):
+                written = f"global {', '.join(node.names)}"
+            elif (
+                isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and root_name(node) in shared
+            ):
+                written = ast.unparse(node)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS
+                and root_name(node.func.value) in shared
+            ):
+                written = ast.unparse(node.func)
+            else:
+                continue
+            faults.append(f"line {node.lineno} in {func.name}: {written}")
+    return faults
+
+
+def test_no_function_writes_module_state():
+    faults = {
+        path.name: module_state_writes(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "modmaj").glob("*.py"))
+    }
+    assert {name: found for name, found in faults.items() if found} == {}
+
+
+def test_module_state_write_is_found():
+    tree = ast.parse(
+        "import os\n"
+        "_CYCLOTOMIC_VALUES = {}\n"
+        "_TABLE = {}\n"
+        "_SEEN = []\n"
+        "_COUNT = 0\n"
+        "\n"
+        "def _cyclotomic_values(w, exps):\n"  # qpoly's hand-built cache before lru_cache
+        "    values = _CYCLOTOMIC_VALUES.get(w)\n"
+        "    if values is None:\n"
+        "        values = _CYCLOTOMIC_VALUES[w] = []\n"
+        "    values += [0] * len(exps)\n"
+        "    return values\n"
+        "\n"
+        "def bump():\n"
+        "    global _COUNT\n"
+        "    _COUNT += 1\n"
+        "\n"
+        "def note(x):\n"
+        "    _SEEN.append(x)\n"
+        "    _TABLE[x].sort()\n"
+        "    del _TABLE[x]\n"
+        "    os.environ.update(X='1')\n"
+        "\n"
+        "class Table:\n"
+        "    def fill(self, _SEEN):\n"
+        "        _SEEN.append(1)\n"  # a parameter, not the module's list
+        "        self.rows = _TABLE.get(1)\n"
+        "        found = []\n"
+        "        found.append(len(_SEEN))\n"
+        "\n"
+        "        def inner():\n"
+        "            found.clear()\n"
+        "            _TABLE.clear()\n"
+        "        return inner\n"
+    )
+    assert module_state_writes(tree) == [
+        "line 10 in _cyclotomic_values: _CYCLOTOMIC_VALUES[w]",
+        "line 15 in bump: global _COUNT",
+        "line 19 in note: _SEEN.append",
+        "line 20 in note: _TABLE[x].sort",
+        "line 21 in note: _TABLE[x]",
+        "line 22 in note: os.environ.update",
+        "line 33 in fill: _TABLE.clear",
+    ]

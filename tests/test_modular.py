@@ -73,6 +73,13 @@ def formula_vectors():
         (lambda: amod_by_character_formula(P(())), "nonempty partition"),
         (lambda: predicted_exceptions(0), "predicted_exceptions requires n >= 1, got 0"),
         (lambda: predicted_exceptions(-1), "predicted_exceptions requires n >= 1, got -1"),
+        (lambda: rect_character(P(()), 1), r"rect_character requires a nonempty partition, got \(\)"),
+        (lambda: characters.rect_characters(P(())), r"rect_characters requires a nonempty partition, got \(\)"),
+        (lambda: expected_zero(P(()), 0), r"zero_residues requires a nonempty partition, got \(\)"),
+        (lambda: fl_log_bound(4, 2, 0), "fl_log_bound requires n >= 1 and f >= 1, got n=4, f=0"),
+        (lambda: fl_log_bound(0, 2, 1), "fl_log_bound requires n >= 1 and f >= 1, got n=0, f=1"),
+        (lambda: ClassWeightTable(0, {P((1,)): 1}), "ClassWeightTable requires group_order >= 1, got 0"),
+        (lambda: ClassWeightTable(-1, {P((1,)): 1}), "ClassWeightTable requires group_order >= 1, got -1"),
     ],
     ids=[
         "fl-bound-ell-not-dividing",
@@ -82,6 +89,13 @@ def formula_vectors():
         "formula-empty",
         "predicted-exceptions-0",
         "predicted-exceptions-negative",
+        "rect-character-empty",
+        "rect-characters-empty",
+        "expected-zero-empty",
+        "fl-log-f-0",
+        "fl-log-n-0",
+        "class-weights-order-0",
+        "class-weights-order-negative",
     ],
 )
 def test_arguments_out_of_range_are_refused(call, message):

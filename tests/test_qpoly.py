@@ -1,6 +1,7 @@
 """Integer polynomial arithmetic and the q-hook route to residue counts."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -280,18 +281,19 @@ def test_wrong_cyclotomic_value_is_caught(monkeypatch, parts):
     # one Phi_d(2^w) with its coefficient of q^0 or of q^1 off by one fails
     # the digit sum or the independent formula route
     lam = P(parts)
-    original = modmaj.qpoly._cyclotomic_values
+    original = modmaj.qpoly._cyclotomic_value
     exps = modmaj.qpoly._cyclotomic_exponents(lam.n, modmaj.qpoly.hook_histogram(lam))
     expected = amod_by_character_formula(lam)
     for d in (d for d, e in enumerate(exps) if e):
         for error in (1, -1, "X", "-X"):
 
-            def planted(w, exps):
-                values = list(original(w, exps))
-                values[d] += {"X": 1 << w, "-X": -(1 << w)}.get(error, error)
-                return values
+            def planted(k, w):
+                value = original(k, w)
+                if k == d:
+                    value += {"X": 1 << w, "-X": -(1 << w)}.get(error, error)
+                return value
 
-            monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_values", planted)
+            monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_value", planted)
             try:
                 counts = amod_by_qhook(lam)
             except ExactDivisionError as exc:
@@ -300,6 +302,48 @@ def test_wrong_cyclotomic_value_is_caught(monkeypatch, parts):
                 assert counts != expected, (d, error)
     monkeypatch.undo()
     assert amod_by_qhook(lam) == expected
+
+
+def test_cyclotomic_value_is_phi_d_at_a_power_of_two():
+    for d in range(1, 61):
+        for w in (1, 2, 3, 17, 64):
+            assert modmaj.qpoly._cyclotomic_value(d, w) == IntPolynomial(modmaj.qpoly._cyclotomic(d)).evaluate(1 << w)
+
+
+@pytest.mark.parametrize("parts", PLANTED_SHAPES)
+def test_fold_asks_only_for_the_factors_it_uses(monkeypatch, parts):
+    lam = P(parts)
+    original = modmaj.qpoly._cyclotomic_value
+    asked = []
+
+    def recording(d, w):
+        asked.append((d, w))
+        return original(d, w)
+
+    monkeypatch.setattr(modmaj.qpoly, "_cyclotomic_value", recording)
+    w = modmaj.qpoly._cyclotomic_fold(lam)[0]
+    exps = modmaj.qpoly._cyclotomic_exponents(lam.n, modmaj.qpoly.hook_histogram(lam))
+    assert asked == [(d, w) for d, e in enumerate(exps) if e]
+
+
+def plain_slots(value, w, count):
+    """The first count w-bit digits of value, one shift of the whole int per digit."""
+    digits = []
+    for _ in range(count):
+        digits.append(value & ((1 << w) - 1))
+        value >>= w
+    return digits
+
+
+def test_slots_read_in_halves_match_the_plain_loop():
+    rng = random.Random(35)
+    for w in (1, 2, 5, 17, 64):
+        for count in range(1, 301):
+            value = rng.getrandbits(w * count + 7)  # bits past the last digit are ignored
+            digits = plain_slots(value, w, count)
+            assert modmaj.qpoly._slots(value, w, count, sum(digits)) == digits, (w, count)
+            with pytest.raises(ExactDivisionError, match="digits sum"):
+                modmaj.qpoly._slots(value, w, count, sum(digits) + 1)
 
 
 def test_empty_shape_is_rejected():
