@@ -28,12 +28,12 @@ only for ``--format csv``) and raises ValueError on a usage error.  ``main``
 alone opens ``--out`` before any work, builds the report, hands it to
 ``report.emit`` and maps errors to exit codes.
 
-``cmd_bounds`` and ``cmd_classify`` return their reports unevaluated:
-results, text lines and CSV rows are generators over one sweep, which runs
-as ``emit`` writes the chosen format, one n at a time; the summary is
-filled in as the sweep ends, and so is the exit code of ``bounds`` (a
-function).  So ``main`` reads the exit code only after the report is
-written.
+``cmd_verify``, ``cmd_classify`` and ``cmd_bounds`` return their reports
+unevaluated: results, text lines and CSV rows are generators over one
+sweep, which runs as ``emit`` writes the chosen format, one n at a time;
+the summary is filled in as the sweep ends, and so is the exit code of
+``verify`` and ``bounds`` (a function).  So ``main`` reads the exit code
+only after the report is written.
 """
 
 import argparse
@@ -242,32 +242,36 @@ def cmd_char(args):
 
 def cmd_verify(args):
     suites = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
-    results = _run_checks(suites, args.n_max, args.jobs, args.resume)
-    total_mismatches = sum(len(e["mismatches"]) for e in results)
-    summary = {"ok": total_mismatches == 0, "mismatches": total_mismatches}
     census_suite = next((s for s in CENSUS_SUITES if s in suites), None)
+    summary = {"mismatches": 0}
     if census_suite:
-        summary["small_dimension_total"] = sum(
-            e.get("small_dimension", 0) for e in results if e["suite"] == census_suite
-        )
+        summary["small_dimension_total"] = 0
+
+    def entries():
+        for e in _run_checks(suites, args.n_max, args.jobs, args.resume):
+            summary["mismatches"] += len(e["mismatches"])
+            if e["suite"] == census_suite:
+                summary["small_dimension_total"] += e["small_dimension"]
+            yield e
+        summary["ok"] = not summary["mismatches"]
+
+    def text_lines():
+        yield f"verify up to n={args.n_max}, suite={args.suite}"
+        for e in sweep:
+            extra = f"  shapes-with-small-dimension={e['small_dimension']}" if "small_dimension" in e else ""
+            yield f"  n={e['n']:>3} {e['suite']:<15} mismatches={len(e['mismatches'])}{extra}"
+        yield f"total mismatches: {summary['mismatches']}"
+        if census_suite:
+            yield f"shapes with dimension below n^3: {summary['small_dimension_total']}"
+
+    sweep = entries()
     csv_rows = (
-        {
-            "suite": e["suite"],
-            "n": e["n"],
-            "mismatches": len(e["mismatches"]),
-            "small_dimension": e.get("small_dimension"),
-        }
-        for e in results
+        {"suite": e["suite"], "n": e["n"], "mismatches": len(e["mismatches"]), "small_dimension": e.get("small_dimension")}
+        for e in sweep
     )
-    text = [f"verify up to n={args.n_max}, suite={args.suite}"]
-    for e in results:
-        extra = f"  shapes-with-small-dimension={e['small_dimension']}" if "small_dimension" in e else ""
-        text.append(f"  n={e['n']:>3} {e['suite']:<15} mismatches={len(e['mismatches'])}{extra}")
-    text.append(f"total mismatches: {total_mismatches}")
-    if "small_dimension_total" in summary:
-        text.append(f"shapes with dimension below n^3: {summary['small_dimension_total']}")
+    results = ([e] for e in sweep)
     config = {"n_max": args.n_max, "suite": args.suite}
-    return 0 if total_mismatches == 0 else 1, config, results, summary, text, csv_rows
+    return (lambda: 0 if summary["ok"] else 1), config, results, summary, text_lines(), csv_rows
 
 
 # ---------------------------------------------------------------- classify
@@ -317,24 +321,21 @@ def cmd_bounds(args):
     """A streamed report: one sweep, run by whichever output the format consumes.
 
     Each n's rows are checked once, handed on and dropped, so memory is
-    bounded by one n, not by every shape up to ``--n-max``.  The summary
-    and the exit code are complete once the sweep is done.
+    bounded by one n, not by every shape up to ``--n-max``.
     """
     violations = []
     summary = {"violations": violations}
 
-    def fold(n, rows):
-        rows = list(rows)
-        found = bound_violations(rows)
-        violations.extend(found)
-        return n, rows, len(found)
-
     def per_n():
         with sweep_pool(args.jobs) as pool_map:
-            yield from _map_ahead(
-                range(1, args.n_max + 1), pool_map, _bounds_row,
-                lambda n: _bounds_tasks(n, args.suite), fold,
-            )
+            for n, rows in _map_ahead(
+                range(1, args.n_max + 1), pool_map, _bounds_row, lambda n: _bounds_tasks(n, args.suite)
+            ):
+                rows = list(rows)
+                found = bound_violations(rows)
+                violations.extend(found)
+                yield n, rows, len(found)
+                del rows  # not held while the next n lists the tasks of n + 2
         summary["ok"] = not violations
 
     def text_lines():

@@ -60,39 +60,34 @@ that a ribbon leaves, the sum S(nu) of the weights times the characters of
 nu at the rest of each type; a shape then costs one lookup per ribbon,
 through ``characters._class_sum``, not one per cycle type.
 
-``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to its
-check, ``check(ns, pool_map=map)``, which yields one entry per n of ns in
-order.  The command and the acceptance gate both run these, so the gate
+``VERIFY_CHECKS`` at the bottom maps each suite of ``modmaj verify`` to
+its check, ``check(ns, pool_map=map)``, which yields one entry per n of ns
+in order.  The command and the acceptance gate both run these, so the gate
 tests the code the command ships.  ``_run_checks``, beside the registry,
 is the one loop over it, for ``modmaj verify`` and ``verify_main_theorem``
-alike, and it owns the ``--resume`` checkpoint: one JSON line per finished
-(suite, n), read and validated once per run, so that only the missing
-entries are computed, each appended as its check yields it.  The
-classification check maps one task per conjugate pair: a shape and its
-conjugate share the q-hook quotient and its fold mod q^n - 1, so the sweep
-computes one fold per pair, as one cyclotomic product
-(``qpoly._cyclotomic_fold``), and each shape's row rotates the folded
-counts by its own shift.
+alike; it yields the entries as they are computed and owns the
+``--resume`` checkpoint: one JSON line per finished (suite, n), read and
+validated once per run, so that only the missing entries are computed,
+each appended as its check yields it.  The classification check maps one
+task per conjugate pair: a shape and its conjugate share the q-hook
+quotient and its fold mod q^n - 1, so the sweep computes one fold per
+pair, as one cyclotomic product (``qpoly._cyclotomic_fold``), and each
+shape's row rotates the folded counts by its own shift.
 
 Parallel work goes through ``sweep_pool(jobs)``, which yields the ordered
 map ``pool_map(fn, items)`` of one sweep.  Each check of ``VERIFY_CHECKS``
 takes it as its second argument, so the suites of one ``_run_checks`` call
 share one ``Pool`` of workers, forked by the map's first parallel call and
-shut down when the block ends.  The workers are driven by the calling
-thread alone, and the pool starts no thread here or in a worker.  It
-sends chunks when a map is issued and, while a map is iterated, reads
-results and sends the chunks still queued.  Each worker holds one chunk at
-a time and is sent the next only once its reply is read, so the two sides
-never both wait to send.  A worker that dies in the middle of a map is an
-error (``ChildProcessError``, exit 2), not a hang, and the workers ignore
+shut down when the block ends; the calling thread alone drives them (see
+``Pool``).  A worker that dies in the middle of a map is an error
+(``ChildProcessError``, exit 2), not a hang, and the workers ignore
 SIGINT, so an interrupt reaches this process alone.  The checks that map
-over shapes (classification, fiber laws and bounds) go through
-``_map_ahead``: it issues the map of n + 1 before it folds the results of
-n, so the workers never wait at an n boundary, and at most two n are in
-flight.  ``modmaj bounds`` runs the same
-``_map_ahead`` sweep over ``_bounds_tasks`` in a block of its own.  The
-workers are forked inside the sweep, so they run the code in place when the
-sweep started, patched functions included.
+over shapes (classification, fiber laws and bounds) read each n's results
+in a loop over ``_map_ahead``, which yields n once the map of n + 1 is
+queued, so the workers never wait at an n boundary, and at most two n are
+in flight.  ``modmaj bounds`` runs the same loop over ``_bounds_tasks`` in
+a block of its own.  The workers are forked inside the sweep, so they run
+the code in place when the sweep started, patched functions included.
 """
 
 import json
@@ -105,7 +100,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import characters
 from .characters import _beads, _check_cycles, _class_sum, rect_characters
@@ -412,11 +407,10 @@ class Pool:
             process.join()
             process.close()
 
-    def imap(self, fn: Callable, items: Iterable, chunksize: int) -> Iterator:
+    def imap(self, fn: Callable, items: Sequence, chunksize: int) -> Iterator:
         """``fn(item)`` for each item, in order; the chunks are queued, and sent to idle workers, at once."""
         import pickle
 
-        items = list(items)
         messages = [pickle.dumps((fn, items[i : i + chunksize])) for i in range(0, len(items), chunksize)]
         slots = [[] for _ in messages]
         self._queued.extend(zip(messages, slots))
@@ -545,28 +539,24 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
 
 
 def _map_ahead(
-    ns: Iterable[int],
-    pool_map: Callable,
-    fn: Callable,
-    tasks: Callable[[int], list],
-    fold: Callable[[int, Iterator], object],
-) -> Iterator:
-    """``fold(n, pool_map(fn, tasks(n)))`` for each n of ns, in order, with the map of n + 1 issued first.
+    ns: Iterable[int], pool_map: Callable, fn: Callable, tasks: Callable[[int], list]
+) -> Iterator[tuple[int, Iterator]]:
+    """``(n, pool_map(fn, tasks(n)))`` for each n of ns, in order, each yielded once the map of n + 1 is queued.
 
-    A pool's ``imap`` queues its chunks when it is called, and folding n
-    sends them as the workers finish the chunks of n, so the workers start
-    on n + 1 while this process folds the results of n, and no n boundary
-    leaves them idle.  At most two n are in flight, so at most two
-    task lists are alive at once.
+    A pool's ``imap`` queues its chunks when it is called, and reading n's
+    results sends them as the workers finish the chunks of n, so the
+    workers start on n + 1 while the caller reads n, and no n boundary
+    leaves them idle.  At most two n are in flight, so at most two task
+    lists are alive at once.
     """
     ahead = None
     for n in ns:
         results = pool_map(fn, tasks(n))
         if ahead is not None:
-            yield fold(*ahead)
+            yield ahead
         ahead = n, results
     if ahead is not None:
-        yield fold(*ahead)
+        yield ahead
 
 
 def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
@@ -578,7 +568,7 @@ def verify_main_theorem(n_max: int, jobs: int = 1) -> ClassificationReport:
     """
     if n_max < 1:
         raise ValueError(f"verify_main_theorem requires n_max >= 1, got {n_max}")
-    entries = _run_checks(["classification"], n_max, jobs, None)
+    entries = list(_run_checks(["classification"], n_max, jobs, None))
     return ClassificationReport(
         n_max,
         sum(entry["shapes"] for entry in entries),
@@ -614,6 +604,8 @@ def fl_bound_check(n: int, ell: int, chi: int, f: int) -> bool:
     |chi|^ell n! <= (s!)^ell ell^(s ell) f with s = n / ell; both constants
     come from the multiples table of n.
     """
+    if n < 1:
+        raise ValueError(f"fl_bound_check requires n >= 1, got {n}")
     if ell < 1 or n % ell != 0:
         raise ValueError(f"need ell | n, got ell={ell}, n={n}")
     return _fl_holds(f, ell, chi, multiples_table(n))
@@ -797,7 +789,8 @@ def bound_violations(rows: Iterable[dict]) -> list[dict]:
 
 def _check_classification(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
     """One task per conjugate pair; mismatches come back in ``partitions_of`` order."""
-    return _map_ahead(ns, pool_map, _classification_pair, _pair_leaders, _classification_entry)
+    for n, pairs in _map_ahead(ns, pool_map, _classification_pair, _pair_leaders):
+        yield _classification_entry(n, pairs)
 
 
 def _pair_leaders(n: int) -> list[tuple[int, ...]]:
@@ -856,7 +849,8 @@ def _check_fiber_laws(ns: Iterable[int], pool_map: Callable = map) -> Iterator[d
     a class once per residue in it, the laws compare with 2s and 2.  Hooks are counted
     (``_hook_counts``) on bead sets; ``ell_core`` finds the core, as the ell-weight assumes the law.
     """
-    return _map_ahead(ns, pool_map, _fiber_law_row, lambda n: sorted(_parts_of(n)), _fiber_law_entry)
+    for n, rows in _map_ahead(ns, pool_map, _fiber_law_row, lambda n: sorted(_parts_of(n))):
+        yield {"n": n, "suite": "fiber-laws", "mismatches": [record for row in rows for record in row]}
 
 
 def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
@@ -886,10 +880,6 @@ def _fiber_law_row(parts: tuple[int, ...]) -> list[dict]:
     return mismatches
 
 
-def _fiber_law_entry(n: int, rows: Iterator[list[dict]]) -> dict:
-    return {"n": n, "suite": "fiber-laws", "mismatches": [record for row in rows for record in row]}
-
-
 def _class_counts(counts: list[int], ell: int) -> list[int]:
     """For each a mod ell, the histogram's hooks congruent to a plus those congruent to -a: a class {a} = {-a} counts twice."""
     residues = [sum(counts[a::ell]) for a in range(ell)]
@@ -897,7 +887,8 @@ def _class_counts(counts: list[int], ell: int) -> list[int]:
 
 
 def _check_bounds(ns: Iterable[int], pool_map: Callable = map) -> Iterator[dict]:
-    return _map_ahead(ns, pool_map, _bounds_row, _bounds_tasks, _bounds_entry)
+    for n, rows in _map_ahead(ns, pool_map, _bounds_row, _bounds_tasks):
+        yield {"n": n, "suite": "bounds", "mismatches": bound_violations(rows)}
 
 
 def _bounds_tasks(n: int, suite: str = "all") -> list[tuple[tuple[int, ...], str]]:
@@ -905,16 +896,12 @@ def _bounds_tasks(n: int, suite: str = "all") -> list[tuple[tuple[int, ...], str
     return [(parts, suite) for parts in sorted(_parts_of(n))]
 
 
-def _bounds_entry(n: int, rows: Iterator[dict]) -> dict:
-    return {"n": n, "suite": "bounds", "mismatches": bound_violations(rows)}
-
-
 # Suite name -> check(ns, pool_map=map), in report order.  Each check yields,
 # for each n of ns in order, the entry ``modmaj verify`` reports and
 # checkpoints for that n; its "mismatches" list is empty when the law holds
 # at every shape of n.  A check that maps over the shapes of n does so
-# through ``pool_map`` and ``_map_ahead``, which issues the map of the next
-# n before it folds the results of this one.
+# through ``pool_map`` and ``_map_ahead``, and reads each n's results in a
+# loop of its own, which ``_map_ahead`` enters once the next n's map is queued.
 VERIFY_CHECKS: dict[str, Callable[..., Iterator[dict]]] = {
     "classification": _check_classification,
     "fdim-census": _check_census,
@@ -969,20 +956,23 @@ def _checkpoint_read(path: str, suites: list[str]) -> dict[tuple[str, int], dict
     return done
 
 
-def _run_checks(suites: list[str], n_max: int, jobs: int, checkpoint: str | None) -> list[dict]:
-    """The entries of each suite for n = 1..n_max, suite by suite, on one ``sweep_pool(jobs)``.
+def _run_checks(suites: list[str], n_max: int, jobs: int, checkpoint: str | None) -> Iterator[dict]:
+    """Each suite's entries for n = 1..n_max in n order, suite by suite, yielded as computed on one ``sweep_pool(jobs)``.
 
-    With a ``checkpoint`` path the file is read once, only the (suite, n)
-    it lacks are computed, and each computed entry is appended to it as
-    its check yields it, so a killed run resumes where it stopped.
+    With a ``checkpoint`` path the file is read once, and only the (suite,
+    n) it lacks are computed, each appended to it as its check yields it,
+    so a killed run resumes where it stopped.
     """
     done = _checkpoint_read(checkpoint, suites) if checkpoint else {}
     ns = range(1, n_max + 1)
     with sweep_pool(jobs) as pool_map:
         for suite in suites:
-            for entry in VERIFY_CHECKS[suite]([n for n in ns if (suite, n) not in done], pool_map):
-                if checkpoint:
-                    with open(checkpoint, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                done[suite, entry["n"]] = entry
-    return [done[suite, n] for suite in suites for n in ns]
+            computed = VERIFY_CHECKS[suite]([n for n in ns if (suite, n) not in done], pool_map)
+            for n in ns:
+                entry = done.pop((suite, n), None)
+                if entry is None:
+                    entry = next(computed)
+                    if checkpoint:
+                        with open(checkpoint, "a", encoding="utf-8") as fh:
+                            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                yield entry

@@ -107,6 +107,8 @@ def totient_table(n: int) -> Mapping[int, int]:
     Keys come in ``divisors`` order; the mapping is read-only, so the
     memoized table cannot be changed by a caller.
     """
+    if n < 1:
+        raise ValueError(f"totient_table requires n >= 1, got {n}")
     return MappingProxyType({ell: totient(ell) for ell in divisors(n)})
 
 
@@ -118,6 +120,8 @@ def multiples_table(n: int) -> Mapping[int, tuple[int, int]]:
     (s!)^ell * ell^(s*ell).  Keys come in ``divisors`` order; the mapping
     is read-only, so the memoized table cannot be changed by a caller.
     """
+    if n < 1:
+        raise ValueError(f"multiples_table requires n >= 1, got {n}")
     table = {}
     for ell in divisors(n):
         m = prod(range(ell, n + 1, ell))
@@ -128,7 +132,7 @@ def multiples_table(n: int) -> Mapping[int, tuple[int, int]]:
 def ramanujan_sum_oracle(j: int, s: int) -> int:
     """Independent route to c_j(s): the divisor sum of mu(j/d) * d over d | gcd(j, s)."""
     if j < 1:
-        raise ValueError(f"ramanujan_sum requires j >= 1, got {j}")
+        raise ValueError(f"ramanujan_sum_oracle requires j >= 1, got {j}")
     g = gcd(j, s % j)
     return sum(moebius(j // d) * d for d in divisors(g))
 
@@ -143,6 +147,8 @@ def ramanujan_matrix(n: int) -> list[list[int]]:
 
 def ramanujan_matrix_square(n: int) -> list[list[int]]:
     """C squared, for comparison against n times the identity matrix."""
+    if n < 1:
+        raise ValueError(f"ramanujan_matrix_square requires n >= 1, got {n}")
     c = ramanujan_matrix(n)
     k = len(c)
     return [

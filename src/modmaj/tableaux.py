@@ -55,7 +55,9 @@ class ModularClassVector:
     def __init__(self, n: int, counts):
         # ``index`` refuses a float or a str with TypeError rather than truncating it.
         counts = tuple(map(index, counts))
-        if n < 1 or len(counts) != n:
+        if n < 1:
+            raise ValueError(f"ModularClassVector requires n >= 1, got {n}")
+        if len(counts) != n:
             raise ValueError(f"need exactly n={n} counts, got {len(counts)}")
         self.n = n
         self.counts = counts

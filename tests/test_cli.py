@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -456,6 +457,32 @@ def test_classify_report_is_written_while_the_sweep_runs(tmp_path):
     out = str(tmp_path / "report.json")
     peak, size = report_peak(["classify", "--n-max", "300", "--format", "json", "--out", out])
     assert peak < 2 * size
+
+
+def test_verify_runs_no_check_before_its_report_is_read(monkeypatch):
+    # ``_run_checks`` yields each entry as it is computed, and ``cmd_verify``
+    # returns its report unevaluated, like ``classify`` and ``bounds``.
+    called = []
+    for suite, check in list(modular.VERIFY_CHECKS.items()):
+
+        def recorded(ns, pool_map=map, _suite=suite, _check=check):
+            called.append(_suite)
+            return _check(ns, pool_map)
+
+        monkeypatch.setitem(modular.VERIFY_CHECKS, suite, recorded)
+    entries = modular._run_checks(["fdim-census", "ramanujan"], 4, 1, None)
+    assert next(entries)["suite"] == "fdim-census"
+    assert called == ["fdim-census"]
+    args = cli.build_parser().parse_args(["verify", "--suite", "all", "--n-max", "3"])
+    for read in range(3):
+        called.clear()
+        code, _, results, summary, text, csv_rows = cli.cmd_verify(args)
+        outputs = (results, text, csv_rows)
+        assert all(isinstance(output, Iterator) for output in outputs) and callable(code)
+        assert called == []
+        list(outputs[read])
+        assert called == list(modular.VERIFY_CHECKS)
+        assert code() == 0 and summary["ok"] is True
 
 
 JSON_SCALARS = st.one_of(

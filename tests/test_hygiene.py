@@ -143,7 +143,7 @@ def test_dead_private_function_is_found():
 
 
 # Public names that nothing in src uses and the package does not export:
-# bench/test_bench.py calls parallel_map, which ROADMAP direction 8 removes.
+# bench/test_bench.py calls parallel_map, which ROADMAP direction 4 removes.
 UNEXPORTED_PUBLIC_NAMES = {"parallel_map"}
 
 

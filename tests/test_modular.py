@@ -80,6 +80,8 @@ def formula_vectors():
         (lambda: fl_log_bound(0, 2, 1), "fl_log_bound requires n >= 1 and f >= 1, got n=0, f=1"),
         (lambda: ClassWeightTable(0, {P((1,)): 1}), "ClassWeightTable requires group_order >= 1, got 0"),
         (lambda: ClassWeightTable(-1, {P((1,)): 1}), "ClassWeightTable requires group_order >= 1, got -1"),
+        (lambda: fl_bound_check(0, 1, 1, 1), "fl_bound_check requires n >= 1, got 0"),
+        (lambda: fl_bound_check(-2, 1, 1, 1), "fl_bound_check requires n >= 1, got -2"),
     ],
     ids=[
         "fl-bound-ell-not-dividing",
@@ -96,6 +98,8 @@ def formula_vectors():
         "fl-log-n-0",
         "class-weights-order-0",
         "class-weights-order-negative",
+        "fl-bound-n-0",
+        "fl-bound-n-negative",
     ],
 )
 def test_arguments_out_of_range_are_refused(call, message):

@@ -54,6 +54,33 @@ def test_zero_rejected(bad):
         bad(0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: totient_table(0), "totient_table requires n >= 1, got 0"),
+        (lambda: multiples_table(0), "multiples_table requires n >= 1, got 0"),
+        (lambda: multiples_table(-3), "multiples_table requires n >= 1, got -3"),
+        (lambda: ramanujan_sum(0, 1), "ramanujan_sum requires j >= 1, got 0"),
+        (lambda: ramanujan_sum_oracle(0, 1), "ramanujan_sum_oracle requires j >= 1, got 0"),
+        (lambda: ramanujan_matrix(0), "ramanujan_matrix requires n >= 1, got 0"),
+        (lambda: ramanujan_matrix_square(0), "ramanujan_matrix_square requires n >= 1, got 0"),
+    ],
+    ids=[
+        "totient-table-0",
+        "multiples-table-0",
+        "multiples-table-negative",
+        "ramanujan-sum-0",
+        "ramanujan-sum-oracle-0",
+        "ramanujan-matrix-0",
+        "ramanujan-matrix-square-0",
+    ],
+)
+def test_refusal_names_the_function_and_the_value(call, message):
+    # the message is the function's own, not that of a helper it calls
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_ramanujan_examples():
     assert ramanujan_sum(4, 2) == -2
     assert ramanujan_sum_oracle(4, 2) == -2

@@ -47,6 +47,15 @@ def test_class_vector_refuses_non_integer_counts():
             ModularClassVector(2, counts)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_class_vector_refuses_n_below_1(n):
+    # its own message, not the count-length one ("need exactly n=0 counts, got 0")
+    with pytest.raises(ValueError, match=f"^ModularClassVector requires n >= 1, got {n}$"):
+        ModularClassVector(n, [])
+    with pytest.raises(ValueError, match="^need exactly n=2 counts, got 1$"):
+        ModularClassVector(2, [1])
+
+
 @pytest.mark.parametrize("entry", [2.9, "2"], ids=["float", "str"])
 def test_polynomial_and_tableau_refuse_non_integer_entries(entry):
     # a float is refused, not truncated (IntPolynomial([1.9, 2.5]) was 1 + 2*q),
